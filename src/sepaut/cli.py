@@ -31,6 +31,7 @@ from .quasitorus import (
     EnumerationTooLargeError,
     character_matrix,
     count_torsion_points_mod,
+    quasitorus_structure,
     torsion_count_formula,
 )
 from .rigidity import rigidity_certificate
@@ -66,12 +67,41 @@ def _read_input(arg: str) -> str:
     return arg
 
 
+# str(int) refuses more than sys.get_int_max_str_digits() digits (640 at the
+# least); the analysis can produce integers far longer than its input, so
+# those are converted in pieces of fewer digits than that
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """Decimal string of any integer, whatever its length."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _decimal(-x)
+    split, digits = _PIECE, _PIECE_DIGITS
+    while split * split <= x:
+        split, digits = split * split, 2 * digits
+    high, low = divmod(x, split)
+    return _decimal(high) + _decimal(low).zfill(digits)
+
+
 def _ints(vec) -> list[str]:
-    return [str(int(x)) for x in vec]
+    try:
+        return [str(int(x)) for x in vec]
+    except ValueError:
+        return [_decimal(int(x)) for x in vec]
 
 
 def _frac(x) -> str | None:
-    return None if x is None else str(x)
+    if x is None:
+        return None
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def run_verification(cf) -> list[dict]:
@@ -104,7 +134,7 @@ def run_verification(cf) -> list[dict]:
         checks.append({"oracle": "perms", "status": "skipped", "detail": str(exc)})
 
     cd = character_matrix(cf)
-    quasi_torsion = sorted(set(d for d in _torsion_divisors(cd))) or [2]
+    quasi_torsion = sorted(set(quasitorus_structure(cd).torsion)) or [2]
     for modulus in quasi_torsion:
         name = f"torsion mod {modulus}"
         try:
@@ -121,10 +151,6 @@ def run_verification(cf) -> list[dict]:
         except EnumerationTooLargeError as exc:
             checks.append({"oracle": name, "status": "skipped", "detail": str(exc)})
     return checks
-
-
-def _torsion_divisors(cd) -> list[int]:
-    return [d for d in smith_normal_form(cd.difference_matrix).divisors if d > 1]
 
 
 def build_report(input_text: str, cf, verify: bool = False) -> dict:
@@ -152,7 +178,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "scaling_absorbed": cf.scaling_note,
         },
         "rigidity": {
-            "reciprocal_sum": str(cert.reciprocal_sum),
+            "reciprocal_sum": _frac(cert.reciprocal_sum),
             "threshold": _frac(cert.threshold),
             "verdict": cert.verdict,
             "equality": cert.equality,
@@ -161,15 +187,15 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         },
         "quasitorus": {
             "torus_rank": aut.quasitorus.torus_rank,
-            "torsion": [str(d) for d in aut.quasitorus.torsion],
+            "torsion": _ints(aut.quasitorus.torsion),
             "cocharacter_basis": [_ints(v) for v in aut.quasitorus.cocharacter_basis],
             "torsion_generators": [
-                {"order": str(t.order), "exponents": _ints(t.exponents)}
+                {"order": _decimal(t.order), "exponents": _ints(t.exponents)}
                 for t in aut.quasitorus.torsion_generators
             ],
         },
         "permutation_group": {
-            "order": str(aut.perm.order),
+            "order": _decimal(aut.perm.order),
             "structure": aut.perm.structure,
             "pure_factors": [
                 {"exponent": p.exponent, "variables": list(p.variables)}

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Smith normal form, kernel lattices, minors.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere.  The matrices in this package stay small (their row
-count is one less than the number of monomials of the input polynomial), so
-the implementation favours exactness and auditability over asymptotics:
+point is used anywhere.  The analysis of a polynomial uses only `IntMatrix`
+from here (quasitorus computes H block by block); the Smith normal form
+serves `sepaut snf`, solving in a caller-supplied basis, and the tests,
+where it and the gcd-of-minors oracle referee the block-local closed form.
+The implementation favours exactness and auditability over asymptotics:
 
 * Smith normal form by elimination with a minimal-|entry| pivot rule, which
   keeps intermediate coefficients from blowing up on matrices of this size;
@@ -93,8 +95,7 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(
-            sum(self.row(i)[k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
+            sum(a * b for a, b in zip(self.row(i), vec)) for i in range(self.rows)
         )
 
     def determinant(self) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -211,7 +212,14 @@ class _Parser:
         if self.pos == start:
             found = f", found {self._peek()!r}" if self._peek() else " but input ended"
             self._fail(f"expected {what}" + found)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos]
+        try:
+            return int(digits)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self._fail(
+                f"{what} has {len(digits)} digits, over the limit of {limit}", pos=start
+            )
 
     def _parse_var(self) -> str:
         start = self.pos

@@ -2,7 +2,7 @@
 
 Two families of diagonal one-parameter subgroups act on the hypersurface:
 
-* the *homogeneity cocharacter*: with P the product of all block degrees
+* the *homogeneity cocharacter*: with P the lcm of all block degrees
   (mixed-block total degrees L_i and pure exponents q_i), weighting every
   variable of a block by P divided by its block degree gives each monomial
   the same total weight P, so the whole polynomial scales by one factor;
@@ -21,11 +21,11 @@ vector u in the chosen basis is a certificate checkable by n inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm
 
-from .intlat import IntMatrix, kernel_basis, smith_normal_form
+from .intlat import IntMatrix, smith_normal_form
 from .polyio import CanonicalForm
-from .quasitorus import character_matrix
+from .quasitorus import character_matrix, cocharacter_coordinates, quasitorus_structure
 
 __all__ = [
     "PairCocharacter",
@@ -69,17 +69,17 @@ class ConeDescription:
 def torus_generators(cf: CanonicalForm) -> TorusGenerators:
     """The explicit cocharacters described in the module docstring.
 
-    Each returned vector is verified to annihilate the character differences
-    (i.e. to lie in ker(D), hence to define a diagonal symmetry).
+    Each returned vector is verified to pair equally with every monomial
+    (i.e. to lie in ker(D), hence to define a diagonal symmetry); the M
+    pairings run over the monomial supports, O(n) per vector.
     """
-    d_matrix = character_matrix(cf).difference_matrix
     n = cf.variable_count
     idx = cf.variable_index
 
     degrees = [b.degree for b in cf.mixed_blocks] + [
         b.exponent for b in cf.pure_blocks
     ]
-    total = prod(degrees)
+    total = lcm(*degrees)
     homogeneity = [0] * n
     for b in cf.mixed_blocks:
         for v in b.variables:
@@ -98,8 +98,11 @@ def torus_generators(cf: CanonicalForm) -> TorusGenerators:
             vec[idx[b.variables[j]]] = -b.exponents[0]
             pairs.append(PairCocharacter(block=bi, position=j, vector=tuple(vec)))
 
+    monomials = [
+        [(idx[v], e) for v, e in zip(b.variables, b.exponents)] for b in cf.mixed_blocks
+    ] + [[(idx[v], b.exponent)] for b in cf.pure_blocks for v in b.variables]
     for vec in [homogeneity, *(p.vector for p in pairs)]:
-        if any(d_matrix.matvec(vec)):
+        if len({sum(e * vec[v] for v, e in mono) for mono in monomials}) != 1:
             raise AssertionError("constructed cocharacter is not a kernel vector")
     return TorusGenerators(homogeneity=homogeneity, pair_cocharacters=tuple(pairs))
 
@@ -130,22 +133,25 @@ def express_in_basis(basis, target) -> tuple[int, ...]:
 def weight_cone(cf: CanonicalForm, basis=None) -> ConeDescription:
     """Weights of the coordinate functions and a pointedness certificate.
 
-    `basis` defaults to a kernel basis of the character differences; any
-    basis of the same lattice (for example after a unimodular change) yields
-    the same pointedness verdict and witness validity.  The witness is the
+    `basis` defaults to the block-local cocharacter basis of
+    `quasitorus_structure`, in which the witness is read off block by block;
+    any other basis of the same lattice (for example after a unimodular
+    change) yields the same pointedness verdict and witness validity, with
+    the witness solved for by `express_in_basis`.  The witness is the
     homogeneity cocharacter written in the basis: its pairing with the
     weight vector of variable v equals that variable's homogeneity weight,
     which is strictly positive.
     """
-    cd = character_matrix(cf)
+    gens = torus_generators(cf)
     if basis is None:
-        basis = kernel_basis(cd.difference_matrix)
-    basis = tuple(tuple(int(x) for x in row) for row in basis)
+        cd = character_matrix(cf)
+        basis = quasitorus_structure(cd).cocharacter_basis
+        witness = cocharacter_coordinates(cd, gens.homogeneity)
+    else:
+        basis = tuple(tuple(int(x) for x in row) for row in basis)
+        witness = express_in_basis(basis, gens.homogeneity)
     n = cf.variable_count
     weights = tuple(tuple(row[v] for row in basis) for v in range(n))
-
-    gens = torus_generators(cf)
-    witness = express_in_basis(basis, gens.homogeneity)
     pointed = all(
         sum(u * w for u, w in zip(witness, weights[v])) > 0 for v in range(n)
     )

@@ -1,14 +1,17 @@
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import FLAGSHIP
-from sepaut.cli import main
+from conftest import FLAGSHIP, random_canonical_form
+from sepaut.cli import build_report, main
 from sepaut.polyio import parse_separated
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -186,3 +189,98 @@ def test_json_output_is_byte_identical_across_processes(flags):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_analysis_path_never_runs_smith_normal_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Smith normal form on the analysis path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sepaut" or name.startswith("sepaut."):
+            for attr in ("smith_normal_form", "kernel_basis"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    rng = random.Random(45)
+    texts = [FLAGSHIP, BIG] + [random_canonical_form(rng).to_text() for _ in range(10)]
+    for text in texts:
+        for verify in (False, True):
+            report = build_report(text, parse_separated(text), verify=verify)
+            assert all(c["status"] != "fail" for c in report["verification"]["checks"])
+
+
+def _invariant_factors(values):
+    """Invariant factors of the direct sum of Z/g, by gcd/lcm exchanges."""
+    g = list(values)
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            d = math.gcd(g[i], g[j])
+            g[i], g[j] = d, g[i] // d * g[j]
+    return g
+
+
+def test_four_block_thousand_digit_analysis(capsys):
+    rng = random.Random(46)
+    shared = rng.randrange(10**499, 10**500)
+    blocks = []
+    for k, scale in enumerate((6, 10, 15, 4)):
+        while True:
+            a, b = (rng.randrange(10**499, 10**500) for _ in range(2))
+            if math.gcd(a, b) == 1:
+                break
+        blocks.append(((f"a{k}", shared * scale * a), (f"b{k}", shared * scale * b)))
+    text = " + ".join("*".join(f"{v}^{e}" for v, e in block) for block in blocks)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", text, "--json", "--verify")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    report = json.loads(out)
+    quasi = report["quasitorus"]
+    factors = _invariant_factors(shared * s for s in (6, 10, 15, 4))
+    expected = [d for d in factors[:-1] if d > 1]
+    assert quasi["torsion"] == [str(d) for d in expected]
+    assert quasi["torus_rank"] == 5
+    names = report["canonical_form"]["variables"]
+    chars = []
+    for block in blocks:
+        exps = dict(block)
+        chars.append([exps.get(v, 0) for v in names])
+    for vec in quasi["cocharacter_basis"]:
+        assert len({sum(c * int(x) for c, x in zip(chi, vec)) for chi in chars}) == 1
+    for gen in quasi["torsion_generators"]:
+        d = int(gen["order"])
+        exps = [int(x) for x in gen["exponents"]]
+        assert len({sum(c * x for c, x in zip(chi, exps)) % d for chi in chars}) == 1
+        assert math.gcd(d, *exps) == 1
+    assert report["cone"]["pointed"]
+
+
+def _long_int(text: str) -> int:
+    """int() of a decimal string longer than the interpreter's limit."""
+    value = 0
+    for start in range(0, len(text), 500):
+        piece = text[start : start + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_report_prints_integers_beyond_the_conversion_limit(capsys):
+    rng = random.Random(47)
+    exponents = [rng.randrange(10**999, 10**1000) for _ in range(6)]
+    text = " + ".join(f"y{k}^{e}" for k, e in enumerate(exponents))
+    code, out, _ = run_cli(capsys, "analyze", text, "--json", "--verify")
+    assert code == 0
+    report = json.loads(out)
+    homogeneity = report["cone"]["homogeneity_cocharacter"]
+    assert max(len(x) for x in homogeneity) > sys.get_int_max_str_digits() > 0
+    names = report["canonical_form"]["variables"]
+    by_name = dict(zip(names, homogeneity))
+    total = math.lcm(*exponents)
+    for k, e in enumerate(exponents):
+        assert _long_int(by_name[f"y{k}"]) * e == total
+    assert run_cli(capsys, "analyze", text)[0] == 0
+
+
+def test_overlong_exponent_exits_1_with_position(capsys):
+    code, _, err = run_cli(capsys, "analyze", "x^2 + y^" + "7" * 5000)
+    assert code == 1
+    assert "5000 digits" in err and "position 8" in err

@@ -104,6 +104,20 @@ def test_zero_denominator():
         parse_polynomial("1/0*x")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x^2 + y^" + "7" * 5000, 8),
+        ("x + " + "3" * 5000 + "*y", 4),
+        ("x + 1/" + "3" * 5000 + "*y", 6),
+    ],
+)
+def test_overlong_numbers_are_positioned_parse_errors(text, position):
+    with pytest.raises(ParseError, match="5000 digits") as info:
+        parse_polynomial(text)
+    assert info.value.position == position
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 

@@ -2,18 +2,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_canonical_form
 from sepaut.autassembly import fermat_form
+from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
 from sepaut.polyio import make_canonical_form, parse_separated
 from sepaut.quasitorus import (
+    CharacterData,
     EnumerationTooLargeError,
     SingleMonomialError,
     character_matrix,
+    cocharacter_coordinates,
     count_torsion_points_mod,
     quasitorus_structure,
     torsion_count_formula,
 )
+from sepaut.torusgeom import express_in_basis
 
 
 def test_flagship_characters_and_differences(flagship):
@@ -154,3 +160,115 @@ def test_difference_matrix_always_full_rank():
         cd = character_matrix(cf)
         q = quasitorus_structure(cd)
         assert len(q.cocharacter_basis) == cf.variable_count - cd.difference_matrix.rows
+
+
+@st.composite
+def separated_forms(draw, max_monomials=6, max_width=3, max_exp=9):
+    """Random separated forms; a common scale per monomial makes the block
+    gcds share factors, so the torsion is rarely trivial."""
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 30]),
+                st.lists(st.integers(1, max_exp), min_size=1, max_size=max_width),
+            ),
+            min_size=2,
+            max_size=max_monomials,
+        )
+    )
+    mixed, pure, k = [], [], 0
+    for scale, exps in shapes:
+        names = [f"v{k + j}" for j in range(len(exps))]
+        k += len(exps)
+        if len(exps) == 1:
+            pure.append((scale * exps[0], names))
+        else:
+            mixed.append((names, [scale * e for e in exps]))
+    return make_canonical_form(mixed, pure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(separated_forms())
+def test_closed_form_matches_smith_referee(cf):
+    cd = character_matrix(cf)
+    q = quasitorus_structure(cd)
+    snf = smith_normal_form(cd.difference_matrix)
+    assert q.torus_rank == cf.variable_count - snf.rank
+    assert q.torsion == tuple(d for d in snf.divisors if d > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(separated_forms(max_monomials=4, max_width=2))
+def test_closed_form_matches_minor_quotients(cf):
+    cd = character_matrix(cf)
+    d_matrix = cd.difference_matrix
+    quotients, prev = [], 1
+    for k in range(1, d_matrix.rows + 1):
+        delta = gcd_of_minors(d_matrix, k)
+        quotients.append(delta // prev)
+        prev = delta
+    assert quasitorus_structure(cd).torsion == tuple(d for d in quotients if d > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_forms())
+def test_kernel_bases_span_the_same_lattice(cf):
+    cd = character_matrix(cf)
+    closed = quasitorus_structure(cd).cocharacter_basis
+    referee = kernel_basis(cd.difference_matrix)
+    for vec in referee:
+        express_in_basis(closed, vec)
+    for vec in closed:
+        express_in_basis(referee, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_forms())
+def test_generators_and_kernel_give_all_torsion_points(cf):
+    """N Z^n + ker(D) + sum (N/d_k) v_k is the whole lattice of solutions of
+    D x == 0 (mod N), N = lcm(torsion): it lies inside, and its index
+    N^(n - rank) / prod d_k is that of the solutions."""
+    cd = character_matrix(cf)
+    q = quasitorus_structure(cd)
+    n = cf.variable_count
+    modulus = math.lcm(*q.torsion)
+    rows = [[modulus * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [list(v) for v in q.cocharacter_basis]
+    rows += [
+        [modulus // t.order * x for x in t.exponents] for t in q.torsion_generators
+    ]
+    lattice = IntMatrix.from_rows(rows)
+    for row in rows:
+        assert all(x % modulus == 0 for x in cd.difference_matrix.matvec(row))
+    index = math.prod(smith_normal_form(lattice).divisors)
+    assert index * math.prod(q.torsion) == modulus ** (n - q.torus_rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_forms(), st.data())
+def test_cocharacter_coordinates_invert_the_basis(cf, data):
+    cd = character_matrix(cf)
+    basis = quasitorus_structure(cd).cocharacter_basis
+    coords = data.draw(
+        st.lists(st.integers(-20, 20), min_size=len(basis), max_size=len(basis))
+    )
+    vec = tuple(
+        sum(c * b[v] for c, b in zip(coords, basis)) for v in range(cf.variable_count)
+    )
+    assert cocharacter_coordinates(cd, vec) == tuple(coords)
+
+
+def test_cocharacter_coordinates_reject_non_kernel_vectors(flagship):
+    cd = character_matrix(flagship)
+    with pytest.raises(ValueError):
+        cocharacter_coordinates(cd, (1, 0, 0, 0, 0))
+
+
+def test_overlapping_supports_fail_loudly():
+    cd = CharacterData(
+        var_order=("x", "y"),
+        characters=((2, 1), (0, 3)),
+        difference_matrix=IntMatrix.from_rows([[-2, 2]]),
+    )
+    with pytest.raises(AssertionError, match="share variable 'y'"):
+        quasitorus_structure(cd)

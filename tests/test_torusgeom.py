@@ -32,6 +32,14 @@ def test_two_pure_powers_generators():
     assert gens.homogeneity == (2, 3)
 
 
+def test_homogeneity_uses_lcm_of_block_degrees():
+    # degrees 4 and 6: weights 12/6 and 12/4, not 24/6 and 24/4
+    gens = torus_generators(parse_separated("x^4 + y^6"))
+    assert gens.homogeneity == (2, 3)
+    gens = torus_generators(parse_separated("a^2*b^2 + c^6 + d^3"))
+    assert gens.homogeneity == (3, 3, 2, 4)
+
+
 def test_generators_lie_in_kernel(flagship):
     rng = random.Random(19)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(20)]:
