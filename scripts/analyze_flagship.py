@@ -11,7 +11,6 @@ from fractions import Fraction
 from sepaut.autassembly import aut_group
 from sepaut.cli import build_report, render_text
 from sepaut.polyio import parse_separated
-from sepaut.rigidity import rigidity_certificate
 
 EXPR = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
 
@@ -22,7 +21,7 @@ def main() -> None:
     print()
 
     aut = aut_group(cf)
-    cert = rigidity_certificate(cf)
+    cert = aut.rigidity
     assert aut.perm.order == 6
     assert aut.quasitorus.torsion == (10, 10)
     assert aut.quasitorus.torus_rank == 2

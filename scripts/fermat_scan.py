@@ -10,7 +10,6 @@ from math import factorial
 
 from sepaut.autassembly import fermat_aut, fermat_form
 from sepaut.permgroup import brute_force_perm_order
-from sepaut.rigidity import rigidity_certificate
 
 
 def main() -> None:
@@ -22,7 +21,7 @@ def main() -> None:
             aut = fermat_aut(n, alpha)
             cf = fermat_form(n, alpha)
             brute = brute_force_perm_order(cf)
-            cert = rigidity_certificate(cf)
+            cert = aut.rigidity
             assert aut.perm.order == brute == factorial(n)
             print(
                 f"{n:>2} {alpha:>5} {aut.perm.order:>10} {brute:>6} "

@@ -8,6 +8,9 @@ product P(F) x| H is a subgroup of the automorphism group in any case; only
 its maximality needs rigidity, so when the rigidity certificate is not
 conclusive the description is still emitted but flagged `conditional`.
 
+`aut_group` is the one analysis: it runs each stage once, and its result
+holds everything the report prints and the oracles check.
+
 `verify_generator` is the arithmetic oracle: it certifies F o g = c * F for
 a candidate monomial map by pure integer congruences.
 """
@@ -24,12 +27,9 @@ from .permgroup import (
     permute_vector,
 )
 from .polyio import CanonicalForm, make_canonical_form
-from .quasitorus import (
-    QuasitorusDescription,
-    character_matrix,
-    quasitorus_structure,
-)
-from .rigidity import CERTIFIED_RIGID, rigidity_certificate
+from .quasitorus import QuasitorusDescription, quasitorus_structure
+from .rigidity import CERTIFIED_RIGID, RigidityCertificate, rigidity_certificate
+from .torusgeom import ConeDescription, TorusGenerators, torus_generators, weight_cone
 
 __all__ = [
     "IRREDUCIBLE",
@@ -89,6 +89,9 @@ class AutGroupDescription:
     structure_string: str
     conditional: bool
     irreducible: str
+    rigidity: RigidityCertificate
+    torus_generators: TorusGenerators
+    cone: ConeDescription
 
 
 def structure_string(perm_structure: str, torsion, torus_rank: int) -> str:
@@ -111,11 +114,11 @@ def irreducibility_verdict(cf: CanonicalForm) -> str:
 
 
 def aut_group(cf: CanonicalForm) -> AutGroupDescription:
-    """Assemble the semidirect-product description from the pipeline parts."""
-    cd = character_matrix(cf)
+    """Run each stage once; a single monomial raises `SingleMonomialError`."""
+    quasi = quasitorus_structure(cf)
     perm = permutation_group(cf)
-    quasi = quasitorus_structure(cd)
     cert = rigidity_certificate(cf)
+    gens = torus_generators(cf)
     return AutGroupDescription(
         perm=perm,
         quasitorus=quasi,
@@ -125,6 +128,9 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
         structure_string=structure_string(perm.structure, quasi.torsion, quasi.torus_rank),
         conditional=cert.verdict != CERTIFIED_RIGID,
         irreducible=irreducibility_verdict(cf),
+        rigidity=cert,
+        torus_generators=gens,
+        cone=weight_cone(quasi, gens.homogeneity),
     )
 
 
@@ -182,27 +188,26 @@ def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
     return residue
 
 
-def certify_pipeline_generators(cf: CanonicalForm, cochar_moduli=(2, 3, 5)):
-    """Run every emitted generator through `verify_generator`.
+def certify_pipeline_generators(cf: CanonicalForm, aut: AutGroupDescription):
+    """Certify every generator the description `aut` of `cf` emits.
 
-    Covers the permutation generators, the torsion generators of the
-    quasitorus, and the cocharacter basis vectors reduced at a few moduli.
-    Returns (label, scalar exponent) pairs; raises on the first failure.
+    Runs `verify_generator` on the permutation generators, the torsion
+    generators of the quasitorus, and the cocharacter basis vectors reduced
+    mod 2, 3 and 5.  Returns (label, scalar exponent) pairs; raises on the first failure.
     """
     results = []
     names = cf.var_order
-    perm = permutation_group(cf)
-    for g in perm.generators:
+    for g in aut.perm.generators:
         label = f"perm {cycle_notation(g, names)}"
         results.append((label, verify_generator(cf, MonomialMap.from_permutation(g))))
-    quasi = quasitorus_structure(character_matrix(cf))
+    quasi = aut.quasitorus
     for tg in quasi.torsion_generators:
         label = f"torsion order {tg.order}"
         results.append(
             (label, verify_generator(cf, MonomialMap.from_diagonal(tg.order, tg.exponents)))
         )
     for bi, vec in enumerate(quasi.cocharacter_basis):
-        for modulus in cochar_moduli:
+        for modulus in (2, 3, 5):
             label = f"cocharacter {bi} mod {modulus}"
             reduced = tuple(x % modulus for x in vec)
             results.append(

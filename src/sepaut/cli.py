@@ -34,8 +34,6 @@ from .quasitorus import (
     quasitorus_structure,
     torsion_count_formula,
 )
-from .rigidity import rigidity_certificate
-from .torusgeom import torus_generators, weight_cone
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -104,61 +102,57 @@ def _frac(x) -> str | None:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def run_verification(cf) -> list[dict]:
-    """All applicable oracles, in a fixed order; guards become 'skipped'."""
-    checks = []
+def _oracle(oracle: str, cf, claim, cd, modulus):
+    """(status, found, claimed) of one oracle run against `claim`: the
+    permutation group ('perms'), the quasitorus ('torsion', enumerating
+    `cd` mod `modulus`) or the whole analysis ('generators').  A guard gives
+    ('skipped', message, None), a generator failing certification
+    ('fail', message, None)."""
     try:
-        results = certify_pipeline_generators(cf)
-        checks.append(
-            {
-                "oracle": "generators",
-                "status": "pass",
-                "detail": f"{len(results)} generators certified",
-            }
-        )
+        if oracle == "perms":
+            found, claimed = brute_force_perm_order(cf), claim.order
+        elif oracle == "torsion":
+            found = count_torsion_points_mod(cd, modulus)
+            claimed = torsion_count_formula(claim, modulus)
+        else:
+            found = claimed = len(certify_pipeline_generators(cf, claim))
+    except (TooManyVariablesError, EnumerationTooLargeError) as exc:
+        return "skipped", str(exc), None
     except NotAnAutomorphismError as exc:
-        checks.append({"oracle": "generators", "status": "fail", "detail": str(exc)})
+        return "fail", str(exc), None
+    return ("pass" if found == claimed else "fail"), found, claimed
 
-    try:
-        brute = brute_force_perm_order(cf)
-        order = permutation_group(cf).order
-        ok = brute == order
-        checks.append(
-            {
-                "oracle": "perms",
-                "status": "pass" if ok else "fail",
-                "detail": f"brute force {brute}, closed formula {order}",
-            }
-        )
-    except TooManyVariablesError as exc:
-        checks.append({"oracle": "perms", "status": "skipped", "detail": str(exc)})
 
+_CHECK_DETAILS = {
+    "generators": "{} generators certified",
+    "perms": "brute force {}, closed formula {}",
+    "torsion": "enumerated {}, divisor formula {}",
+}
+
+
+def run_verification(cf, aut) -> list[dict]:
+    """All applicable oracles against the analysis `aut`, in a fixed order;
+    guards become 'skipped'."""
     cd = character_matrix(cf)
-    quasi_torsion = sorted(set(quasitorus_structure(cd).torsion)) or [2]
-    for modulus in quasi_torsion:
-        name = f"torsion mod {modulus}"
-        try:
-            counted = count_torsion_points_mod(cd, modulus)
-            expected = torsion_count_formula(cd, modulus)
-            ok = counted == expected
-            checks.append(
-                {
-                    "oracle": name,
-                    "status": "pass" if ok else "fail",
-                    "detail": f"enumerated {counted}, divisor formula {expected}",
-                }
-            )
-        except EnumerationTooLargeError as exc:
-            checks.append({"oracle": name, "status": "skipped", "detail": str(exc)})
+    runs = [("generators", aut, None), ("perms", aut.perm, None)]
+    moduli = sorted(set(aut.quasitorus.torsion)) or [2]
+    runs += [("torsion", aut.quasitorus, m) for m in moduli]
+    checks = []
+    for oracle, claim, modulus in runs:
+        status, found, claimed = _oracle(oracle, cf, claim, cd, modulus)
+        template = _CHECK_DETAILS[oracle]
+        checks.append({
+            "oracle": f"torsion mod {modulus}" if modulus else oracle,
+            "status": status,
+            "detail": found if claimed is None else template.format(found, claimed),
+        })
     return checks
 
 
 def build_report(input_text: str, cf, verify: bool = False) -> dict:
     """Ordered, JSON-ready report of the full analysis."""
     aut = aut_group(cf)
-    cert = rigidity_certificate(cf)
-    cone = weight_cone(cf)
-    gens = torus_generators(cf)
+    cert, cone, gens = aut.rigidity, aut.cone, aut.torus_generators
     names = cf.var_order
     return {
         "input": input_text,
@@ -230,7 +224,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "irreducible": aut.irreducible,
         "verification": {
             "requested": bool(verify),
-            "checks": run_verification(cf) if verify else [],
+            "checks": run_verification(cf, aut) if verify else [],
         },
     }
 
@@ -310,55 +304,44 @@ def _emit(report: dict, as_json: bool) -> int:
 
 
 def cmd_analyze(args) -> int:
-    text = _read_input(args.input)
-    cf = parse_separated(text)
+    if args.command == "fermat":
+        cf = fermat_form(args.n, args.alpha)
+        text = cf.to_text()
+    else:
+        text = _read_input(args.input)
+        cf = parse_separated(text)
     return _emit(build_report(text, cf, verify=args.verify), args.json)
 
 
-def cmd_fermat(args) -> int:
-    cf = fermat_form(args.n, args.alpha)
-    return _emit(build_report(cf.to_text(), cf, verify=args.verify), args.json)
-
-
 def cmd_verify(args) -> int:
-    text = _read_input(args.input)
-    cf = parse_separated(text)
+    cf = parse_separated(_read_input(args.input))
+    cd = None
     if args.oracle == "perms":
-        try:
-            brute = brute_force_perm_order(cf)
-        except TooManyVariablesError as exc:
-            print(f"guard violation: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-        order = permutation_group(cf).order
-        ok = brute == order
-        rel = "==" if ok else "!="
-        print(f"perms: brute force {brute} {rel} {order} (closed formula) -> "
-              f"{'pass' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_ERROR
-    if args.oracle == "torsion":
-        if args.mod is None:
-            print("error: the torsion oracle needs --mod N", file=sys.stderr)
-            return EXIT_ERROR
-        cd = character_matrix(cf)
-        try:
-            counted = count_torsion_points_mod(cd, args.mod)
-        except EnumerationTooLargeError as exc:
-            print(f"guard violation: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-        expected = torsion_count_formula(cd, args.mod)
-        ok = counted == expected
-        rel = "==" if ok else "!="
-        print(f"torsion mod {args.mod}: enumerated {counted} {rel} {expected} "
-              f"(divisor formula) -> {'pass' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_ERROR
-    # generators
-    try:
-        results = certify_pipeline_generators(cf)
-    except NotAnAutomorphismError as exc:
-        print(f"generators: FAIL ({exc})")
+        claim = permutation_group(cf)
+    elif args.oracle == "generators":
+        claim = aut_group(cf)
+    elif args.mod is None:
+        print("error: the torsion oracle needs --mod N", file=sys.stderr)
         return EXIT_ERROR
-    print(f"generators: {len(results)} certified -> pass")
-    return EXIT_OK
+    else:
+        claim, cd = quasitorus_structure(cf), character_matrix(cf)
+    status, found, claimed = _oracle(args.oracle, cf, claim, cd, args.mod)
+    if status == "skipped":
+        print(f"guard violation: {found}", file=sys.stderr)
+        return EXIT_GUARD
+    ok = status == "pass"
+    rel, verdict = ("==", "pass") if ok else ("!=", "FAIL")
+    if args.oracle == "perms":
+        print(f"perms: brute force {found} {rel} {claimed} (closed formula) "
+              f"-> {verdict}")
+    elif args.oracle == "torsion":
+        print(f"torsion mod {args.mod}: enumerated {found} {rel} {claimed} "
+              f"(divisor formula) -> {verdict}")
+    elif ok:
+        print(f"generators: {found} certified -> pass")
+    else:
+        print(f"generators: FAIL ({found})")
+    return EXIT_OK if ok else EXIT_ERROR
 
 
 def cmd_snf(args) -> int:
@@ -419,12 +402,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_fermat)
+    p.set_defaults(func=cmd_analyze)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of "not separated"
+        return EXIT_ERROR if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except NotSeparatedError as exc:

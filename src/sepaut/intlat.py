@@ -17,6 +17,7 @@ The implementation favours exactness and auditability over asymptotics:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -270,19 +271,29 @@ def gcd_of_minors(a: IntMatrix, k: int) -> int:
     return g
 
 
+def _matrix_int(token: str, what: str) -> int:
+    digits, limit = token.lstrip("+-"), sys.get_int_max_str_digits()
+    if digits.isdecimal() and len(digits) > limit:
+        raise ValueError(f"{what} has {len(digits)} digits, over the limit of {limit}")
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer") from None
+
+
 def parse_matrix_text(text: str) -> IntMatrix:
     """Parse the CLI matrix format: 'rows cols' then row-major integers.
 
-    Tokens are whitespace-separated; line breaks are not significant.
+    Tokens are whitespace-separated; line breaks are not significant.  A bad
+    token is named by its place: the row or column count, or entry k
+    (counted from 1 in row-major order).
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix text must start with 'rows cols'")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        entries = [int(tok) for tok in tokens[2:]]
-    except ValueError:
-        raise ValueError("matrix text contains a non-integer token") from None
+    rows = _matrix_int(tokens[0], "the row count")
+    cols = _matrix_int(tokens[1], "the column count")
+    entries = [_matrix_int(tok, f"entry {k}") for k, tok in enumerate(tokens[2:], 1)]
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be non-negative")
     if len(entries) != rows * cols:

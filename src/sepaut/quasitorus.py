@@ -5,11 +5,14 @@ polynomial exactly when it multiplies every monomial by one common scalar,
 i.e. when all monomial exponent vectors (characters) agree on it.  The group
 of such maps is a quasitorus H: a torus times a finite abelian group.
 
-Separatedness makes H block-local.  Monomial i lives on its own support S_i
-and its character factors as chi_i = g_i * p_i, with g_i the gcd of its
-exponents and p_i primitive.  Extended Euclid on p_i gives a unimodular W_i
-with p_i W_i = e_1; its first column s_i pairs to 1 with p_i and its other
-columns span p_i's orthogonal lattice.  From these per-block data:
+Separatedness makes H block-local.  Monomial i lives on its own support S_i,
+a run of the canonical variable order (one per mixed block, one variable per
+pure power), and its character factors as chi_i = g_i * p_i, with g_i the
+gcd of its exponents and p_i primitive.  Extended Euclid on p_i gives a
+unimodular W_i with p_i W_i = e_1; its first column s_i pairs to 1 with p_i
+and its other columns span p_i's orthogonal lattice.  `quasitorus_structure`
+reads these block data off the canonical form in one O(n) pass (and keeps
+them for `cocharacter_coordinates`); from them:
 
 * the cocharacter lattice ker(D) has the basis w (equal to (L/g_i) s_i on
   every S_i, with L = lcm(g)) followed by columns 2..k of every W_i, so the
@@ -20,18 +23,17 @@ columns span p_i's orthogonal lattice.  From these per-block data:
 * the torsion generator of d_k is sum over q of (d_k / q^v) s_i on the block
   i holding that valuation, reduced mod d_k.
 
-No Smith normal form is involved; `intlat.smith_normal_form` of the
-difference matrix D is the referee the tests compare this against.
-
-`count_torsion_points_mod` is the independent cross-check: it counts the
-solutions of D e == 0 (mod N) by sheer enumeration of all N^n candidates,
-with no Smith normal form or block formula anywhere near it.
+No Smith normal form is involved, and neither is the dense difference matrix
+D (rows chi_i - chi_0) of `character_matrix`.  D feeds only the independent
+cross-check `count_torsion_points_mod`, which counts the solutions of
+D e == 0 (mod N) by sheer enumeration of all N^n candidates, and the tests,
+where `intlat.smith_normal_form` and `gcd_of_minors` of D referee H.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,20 +67,11 @@ class EnumerationTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class CharacterData:
-    """Monomial characters and their differences against a base monomial."""
+    """Monomial characters and their differences against the first monomial."""
 
     var_order: tuple[str, ...]
     characters: tuple[tuple[int, ...], ...]
     difference_matrix: IntMatrix
-    base: int = 0
-
-    @property
-    def variable_count(self) -> int:
-        return len(self.var_order)
-
-    @property
-    def monomial_count(self) -> int:
-        return len(self.characters)
 
 
 @dataclass(frozen=True)
@@ -94,52 +87,16 @@ class TorsionGenerator:
 
 
 @dataclass(frozen=True)
-class QuasitorusDescription:
-    torus_rank: int
-    torsion: tuple[int, ...]
-    cocharacter_basis: tuple[tuple[int, ...], ...]
-    torsion_generators: tuple[TorsionGenerator, ...]
-
-
-def character_matrix(cf: CanonicalForm, base: int = 0) -> CharacterData:
-    """Characters of all monomials and the matrix of differences.
-
-    Rows of the difference matrix are chi_i - chi_base over the canonical
-    monomial order (mixed blocks first, then pure powers).  Because monomial
-    supports are pairwise disjoint, the rows are linearly independent: the
-    matrix always has full row rank M - 1.
-    """
-    chars = cf.monomial_vectors
-    m = len(chars)
-    if m < 2:
-        raise SingleMonomialError(
-            "need at least two monomials to cut out a hypersurface with "
-            "diagonal symmetry structure"
-        )
-    if not 0 <= base < m:
-        raise ValueError(f"base monomial index {base} out of range")
-    rows = [
-        [x - b for x, b in zip(chars[i], chars[base])]
-        for i in range(m)
-        if i != base
-    ]
-    return CharacterData(
-        var_order=cf.var_order,
-        characters=chars,
-        difference_matrix=IntMatrix.from_rows(rows, cols=cf.variable_count),
-        base=base,
-    )
-
-
-@dataclass(frozen=True)
 class _Block:
     """Per-monomial data chi = gcd * p on the monomial's support.
 
-    `transform` is a unimodular W (rows indexed like `support`) with
-    p W = e_1, and `inverse` is its inverse.
+    `support` is the monomial's run of variable indices and `exponents` its
+    character on it; `transform` is a unimodular W (rows indexed like
+    `support`) with p W = e_1, and `inverse` is its inverse.
     """
 
-    support: tuple[int, ...]
+    support: range
+    exponents: tuple[int, ...]
     gcd: int
     transform: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[int, ...], ...]
@@ -148,6 +105,43 @@ class _Block:
     def section(self) -> tuple[int, ...]:
         """s, the first column of W: the vector pairing to 1 with p."""
         return tuple(row[0] for row in self.transform)
+
+
+@dataclass(frozen=True)
+class QuasitorusDescription:
+    torus_rank: int
+    torsion: tuple[int, ...]
+    cocharacter_basis: tuple[tuple[int, ...], ...]
+    torsion_generators: tuple[TorsionGenerator, ...]
+    # kept for cocharacter_coordinates; not part of the description's value
+    _blocks: tuple[_Block, ...] = field(compare=False, repr=False)
+
+
+def _require_two_monomials(cf: CanonicalForm) -> None:
+    if cf.monomial_count < 2:
+        raise SingleMonomialError(
+            "need at least two monomials to cut out a hypersurface with "
+            "diagonal symmetry structure"
+        )
+
+
+def character_matrix(cf: CanonicalForm) -> CharacterData:
+    """Characters of all monomials and the matrix of differences.
+
+    Rows of the difference matrix are chi_i - chi_0 over the canonical
+    monomial order (mixed blocks first, then pure powers).  Because monomial
+    supports are pairwise disjoint, the rows are linearly independent: the
+    matrix always has full row rank M - 1.  Only the enumeration oracle and
+    the Smith-form referee tests read it; the analysis works from the blocks.
+    """
+    _require_two_monomials(cf)
+    chars = cf.monomial_vectors
+    rows = [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
+    return CharacterData(
+        var_order=cf.var_order,
+        characters=chars,
+        difference_matrix=IntMatrix.from_rows(rows, cols=cf.variable_count),
+    )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,8 +155,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
 
 
-def _completion(p) -> tuple[list[list[int]], list[list[int]]]:
-    """Unimodular W and its inverse with p W = e_1, for primitive p.
+def _completion(p) -> tuple[tuple, tuple]:
+    """Unimodular W and its inverse (tuples of rows) with p W = e_1, for primitive p.
 
     Each step folds entry j into entry 0 by a 2x2 column operation of
     determinant 1 built from extended Euclid; the inverse applies the inverse
@@ -185,29 +179,30 @@ def _completion(p) -> tuple[list[list[int]], list[list[int]]]:
         r[0], r[j] = g, 0
     if r[0] != 1:
         raise AssertionError(f"character part {tuple(p)} is not primitive")
-    return w, inv
+    return tuple(map(tuple, w)), tuple(map(tuple, inv))
 
 
-def _blocks(cd: CharacterData) -> list[_Block]:
-    """Per-monomial block data; fails loudly unless the supports partition
-    the variables, which every closed form below depends on."""
-    owner = [None] * cd.variable_count
+def _blocks(cf: CanonicalForm) -> list[_Block]:
+    """Per-monomial block data, read off the canonical blocks in O(n); fails
+    loudly if a variable repeats, as the runs must partition the variables."""
+    names = cf.var_order
+    if len(set(names)) != len(names):
+        shared = next(v for i, v in enumerate(names) if v in names[i + 1 :])
+        raise AssertionError(
+            f"two monomials share variable {shared!r}; "
+            "the block-local structure needs disjoint supports"
+        )
+    monomials = [b.exponents for b in cf.mixed_blocks] + [
+        (b.exponent,) for b in cf.pure_blocks for _ in b.variables
+    ]
     blocks = []
-    for i, chi in enumerate(cd.characters):
-        support = tuple(v for v, x in enumerate(chi) if x)
-        for v in support:
-            if owner[v] is not None:
-                raise AssertionError(
-                    f"monomials {owner[v]} and {i} share variable {cd.var_order[v]!r}; "
-                    "the block-local structure needs disjoint supports"
-                )
-            owner[v] = i
-        g = math.gcd(*(chi[v] for v in support))
-        w, inv = _completion([chi[v] // g for v in support])
-        blocks.append(_Block(support, g, tuple(map(tuple, w)), tuple(map(tuple, inv))))
-    if None in owner:
-        v = owner.index(None)
-        raise AssertionError(f"variable {cd.var_order[v]!r} occurs in no monomial")
+    start = 0
+    for exponents in monomials:
+        g = math.gcd(*exponents)
+        w, inv = _completion([e // g for e in exponents])
+        support = range(start, start + len(exponents))
+        blocks.append(_Block(support, exponents, g, w, inv))
+        start = support.stop
     return blocks
 
 
@@ -276,17 +271,19 @@ def _torsion(blocks: list[_Block], n: int) -> tuple[TorsionGenerator, ...]:
     return tuple(generators)
 
 
-def quasitorus_structure(cd: CharacterData) -> QuasitorusDescription:
+def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
     """Torus rank, torsion invariants and explicit generators of H.
 
-    Computed block by block as described in the module docstring.  The
+    Computed from the canonical blocks as described in the module docstring;
+    a single monomial raises `SingleMonomialError`.  The
     cocharacter basis is saturated (it parametrizes ker(D) bijectively), and
     each torsion generator v_k of order d_k satisfies D v_k == 0 (mod d_k)
     with gcd(d_k, v_k) = 1; together with ker(D) they generate all of H's
     torsion points.
     """
-    blocks = _blocks(cd)
-    n = cd.variable_count
+    _require_two_monomials(cf)
+    blocks = _blocks(cf)
+    n = cf.variable_count
     lcm = math.lcm(*(b.gcd for b in blocks))
     w = [0] * n
     basis = []
@@ -304,22 +301,23 @@ def quasitorus_structure(cd: CharacterData) -> QuasitorusDescription:
         torsion=tuple(t.order for t in generators),
         cocharacter_basis=(tuple(w), *basis),
         torsion_generators=generators,
+        _blocks=tuple(blocks),
     )
 
 
-def cocharacter_coordinates(cd: CharacterData, vector) -> tuple[int, ...]:
-    """Coordinates of a kernel vector in `quasitorus_structure(cd)`'s basis.
+def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, ...]:
+    """Coordinates of a kernel vector in `quasi.cocharacter_basis`.
 
     With P the common pairing of `vector` with every character, the
     coordinate on w is P / lcm(g); on block i the others are entries 2..k of
-    W_i^{-1} (vector|S_i - (P / g_i) s_i), whose entry 1 is zero.  Raises
-    ValueError when `vector` is not in ker(D).
+    W_i^{-1} (vector|S_i - (P / g_i) s_i), whose entry 1 is zero, from the
+    block data `quasi` keeps.  Raises ValueError off ker(D).
     """
-    if len(vector) != cd.variable_count:
+    blocks = quasi._blocks
+    if len(vector) != len(quasi.cocharacter_basis[0]):
         raise ValueError("dimension mismatch between vector and characters")
-    blocks = _blocks(cd)
     pairings = {
-        sum(x * vector[v] for v, x in enumerate(chi) if x) for chi in cd.characters
+        sum(x * vector[v] for v, x in zip(b.support, b.exponents)) for b in blocks
     }
     if len(pairings) != 1:
         raise ValueError("vector is not in the cocharacter lattice ker(D)")
@@ -343,7 +341,7 @@ def count_torsion_points_mod(cd: CharacterData, modulus: int) -> int:
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    n = cd.variable_count
+    n = len(cd.var_order)
     total = modulus**n
     if total > ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(
@@ -361,15 +359,14 @@ def count_torsion_points_mod(cd: CharacterData, modulus: int) -> int:
     return int(np.count_nonzero(keep))
 
 
-def torsion_count_formula(cd: CharacterData, modulus: int) -> int:
+def torsion_count_formula(quasi: QuasitorusDescription, modulus: int) -> int:
     """Closed form for the same count: N^rank * prod gcd(d_k, N).
 
-    Reads the torus rank and torsion invariants of `quasitorus_structure`,
+    Reads the torus rank and torsion invariants of the description `quasi`,
     so `count_torsion_points_mod` checks the torsion the report emits.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    quasi = quasitorus_structure(cd)
     count = modulus**quasi.torus_rank
     for dk in quasi.torsion:
         count *= math.gcd(dk, modulus)

@@ -25,7 +25,7 @@ from math import lcm
 
 from .intlat import IntMatrix, smith_normal_form
 from .polyio import CanonicalForm
-from .quasitorus import character_matrix, cocharacter_coordinates, quasitorus_structure
+from .quasitorus import cocharacter_coordinates
 
 __all__ = [
     "PairCocharacter",
@@ -130,27 +130,25 @@ def express_in_basis(basis, target) -> tuple[int, ...]:
     return tuple(sum(y[k] * snf.U.at(k, j) for k in range(d)) for j in range(d))
 
 
-def weight_cone(cf: CanonicalForm, basis=None) -> ConeDescription:
+def weight_cone(quasi, homogeneity, basis=None) -> ConeDescription:
     """Weights of the coordinate functions and a pointedness certificate.
 
-    `basis` defaults to the block-local cocharacter basis of
-    `quasitorus_structure`, in which the witness is read off block by block;
-    any other basis of the same lattice (for example after a unimodular
-    change) yields the same pointedness verdict and witness validity, with
-    the witness solved for by `express_in_basis`.  The witness is the
-    homogeneity cocharacter written in the basis: its pairing with the
-    weight vector of variable v equals that variable's homogeneity weight,
-    which is strictly positive.
+    `basis` defaults to the block-local cocharacter basis of the quasitorus
+    description `quasi`, in which `cocharacter_coordinates` reads the witness
+    off the block data `quasi` keeps; any other basis of the same lattice
+    (for example after a unimodular change) yields the same pointedness
+    verdict and witness validity, with the witness solved for by
+    `express_in_basis`.  The witness is the homogeneity cocharacter written
+    in the basis: its pairing with the weight vector of variable v equals
+    that variable's homogeneity weight, which is strictly positive.
     """
-    gens = torus_generators(cf)
     if basis is None:
-        cd = character_matrix(cf)
-        basis = quasitorus_structure(cd).cocharacter_basis
-        witness = cocharacter_coordinates(cd, gens.homogeneity)
+        basis = quasi.cocharacter_basis
+        witness = cocharacter_coordinates(quasi, homogeneity)
     else:
         basis = tuple(tuple(int(x) for x in row) for row in basis)
-        witness = express_in_basis(basis, gens.homogeneity)
-    n = cf.variable_count
+        witness = express_in_basis(basis, homogeneity)
+    n = len(homogeneity)
     weights = tuple(tuple(row[v] for row in basis) for v in range(n))
     pointed = all(
         sum(u * w for u, w in zip(witness, weights[v])) > 0 for v in range(n)

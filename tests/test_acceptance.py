@@ -132,13 +132,14 @@ def test_criterion_4_torsion_count_oracle():
     failures = 0
     for cf in _forms_for_torsion_oracle():
         cd = character_matrix(cf)
+        quasi = quasitorus_structure(cf)
         n = cf.variable_count
         for modulus in range(2, 13):
             if modulus**n > 10_000_000:
                 continue
             checked += 1
             if count_torsion_points_mod(cd, modulus) != torsion_count_formula(
-                cd, modulus
+                quasi, modulus
             ):
                 failures += 1
     elapsed = time.perf_counter() - start
@@ -161,7 +162,7 @@ def test_criterion_5_generator_certification():
     failures = 0
     for cf in instances:
         perm = permutation_group(cf)
-        quasi = quasitorus_structure(character_matrix(cf))
+        quasi = quasitorus_structure(cf)
         maps = [MonomialMap.from_permutation(g) for g in perm.generators]
         maps += [
             MonomialMap.from_diagonal(t.order, t.exponents)
@@ -186,7 +187,7 @@ def test_criterion_6_torus_rank_identity():
     start = time.perf_counter()
     failures = 0
     for cf in _forms_for_torus_checks():
-        q = quasitorus_structure(character_matrix(cf))
+        q = quasitorus_structure(cf)
         n = cf.variable_count
         m_count = cf.monomial_count
         by_blocks = sum(len(b.variables) - 1 for b in cf.mixed_blocks) + 1
@@ -221,8 +222,9 @@ def test_criterion_7_pointedness_witness():
     rng = random.Random(43)
     failures = 0
     for cf in _forms_for_torus_checks():
-        cone = weight_cone(cf)
+        quasi = quasitorus_structure(cf)
         t0 = torus_generators(cf).homogeneity
+        cone = weight_cone(quasi, t0)
         good = cone.pointed and cone.witness is not None
         for v, w in enumerate(cone.weights):
             pairing = sum(u * x for u, x in zip(cone.witness, w))
@@ -237,7 +239,7 @@ def test_criterion_7_pointedness_witness():
             )
             for i in range(d)
         ]
-        changed = weight_cone(cf, basis=new_basis)
+        changed = weight_cone(quasi, t0, basis=new_basis)
         good = good and changed.pointed and changed.witness is not None
         for v, w in enumerate(changed.weights):
             pairing = sum(u * x for u, x in zip(changed.witness, w))

@@ -141,7 +141,7 @@ def test_verify_validates_input(flagship):
 def test_all_pipeline_generators_certify(flagship):
     rng = random.Random(24)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        results = certify_pipeline_generators(cf)
+        results = certify_pipeline_generators(cf, aut_group(cf))
         assert results, "expected at least the cocharacter checks"
 
 

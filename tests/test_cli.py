@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -206,6 +207,90 @@ def test_analysis_path_never_runs_smith_normal_form(monkeypatch):
         for verify in (False, True):
             report = build_report(text, parse_separated(text), verify=verify)
             assert all(c["status"] != "fail" for c in report["verification"]["checks"])
+
+
+STAGES = (
+    "permutation_group",
+    "quasitorus_structure",
+    "rigidity_certificate",
+    "torus_generators",
+    "weight_cone",
+)
+
+
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Wrap every binding of each named sepaut function with a call counter,
+    in every sepaut module that holds it (as bench/tracer.py wraps them)."""
+    counts = dict.fromkeys(names, 0)
+    wrappers = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "sepaut" or module_name.startswith("sepaut."):
+            for name in names:
+                fn = getattr(module, name, None)
+                if inspect.isfunction(fn):
+                    wrappers.setdefault(fn, counted(name, fn))
+                    monkeypatch.setattr(module, name, wrappers[fn])
+    return counts
+
+
+def test_build_report_runs_each_stage_once(monkeypatch):
+    counts = _count_calls(monkeypatch, STAGES + ("character_matrix",))
+    rng = random.Random(48)
+    # torsion (2, 6) runs the torsion oracle at two moduli
+    texts = [FLAGSHIP, BIG, "x + y", "x^2*y^2 + z^6 + w^6"]
+    texts += [random_canonical_form(rng).to_text() for _ in range(8)]
+    for text in texts:
+        for verify in (False, True):
+            for name in counts:
+                counts[name] = 0
+            build_report(text, parse_separated(text), verify=verify)
+            assert {name: counts[name] for name in STAGES} == dict.fromkeys(STAGES, 1)
+            assert counts["character_matrix"] == (1 if verify else 0)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fermat", "3", "x"], "invalid int value: 'x'"),
+        (["analyze"], "the following arguments are required: input"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # argparse's own exit code 2 would read as "input not separated"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage: sepaut" in err and message in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert "usage: sepaut" in out
+    assert run_cli(capsys, "fermat", "--help")[0] == 0
+
+
+def test_snf_names_bad_entries(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("1 1\n" + "7" * 5000 + "\n")
+    code, _, err = run_cli(capsys, "snf", str(path))
+    assert code == 1
+    assert "entry 1 has 5000 digits, over the limit of 4300" in err
+    path.write_text("2 2\n1 2\n3 x\n")
+    code, _, err = run_cli(capsys, "snf", str(path))
+    assert code == 1
+    assert "entry 4 is not an integer" in err
+    path.write_text("2 two\n1 2\n3 4\n")
+    assert "the column count is not an integer" in run_cli(capsys, "snf", str(path))[2]
 
 
 def _invariant_factors(values):

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
-from sepaut.polyio import make_canonical_form, parse_separated
+from sepaut.polyio import (
+    CanonicalForm,
+    MixedBlock,
+    PureBlock,
+    make_canonical_form,
+    parse_separated,
+)
 from sepaut.quasitorus import (
-    CharacterData,
     EnumerationTooLargeError,
     SingleMonomialError,
     character_matrix,
@@ -57,14 +62,14 @@ def test_single_monomial_rejected():
 
 
 def test_flagship_structure(flagship):
-    q = quasitorus_structure(character_matrix(flagship))
+    q = quasitorus_structure(flagship)
     assert q.torus_rank == 2
     assert q.torsion == (10, 10)
     assert len(q.cocharacter_basis) == 2
 
 
 def test_two_pure_powers_structure():
-    q = quasitorus_structure(character_matrix(parse_separated("x^2 + y^3")))
+    q = quasitorus_structure(parse_separated("x^2 + y^3"))
     assert q.torus_rank == 1
     assert q.torsion == ()
     assert q.torsion_generators == ()
@@ -73,7 +78,7 @@ def test_two_pure_powers_structure():
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("alpha", range(2, 8))
 def test_fermat_family_structure(n, alpha):
-    q = quasitorus_structure(character_matrix(fermat_form(n, alpha)))
+    q = quasitorus_structure(fermat_form(n, alpha))
     assert q.torus_rank == 1
     assert q.torsion == (alpha,) * (n - 1)
 
@@ -82,7 +87,7 @@ def test_torsion_generators_are_valid(flagship):
     rng = random.Random(44)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         cd = character_matrix(cf)
-        q = quasitorus_structure(cd)
+        q = quasitorus_structure(cf)
         for gen in q.torsion_generators:
             residues = [
                 sum(a * e for a, e in zip(row, gen.exponents)) % gen.order
@@ -99,16 +104,17 @@ def test_count_modulus_one():
 
 
 def test_count_fermat_all_solutions():
-    cd = character_matrix(fermat_form(3, 3))
+    cf = fermat_form(3, 3)
+    cd = character_matrix(cf)
     # D is divisible by 3, so every vector of (Z/3)^3 solves D e == 0 mod 3
     assert count_torsion_points_mod(cd, 3) == 27
-    assert torsion_count_formula(cd, 3) == 27
+    assert torsion_count_formula(quasitorus_structure(cf), 3) == 27
 
 
 def test_count_flagship_mod_ten(flagship):
     cd = character_matrix(flagship)
     assert count_torsion_points_mod(cd, 10) == 10000
-    assert torsion_count_formula(cd, 10) == 10000
+    assert torsion_count_formula(quasitorus_structure(flagship), 10) == 10000
 
 
 def test_count_guard():
@@ -123,30 +129,18 @@ def test_count_matches_formula_randomized():
     for _ in range(12):
         cf = random_canonical_form(rng, max_vars=4, max_exp=6)
         cd = character_matrix(cf)
+        quasi = quasitorus_structure(cf)
         for modulus in range(2, 13):
             assert count_torsion_points_mod(cd, modulus) == torsion_count_formula(
-                cd, modulus
+                quasi, modulus
             )
-
-
-def test_structure_independent_of_base_monomial(flagship):
-    rng = random.Random(12)
-    forms = [flagship] + [random_canonical_form(rng) for _ in range(10)]
-    for cf in forms:
-        reference = None
-        for base in range(cf.monomial_count):
-            q = quasitorus_structure(character_matrix(cf, base=base))
-            key = (q.torus_rank, q.torsion)
-            if reference is None:
-                reference = key
-            assert key == reference
 
 
 def test_torus_rank_identity_random():
     rng = random.Random(13)
     for _ in range(40):
         cf = random_canonical_form(rng)
-        q = quasitorus_structure(character_matrix(cf))
+        q = quasitorus_structure(cf)
         n = cf.variable_count
         m_count = cf.monomial_count
         by_blocks = sum(len(b.variables) - 1 for b in cf.mixed_blocks) + 1
@@ -158,7 +152,7 @@ def test_difference_matrix_always_full_rank():
     for _ in range(30):
         cf = random_canonical_form(rng)
         cd = character_matrix(cf)
-        q = quasitorus_structure(cd)
+        q = quasitorus_structure(cf)
         assert len(q.cocharacter_basis) == cf.variable_count - cd.difference_matrix.rows
 
 
@@ -191,7 +185,7 @@ def separated_forms(draw, max_monomials=6, max_width=3, max_exp=9):
 @given(separated_forms())
 def test_closed_form_matches_smith_referee(cf):
     cd = character_matrix(cf)
-    q = quasitorus_structure(cd)
+    q = quasitorus_structure(cf)
     snf = smith_normal_form(cd.difference_matrix)
     assert q.torus_rank == cf.variable_count - snf.rank
     assert q.torsion == tuple(d for d in snf.divisors if d > 1)
@@ -207,14 +201,14 @@ def test_closed_form_matches_minor_quotients(cf):
         delta = gcd_of_minors(d_matrix, k)
         quotients.append(delta // prev)
         prev = delta
-    assert quasitorus_structure(cd).torsion == tuple(d for d in quotients if d > 1)
+    assert quasitorus_structure(cf).torsion == tuple(d for d in quotients if d > 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(separated_forms())
 def test_kernel_bases_span_the_same_lattice(cf):
     cd = character_matrix(cf)
-    closed = quasitorus_structure(cd).cocharacter_basis
+    closed = quasitorus_structure(cf).cocharacter_basis
     referee = kernel_basis(cd.difference_matrix)
     for vec in referee:
         express_in_basis(closed, vec)
@@ -229,7 +223,7 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     D x == 0 (mod N), N = lcm(torsion): it lies inside, and its index
     N^(n - rank) / prod d_k is that of the solutions."""
     cd = character_matrix(cf)
-    q = quasitorus_structure(cd)
+    q = quasitorus_structure(cf)
     n = cf.variable_count
     modulus = math.lcm(*q.torsion)
     rows = [[modulus * int(i == j) for j in range(n)] for i in range(n)]
@@ -247,28 +241,28 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
 @settings(max_examples=200, deadline=None)
 @given(separated_forms(), st.data())
 def test_cocharacter_coordinates_invert_the_basis(cf, data):
-    cd = character_matrix(cf)
-    basis = quasitorus_structure(cd).cocharacter_basis
+    quasi = quasitorus_structure(cf)
+    basis = quasi.cocharacter_basis
     coords = data.draw(
         st.lists(st.integers(-20, 20), min_size=len(basis), max_size=len(basis))
     )
     vec = tuple(
         sum(c * b[v] for c, b in zip(coords, basis)) for v in range(cf.variable_count)
     )
-    assert cocharacter_coordinates(cd, vec) == tuple(coords)
+    assert cocharacter_coordinates(quasi, vec) == tuple(coords)
 
 
 def test_cocharacter_coordinates_reject_non_kernel_vectors(flagship):
-    cd = character_matrix(flagship)
+    quasi = quasitorus_structure(flagship)
     with pytest.raises(ValueError):
-        cocharacter_coordinates(cd, (1, 0, 0, 0, 0))
+        cocharacter_coordinates(quasi, (1, 0, 0, 0, 0))
 
 
 def test_overlapping_supports_fail_loudly():
-    cd = CharacterData(
-        var_order=("x", "y"),
-        characters=((2, 1), (0, 3)),
-        difference_matrix=IntMatrix.from_rows([[-2, 2]]),
+    # built directly, past make_canonical_form's checks: y is in two monomials
+    cf = CanonicalForm(
+        mixed_blocks=(MixedBlock(("x", "y"), (2, 1)),),
+        pure_blocks=(PureBlock(3, ("y",)),),
     )
     with pytest.raises(AssertionError, match="share variable 'y'"):
-        quasitorus_structure(cd)
+        quasitorus_structure(cf)

@@ -59,27 +59,34 @@ def test_generators_span_rank_of_torus(flagship):
             [list(gens.homogeneity)] + [list(p.vector) for p in gens.pair_cocharacters]
         )
         rank = len(smith_normal_form(stacked).divisors)
-        q = quasitorus_structure(character_matrix(cf))
+        q = quasitorus_structure(cf)
         assert rank == q.torus_rank == len(stacked.to_rows())
 
 
 def test_flagship_cone_with_explicit_basis(flagship):
     basis = [(0, 1, 1, 1, 1), (10, 0, 11, 11, 11)]
-    cone = weight_cone(flagship, basis=basis)
+    cone = weight_cone(
+        quasitorus_structure(flagship), torus_generators(flagship).homogeneity, basis=basis
+    )
     assert cone.weights == ((0, 10), (1, 0), (1, 11), (1, 11), (1, 11))
     assert cone.pointed
     assert cone.witness == (10, 1)
 
 
 def test_fermat_cone():
-    cone = weight_cone(fermat_form(3, 4), basis=[(1, 1, 1)])
+    cf = fermat_form(3, 4)
+    cone = weight_cone(
+        quasitorus_structure(cf), torus_generators(cf).homogeneity, basis=[(1, 1, 1)]
+    )
     assert cone.weights == ((1,), (1,), (1,))
     assert cone.pointed and cone.witness == (1,)
 
 
 def test_two_pure_powers_cone():
     cf = parse_separated("x^2 + y^3")
-    cone = weight_cone(cf, basis=[(2, 3)])
+    cone = weight_cone(
+        quasitorus_structure(cf), torus_generators(cf).homogeneity, basis=[(2, 3)]
+    )
     assert cone.weights == ((2,), (3,))
     assert cone.pointed and cone.witness == (1,)
 
@@ -87,8 +94,8 @@ def test_two_pure_powers_cone():
 def test_witness_pairings_equal_homogeneity_weights(flagship):
     rng = random.Random(21)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        cone = weight_cone(cf)
         t0 = torus_generators(cf).homogeneity
+        cone = weight_cone(quasitorus_structure(cf), t0)
         for v, w in enumerate(cone.weights):
             pairing = sum(u * x for u, x in zip(cone.witness, w))
             assert pairing == t0[v] > 0
@@ -98,7 +105,7 @@ def test_monomials_equally_weighted_by_kernel_cocharacters(flagship):
     rng = random.Random(22)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         cd = character_matrix(cf)
-        for vec in quasitorus_structure(cd).cocharacter_basis:
+        for vec in quasitorus_structure(cf).cocharacter_basis:
             weights = {
                 sum(a * b for a, b in zip(chi, vec)) for chi in cd.characters
             }
@@ -108,7 +115,9 @@ def test_monomials_equally_weighted_by_kernel_cocharacters(flagship):
 def test_pointedness_survives_unimodular_basis_change(flagship):
     rng = random.Random(23)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        cone = weight_cone(cf)
+        quasi = quasitorus_structure(cf)
+        t0 = torus_generators(cf).homogeneity
+        cone = weight_cone(quasi, t0)
         d = len(cone.basis)
         g = random_unimodular(rng, d)
         new_basis = [
@@ -118,9 +127,8 @@ def test_pointedness_survives_unimodular_basis_change(flagship):
             )
             for i in range(d)
         ]
-        changed = weight_cone(cf, basis=new_basis)
+        changed = weight_cone(quasi, t0, basis=new_basis)
         assert changed.pointed
-        t0 = torus_generators(cf).homogeneity
         for v, w in enumerate(changed.weights):
             assert sum(u * x for u, x in zip(changed.witness, w)) == t0[v]
 
