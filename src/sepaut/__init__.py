@@ -52,7 +52,6 @@ from .polyio import (
     recognize_separated,
 )
 from .quasitorus import (
-    CharacterData,
     EnumerationTooLargeError,
     QuasitorusDescription,
     SingleMonomialError,

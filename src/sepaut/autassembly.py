@@ -67,10 +67,6 @@ class MonomialMap:
     exponents: tuple[int, ...]
 
     @classmethod
-    def identity(cls, n: int) -> MonomialMap:
-        return cls(tuple(range(n)), 1, (0,) * n)
-
-    @classmethod
     def from_permutation(cls, perm) -> MonomialMap:
         perm = tuple(perm)
         return cls(perm, 1, (0,) * len(perm))
@@ -165,19 +161,19 @@ def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
     if len(g.exponents) != n:
         raise ValueError("diagonal exponent vector has wrong length")
 
-    chars = cf.monomial_vectors
-    char_set = set(chars)
-    names = cf.var_order
+    # sparse monomials: O(n) per generator, where dense vectors cost O(M n)
+    supports = cf.monomial_supports
+    monomials = {frozenset(support) for support in supports}
     residue = None
-    for i, chi in enumerate(chars):
-        image = permute_vector(g.perm, chi)
-        if image not in char_set:
+    for i, support in enumerate(supports):
+        if frozenset((g.perm[v], e) for v, e in support) not in monomials:
+            image = permute_vector(g.perm, cf.monomial_vectors[i])
             raise NotAnAutomorphismError(
                 f"monomial {i} maps to exponent vector {image}, which is not a "
                 "monomial of the polynomial "
-                f"(permutation {cycle_notation(g.perm, names)})"
+                f"(permutation {cycle_notation(g.perm, cf.var_order)})"
             )
-        r = sum(chi[v] * g.exponents[g.perm[v]] for v in range(n)) % g.order
+        r = sum(e * g.exponents[g.perm[v]] for v, e in support) % g.order
         if residue is None:
             residue = r
         elif r != residue:

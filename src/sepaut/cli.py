@@ -29,7 +29,6 @@ from .permgroup import (
 from .polyio import NotSeparatedError, PolynomialError, parse_separated
 from .quasitorus import (
     EnumerationTooLargeError,
-    character_matrix,
     count_torsion_points_mod,
     quasitorus_structure,
     torsion_count_formula,
@@ -102,17 +101,17 @@ def _frac(x) -> str | None:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def _oracle(oracle: str, cf, claim, cd, modulus):
+def _oracle(oracle: str, cf, claim, modulus):
     """(status, found, claimed) of one oracle run against `claim`: the
-    permutation group ('perms'), the quasitorus ('torsion', enumerating
-    `cd` mod `modulus`) or the whole analysis ('generators').  A guard gives
+    permutation group ('perms'), the quasitorus ('torsion', counting mod
+    `modulus`) or the whole analysis ('generators').  A guard gives
     ('skipped', message, None), a generator failing certification
     ('fail', message, None)."""
     try:
         if oracle == "perms":
             found, claimed = brute_force_perm_order(cf), claim.order
         elif oracle == "torsion":
-            found = count_torsion_points_mod(cd, modulus)
+            found = count_torsion_points_mod(cf, modulus)
             claimed = torsion_count_formula(claim, modulus)
         else:
             found = claimed = len(certify_pipeline_generators(cf, claim))
@@ -133,13 +132,12 @@ _CHECK_DETAILS = {
 def run_verification(cf, aut) -> list[dict]:
     """All applicable oracles against the analysis `aut`, in a fixed order;
     guards become 'skipped'."""
-    cd = character_matrix(cf)
     runs = [("generators", aut, None), ("perms", aut.perm, None)]
     moduli = sorted(set(aut.quasitorus.torsion)) or [2]
     runs += [("torsion", aut.quasitorus, m) for m in moduli]
     checks = []
     for oracle, claim, modulus in runs:
-        status, found, claimed = _oracle(oracle, cf, claim, cd, modulus)
+        status, found, claimed = _oracle(oracle, cf, claim, modulus)
         template = _CHECK_DETAILS[oracle]
         checks.append({
             "oracle": f"torsion mod {modulus}" if modulus else oracle,
@@ -315,7 +313,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     cf = parse_separated(_read_input(args.input))
-    cd = None
     if args.oracle == "perms":
         claim = permutation_group(cf)
     elif args.oracle == "generators":
@@ -324,8 +321,8 @@ def cmd_verify(args) -> int:
         print("error: the torsion oracle needs --mod N", file=sys.stderr)
         return EXIT_ERROR
     else:
-        claim, cd = quasitorus_structure(cf), character_matrix(cf)
-    status, found, claimed = _oracle(args.oracle, cf, claim, cd, args.mod)
+        claim = quasitorus_structure(cf)
+    status, found, claimed = _oracle(args.oracle, cf, claim, args.mod)
     if status == "skipped":
         print(f"guard violation: {found}", file=sys.stderr)
         return EXIT_GUARD

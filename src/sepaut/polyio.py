@@ -338,22 +338,25 @@ class CanonicalForm:
             out.extend([b.exponent] * len(b.variables))
         return tuple(out)
 
+    @property
+    def monomial_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each monomial as (variable index, exponent) pairs, in canonical order."""
+        idx = self.variable_index
+        out = [
+            tuple(zip(map(idx.get, b.variables), b.exponents)) for b in self.mixed_blocks
+        ]
+        out += [((idx[v], b.exponent),) for b in self.pure_blocks for v in b.variables]
+        return tuple(out)
+
     @cached_property
     def monomial_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vector of each monomial over `var_order`, canonical order."""
-        n = self.variable_count
-        idx = self.variable_index
         out = []
-        for b in self.mixed_blocks:
-            vec = [0] * n
-            for v, e in zip(b.variables, b.exponents):
-                vec[idx[v]] = e
+        for support in self.monomial_supports:
+            vec = [0] * self.variable_count
+            for v, e in support:
+                vec[v] = e
             out.append(tuple(vec))
-        for b in self.pure_blocks:
-            for v in b.variables:
-                vec = [0] * n
-                vec[idx[v]] = b.exponent
-                out.append(tuple(vec))
         return tuple(out)
 
     def to_text(self) -> str:

@@ -26,8 +26,9 @@ them for `cocharacter_coordinates`); from them:
 No Smith normal form is involved, and neither is the dense difference matrix
 D (rows chi_i - chi_0) of `character_matrix`.  D feeds only the independent
 cross-check `count_torsion_points_mod`, which counts the solutions of
-D e == 0 (mod N) by sheer enumeration of all N^n candidates, and the tests,
-where `intlat.smith_normal_form` and `gcd_of_minors` of D referee H.
+D e == 0 (mod N) among all N^n candidates column by column, keyed by the
+residues of the rows not yet complete, and the tests, where
+`intlat.smith_normal_form` and `gcd_of_minors` of D referee H.
 """
 
 from __future__ import annotations
@@ -35,15 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .intlat import IntMatrix
 from .polyio import CanonicalForm
 
 __all__ = [
     "SingleMonomialError",
     "EnumerationTooLargeError",
-    "CharacterData",
     "TorsionGenerator",
     "QuasitorusDescription",
     "character_matrix",
@@ -66,15 +64,6 @@ class EnumerationTooLargeError(ValueError):
 
 
 @dataclass(frozen=True)
-class CharacterData:
-    """Monomial characters and their differences against the first monomial."""
-
-    var_order: tuple[str, ...]
-    characters: tuple[tuple[int, ...], ...]
-    difference_matrix: IntMatrix
-
-
-@dataclass(frozen=True)
 class TorsionGenerator:
     """Diagonal map x_v -> zeta^e_v x_v with zeta a primitive root of unity.
 
@@ -90,12 +79,12 @@ class TorsionGenerator:
 class _Block:
     """Per-monomial data chi = gcd * p on the monomial's support.
 
-    `support` is the monomial's run of variable indices and `exponents` its
-    character on it; `transform` is a unimodular W (rows indexed like
+    `support` is the monomial's variable indices and `exponents` its
+    character on them; `transform` is a unimodular W (rows indexed like
     `support`) with p W = e_1, and `inverse` is its inverse.
     """
 
-    support: range
+    support: tuple[int, ...]
     exponents: tuple[int, ...]
     gcd: int
     transform: tuple[tuple[int, ...], ...]
@@ -125,23 +114,19 @@ def _require_two_monomials(cf: CanonicalForm) -> None:
         )
 
 
-def character_matrix(cf: CanonicalForm) -> CharacterData:
-    """Characters of all monomials and the matrix of differences.
+def character_matrix(cf: CanonicalForm) -> IntMatrix:
+    """The difference matrix D of the monomial characters.
 
-    Rows of the difference matrix are chi_i - chi_0 over the canonical
-    monomial order (mixed blocks first, then pure powers).  Because monomial
-    supports are pairwise disjoint, the rows are linearly independent: the
-    matrix always has full row rank M - 1.  Only the enumeration oracle and
-    the Smith-form referee tests read it; the analysis works from the blocks.
+    Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
+    blocks first, then pure powers).  Because monomial supports are pairwise
+    disjoint, the rows are linearly independent: D always has full row rank
+    M - 1.  Only the torsion count and the Smith-form referee tests read it;
+    the analysis works from the blocks.
     """
     _require_two_monomials(cf)
     chars = cf.monomial_vectors
     rows = [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
-    return CharacterData(
-        var_order=cf.var_order,
-        characters=chars,
-        difference_matrix=IntMatrix.from_rows(rows, cols=cf.variable_count),
-    )
+    return IntMatrix.from_rows(rows, cols=cf.variable_count)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -184,7 +169,7 @@ def _completion(p) -> tuple[tuple, tuple]:
 
 def _blocks(cf: CanonicalForm) -> list[_Block]:
     """Per-monomial block data, read off the canonical blocks in O(n); fails
-    loudly if a variable repeats, as the runs must partition the variables."""
+    loudly if a variable repeats, as the supports must partition the variables."""
     names = cf.var_order
     if len(set(names)) != len(names):
         shared = next(v for i, v in enumerate(names) if v in names[i + 1 :])
@@ -192,17 +177,12 @@ def _blocks(cf: CanonicalForm) -> list[_Block]:
             f"two monomials share variable {shared!r}; "
             "the block-local structure needs disjoint supports"
         )
-    monomials = [b.exponents for b in cf.mixed_blocks] + [
-        (b.exponent,) for b in cf.pure_blocks for _ in b.variables
-    ]
     blocks = []
-    start = 0
-    for exponents in monomials:
+    for pairs in cf.monomial_supports:
+        support, exponents = zip(*pairs)
         g = math.gcd(*exponents)
         w, inv = _completion([e // g for e in exponents])
-        support = range(start, start + len(exponents))
         blocks.append(_Block(support, exponents, g, w, inv))
-        start = support.stop
     return blocks
 
 
@@ -333,30 +313,51 @@ def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, 
     return tuple(coords)
 
 
-def count_torsion_points_mod(cd: CharacterData, modulus: int) -> int:
-    """Count e in (Z/N)^n with D e == 0 (mod N) by full enumeration.
+def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
+    """Count e in (Z/N)^n with D e == 0 (mod N), one variable at a time.
 
-    Every one of the N^n candidate vectors is evaluated against every row of
-    D (vectorized, but literally exhaustive).  Guarded by N^n <= 10^7.
+    The columns of D are taken in order; a dict maps the residues mod N of
+    the rows still open to the number of partial assignments of the
+    variables so far that reach them.  After a row's last entry that is
+    nonzero mod N its residue must be 0, and it leaves the key.  Each of the
+    N^n assignments is counted exactly once, for any integer matrix D, with
+    no Smith form or block theory, so the count stays independent of the
+    closed form it checks.  Guarded by N^n <= 10^7; D is built only once the
+    guard has passed.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    n = len(cd.var_order)
-    total = modulus**n
-    if total > ENUMERATION_LIMIT:
+    n = cf.variable_count
+    if modulus**n > ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(
             f"N^n = {modulus}^{n} exceeds the enumeration guard "
             f"{ENUMERATION_LIMIT}"
         )
-    keep = np.ones(total, dtype=bool)
-    base = np.arange(modulus, dtype=np.int32)
-    for row in cd.difference_matrix.to_rows():
-        acc = np.zeros(1, dtype=np.int32)
-        for coeff in row:
-            step = (coeff % modulus) * base % modulus
-            acc = (acc[:, None] + step[None, :]).reshape(-1) % modulus
-        keep &= acc == 0
-    return int(np.count_nonzero(keep))
+    rows = [[x % modulus for x in row] for row in character_matrix(cf).to_rows()]
+    last = [max((j for j, x in enumerate(row) if x), default=-1) for row in rows]
+    open_rows = [r for r in range(len(rows)) if last[r] >= 0]
+    counts = {(0,) * len(open_rows): 1}
+    for j in range(n):
+        keep = [k for k, r in enumerate(open_rows) if last[r] > j]
+        closing = [k for k, r in enumerate(open_rows) if last[r] == j]
+        # the N values of e_j, tallied by what they add to the closing rows
+        # and to the others; a key reaches 0 on the closing rows only with
+        # the values that add its negative there
+        moves: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for x in range(modulus):
+            add = [rows[r][j] * x % modulus for r in open_rows]
+            tally = moves.setdefault(tuple(add[k] for k in closing), {})
+            rest = tuple(add[k] for k in keep)
+            tally[rest] = tally.get(rest, 0) + 1
+        step: dict[tuple[int, ...], int] = {}
+        for key, count in counts.items():
+            need = tuple(-key[k] % modulus for k in closing)
+            for rest, times in moves.get(need, {}).items():
+                reached = tuple((key[k] + a) % modulus for k, a in zip(keep, rest))
+                step[reached] = step.get(reached, 0) + count * times
+        open_rows = [open_rows[k] for k in keep]
+        counts = step
+    return counts[()]
 
 
 def torsion_count_formula(quasi: QuasitorusDescription, modulus: int) -> int:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FLAGSHIP, random_canonical_form
+from sepaut.autassembly import fermat_form
 from sepaut.cli import build_report, main
 from sepaut.polyio import parse_separated
 
@@ -192,6 +193,27 @@ def test_json_output_is_byte_identical_across_processes(flags):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_imports_only_the_standard_library():
+    # modules loaded before the import (site hooks of the interpreter) are
+    # not on the CLI path and are left out
+    code = (
+        "import sys; before = set(sys.modules); import sepaut.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "sepaut.cli" in loaded
+    third_party = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}
+    ]
+    assert third_party == []
+
+
 def test_analysis_path_never_runs_smith_normal_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Smith normal form on the analysis path")
@@ -244,16 +266,24 @@ def _count_calls(monkeypatch, names) -> dict[str, int]:
 def test_build_report_runs_each_stage_once(monkeypatch):
     counts = _count_calls(monkeypatch, STAGES + ("character_matrix",))
     rng = random.Random(48)
-    # torsion (2, 6) runs the torsion oracle at two moduli
-    texts = [FLAGSHIP, BIG, "x + y", "x^2*y^2 + z^6 + w^6"]
+    # torsion (2, 6) runs the torsion oracle at two moduli; the guard skips
+    # the torsion oracle of fermat 30 2, so D is never built there
+    fermat = fermat_form(30, 2).to_text()
+    texts = [FLAGSHIP, BIG, "x + y", "x^2*y^2 + z^6 + w^6", fermat]
     texts += [random_canonical_form(rng).to_text() for _ in range(8)]
     for text in texts:
         for verify in (False, True):
             for name in counts:
                 counts[name] = 0
-            build_report(text, parse_separated(text), verify=verify)
+            report = build_report(text, parse_separated(text), verify=verify)
             assert {name: counts[name] for name in STAGES} == dict.fromkeys(STAGES, 1)
-            assert counts["character_matrix"] == (1 if verify else 0)
+            counted = [
+                c for c in report["verification"]["checks"]
+                if c["oracle"].startswith("torsion mod") and c["status"] != "skipped"
+            ]
+            assert counts["character_matrix"] == len(counted)
+            if text == fermat:
+                assert counted == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -28,14 +29,13 @@ from sepaut.torusgeom import express_in_basis
 
 
 def test_flagship_characters_and_differences(flagship):
-    cd = character_matrix(flagship)
-    assert cd.characters == (
+    assert flagship.monomial_vectors == (
         (11, 10, 0, 0, 0),
         (0, 0, 10, 0, 0),
         (0, 0, 0, 10, 0),
         (0, 0, 0, 0, 10),
     )
-    assert cd.difference_matrix.to_rows() == [
+    assert character_matrix(flagship).to_rows() == [
         [-11, -10, 10, 0, 0],
         [-11, -10, 0, 10, 0],
         [-11, -10, 0, 0, 10],
@@ -43,15 +43,14 @@ def test_flagship_characters_and_differences(flagship):
 
 
 def test_fermat_difference_matrix():
-    cd = character_matrix(fermat_form(3, 3))
-    assert cd.difference_matrix.to_rows() == [[-3, 3, 0], [-3, 0, 3]]
+    assert character_matrix(fermat_form(3, 3)).to_rows() == [[-3, 3, 0], [-3, 0, 3]]
 
 
 def test_two_pure_powers_difference():
     # canonical order puts the higher pure exponent first: (y, x)
-    cd = character_matrix(parse_separated("x^2 + y^3"))
-    assert cd.var_order == ("y", "x")
-    assert cd.difference_matrix.to_rows() == [[-3, 2]]
+    cf = parse_separated("x^2 + y^3")
+    assert cf.var_order == ("y", "x")
+    assert character_matrix(cf).to_rows() == [[-3, 2]]
 
 
 def test_single_monomial_rejected():
@@ -86,54 +85,79 @@ def test_fermat_family_structure(n, alpha):
 def test_torsion_generators_are_valid(flagship):
     rng = random.Random(44)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        cd = character_matrix(cf)
+        d_matrix = character_matrix(cf)
         q = quasitorus_structure(cf)
         for gen in q.torsion_generators:
             residues = [
                 sum(a * e for a, e in zip(row, gen.exponents)) % gen.order
-                for row in cd.difference_matrix.to_rows()
+                for row in d_matrix.to_rows()
             ]
-            assert residues == [0] * cd.difference_matrix.rows
+            assert residues == [0] * d_matrix.rows
             # exact order: no smaller modulus works
             assert math.gcd(gen.order, *gen.exponents) == 1
 
 
 def test_count_modulus_one():
-    cd = character_matrix(parse_separated("x^2 + y^3"))
-    assert count_torsion_points_mod(cd, 1) == 1
+    assert count_torsion_points_mod(parse_separated("x^2 + y^3"), 1) == 1
 
 
 def test_count_fermat_all_solutions():
     cf = fermat_form(3, 3)
-    cd = character_matrix(cf)
     # D is divisible by 3, so every vector of (Z/3)^3 solves D e == 0 mod 3
-    assert count_torsion_points_mod(cd, 3) == 27
+    assert count_torsion_points_mod(cf, 3) == 27
     assert torsion_count_formula(quasitorus_structure(cf), 3) == 27
 
 
 def test_count_flagship_mod_ten(flagship):
-    cd = character_matrix(flagship)
-    assert count_torsion_points_mod(cd, 10) == 10000
+    assert count_torsion_points_mod(flagship, 10) == 10000
     assert torsion_count_formula(quasitorus_structure(flagship), 10) == 10000
 
 
 def test_count_guard():
     names = [f"a{k}" for k in range(9)]
-    cd = character_matrix(make_canonical_form([], [(2, names)]))
+    cf = make_canonical_form([], [(2, names)])
     with pytest.raises(EnumerationTooLargeError):
-        count_torsion_points_mod(cd, 10)
+        count_torsion_points_mod(cf, 10)
 
 
 def test_count_matches_formula_randomized():
     rng = random.Random(11)
     for _ in range(12):
         cf = random_canonical_form(rng, max_vars=4, max_exp=6)
-        cd = character_matrix(cf)
         quasi = quasitorus_structure(cf)
         for modulus in range(2, 13):
-            assert count_torsion_points_mod(cd, modulus) == torsion_count_formula(
+            assert count_torsion_points_mod(cf, modulus) == torsion_count_formula(
                 quasi, modulus
             )
+
+
+def _enumerated(cf, modulus):
+    """Plain count over all of (Z/N)^n, the reference for the column count."""
+    rows = character_matrix(cf).to_rows()
+    return sum(
+        all(sum(a * x for a, x in zip(row, e)) % modulus == 0 for row in rows)
+        for e in itertools.product(range(modulus), repeat=cf.variable_count)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_count_matches_plain_enumeration(data):
+    cf = data.draw(separated_forms(max_monomials=4))
+    n = cf.variable_count
+    top = max(m for m in range(1, 200) if m**n <= 20_000)
+    modulus = data.draw(st.integers(1, top))
+    count = count_torsion_points_mod(cf, modulus)
+    assert count == _enumerated(cf, modulus)
+    assert count == torsion_count_formula(quasitorus_structure(cf), modulus)
+
+
+def test_count_at_the_guard_edge():
+    # 2^23 <= 10^7: the largest pure Fermat count the guard lets through
+    cf = fermat_form(23, 3)
+    assert count_torsion_points_mod(cf, 2) == torsion_count_formula(
+        quasitorus_structure(cf), 2
+    )
 
 
 def test_torus_rank_identity_random():
@@ -151,9 +175,8 @@ def test_difference_matrix_always_full_rank():
     rng = random.Random(14)
     for _ in range(30):
         cf = random_canonical_form(rng)
-        cd = character_matrix(cf)
         q = quasitorus_structure(cf)
-        assert len(q.cocharacter_basis) == cf.variable_count - cd.difference_matrix.rows
+        assert len(q.cocharacter_basis) == cf.variable_count - character_matrix(cf).rows
 
 
 @st.composite
@@ -184,9 +207,8 @@ def separated_forms(draw, max_monomials=6, max_width=3, max_exp=9):
 @settings(max_examples=300, deadline=None)
 @given(separated_forms())
 def test_closed_form_matches_smith_referee(cf):
-    cd = character_matrix(cf)
     q = quasitorus_structure(cf)
-    snf = smith_normal_form(cd.difference_matrix)
+    snf = smith_normal_form(character_matrix(cf))
     assert q.torus_rank == cf.variable_count - snf.rank
     assert q.torsion == tuple(d for d in snf.divisors if d > 1)
 
@@ -194,8 +216,7 @@ def test_closed_form_matches_smith_referee(cf):
 @settings(max_examples=60, deadline=None)
 @given(separated_forms(max_monomials=4, max_width=2))
 def test_closed_form_matches_minor_quotients(cf):
-    cd = character_matrix(cf)
-    d_matrix = cd.difference_matrix
+    d_matrix = character_matrix(cf)
     quotients, prev = [], 1
     for k in range(1, d_matrix.rows + 1):
         delta = gcd_of_minors(d_matrix, k)
@@ -207,9 +228,8 @@ def test_closed_form_matches_minor_quotients(cf):
 @settings(max_examples=200, deadline=None)
 @given(separated_forms())
 def test_kernel_bases_span_the_same_lattice(cf):
-    cd = character_matrix(cf)
     closed = quasitorus_structure(cf).cocharacter_basis
-    referee = kernel_basis(cd.difference_matrix)
+    referee = kernel_basis(character_matrix(cf))
     for vec in referee:
         express_in_basis(closed, vec)
     for vec in closed:
@@ -222,7 +242,7 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     """N Z^n + ker(D) + sum (N/d_k) v_k is the whole lattice of solutions of
     D x == 0 (mod N), N = lcm(torsion): it lies inside, and its index
     N^(n - rank) / prod d_k is that of the solutions."""
-    cd = character_matrix(cf)
+    d_matrix = character_matrix(cf)
     q = quasitorus_structure(cf)
     n = cf.variable_count
     modulus = math.lcm(*q.torsion)
@@ -233,7 +253,7 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     ]
     lattice = IntMatrix.from_rows(rows)
     for row in rows:
-        assert all(x % modulus == 0 for x in cd.difference_matrix.matvec(row))
+        assert all(x % modulus == 0 for x in d_matrix.matvec(row))
     index = math.prod(smith_normal_form(lattice).divisors)
     assert index * math.prod(q.torsion) == modulus ** (n - q.torus_rank)
 
