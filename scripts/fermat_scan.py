@@ -9,7 +9,7 @@ pattern S_n x| ((Z/alpha)^(n-1) x T^1) can be eyeballed in one screen.
 from math import factorial
 
 from sepaut.autassembly import fermat_aut, fermat_form
-from sepaut.permgroup import brute_force_perm_order
+from sepaut.oracles import brute_force_perm_order
 
 
 def main() -> None:

@@ -4,38 +4,22 @@ Given a polynomial in which every variable occurs in exactly one monomial,
 this package computes a certified structural description of the
 automorphism group of the hypersurface it cuts out: the semidirect product
 of the permutation group of the polynomial with the diagonal quasitorus,
-together with a rigidity certificate, explicit torus generators, the weight
-cone of the coordinates, and brute-force verification oracles.
+together with a rigidity certificate, explicit torus generators and the
+weight cone of the coordinates.  This namespace holds the analysis; the
+brute-force verification oracles are in `sepaut.oracles` and the exact
+integer linear algebra (Smith normal form) in `sepaut.intlat`, which the
+analysis never imports.
 """
 
 from .autassembly import (
     AutGroupDescription,
-    MonomialMap,
-    NotAnAutomorphismError,
     aut_group,
-    certify_pipeline_generators,
     fermat_aut,
     fermat_form,
     irreducibility_verdict,
     structure_string,
-    verify_generator,
 )
-from .intlat import (
-    IntMatrix,
-    SNFResult,
-    gcd_of_minors,
-    kernel_basis,
-    parse_matrix_text,
-    smith_normal_form,
-)
-from .permgroup import (
-    PermGroupDescription,
-    TooManyVariablesError,
-    brute_force_perm_order,
-    cycle_notation,
-    permutation_group,
-    permute_vector,
-)
+from .permgroup import PermGroupDescription, cycle_notation, permutation_group
 from .polyio import (
     CanonicalForm,
     ConstantTermError,
@@ -52,22 +36,12 @@ from .polyio import (
     recognize_separated,
 )
 from .quasitorus import (
-    EnumerationTooLargeError,
     QuasitorusDescription,
     SingleMonomialError,
     TorsionGenerator,
-    character_matrix,
-    count_torsion_points_mod,
     quasitorus_structure,
-    torsion_count_formula,
 )
 from .rigidity import RigidityCertificate, rigidity_certificate
-from .torusgeom import (
-    ConeDescription,
-    TorusGenerators,
-    express_in_basis,
-    torus_generators,
-    weight_cone,
-)
+from .torusgeom import ConeDescription, TorusGenerators, torus_generators, weight_cone
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 failure or error, 2 input not separated,
 3 oracle guard violation.  JSON output has a fixed key order, escapes
 non-ASCII characters, and serializes unbounded integers and rationals as
 decimal strings, so identical invocations produce byte-identical output.
+The oracles (`--verify`, `verify`) and the Smith normal form (`snf`) are
+imported only by the commands that run them.
 """
 
 from __future__ import annotations
@@ -13,26 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-from .autassembly import (
-    NotAnAutomorphismError,
-    aut_group,
-    certify_pipeline_generators,
-    fermat_form,
-)
-from .intlat import parse_matrix_text, smith_normal_form
-from .permgroup import (
-    TooManyVariablesError,
-    brute_force_perm_order,
-    cycle_notation,
-    permutation_group,
-)
+from .autassembly import aut_group, fermat_form
+from .permgroup import cycle_notation, permutation_group
 from .polyio import NotSeparatedError, PolynomialError, parse_separated
-from .quasitorus import (
-    EnumerationTooLargeError,
-    count_torsion_points_mod,
-    quasitorus_structure,
-    torsion_count_formula,
-)
+from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,18 +92,21 @@ def _oracle(oracle: str, cf, claim, modulus):
     permutation group ('perms'), the quasitorus ('torsion', counting mod
     `modulus`) or the whole analysis ('generators').  A guard gives
     ('skipped', message, None), a generator failing certification
-    ('fail', message, None)."""
+    ('fail', message, None).  The oracles load only here, so a plain
+    analysis never imports them."""
+    from . import oracles
+
     try:
         if oracle == "perms":
-            found, claimed = brute_force_perm_order(cf), claim.order
+            found, claimed = oracles.brute_force_perm_order(cf), claim.order
         elif oracle == "torsion":
-            found = count_torsion_points_mod(cf, modulus)
-            claimed = torsion_count_formula(claim, modulus)
+            found = oracles.count_torsion_points_mod(cf, modulus)
+            claimed = oracles.torsion_count_formula(claim, modulus)
         else:
-            found = claimed = len(certify_pipeline_generators(cf, claim))
-    except (TooManyVariablesError, EnumerationTooLargeError) as exc:
+            found = claimed = len(oracles.certify_pipeline_generators(cf, claim))
+    except (oracles.TooManyVariablesError, oracles.EnumerationTooLargeError) as exc:
         return "skipped", str(exc), None
-    except NotAnAutomorphismError as exc:
+    except oracles.NotAnAutomorphismError as exc:
         return "fail", str(exc), None
     return ("pass" if found == claimed else "fail"), found, claimed
 
@@ -209,7 +198,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "action": [list(g) for g in aut.action],
         },
         "cone": {
-            "basis": [_ints(v) for v in cone.basis],
+            "basis": [_ints(v) for v in aut.quasitorus.cocharacter_basis],
             "weights": [_ints(v) for v in cone.weights],
             "pointed": cone.pointed,
             "witness": _ints(cone.witness) if cone.witness is not None else None,
@@ -342,6 +331,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .intlat import parse_matrix_text, smith_normal_form
+
     if args.matrix == "-":
         text = sys.stdin.read()
     else:

@@ -1,10 +1,11 @@
 """Exact integer linear algebra: Smith normal form, kernel lattices, minors.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere.  The analysis of a polynomial uses only `IntMatrix`
-from here (quasitorus computes H block by block); the Smith normal form
-serves `sepaut snf`, solving in a caller-supplied basis, and the tests,
-where it and the gcd-of-minors oracle referee the block-local closed form.
+point is used anywhere.  The analysis of a polynomial never imports this
+module (quasitorus computes H block by block).  `IntMatrix` holds the
+difference matrix D of the torsion oracle in `oracles`; the Smith normal
+form serves `sepaut snf` and the tests, where it and the gcd-of-minors
+oracle referee the block-local closed form.
 The implementation favours exactness and auditability over asymptotics:
 
 * Smith normal form by elimination with a minimal-|entry| pivot rule, which

@@ -7,43 +7,25 @@ factor per pure block); within a mixed block only variables of equal
 exponent may move, and whole mixed blocks can swap when their exponent
 multisets coincide, which yields a wreath-type factor per class of
 identical blocks.  The group is the direct product of those factors, so its
-order has a closed formula and a short generator list; `brute_force_perm_order`
-double-checks the order by trying all n! permutations.
+order has a closed formula and a short generator list.  Its brute-force
+check over all n! permutations is `oracles.brute_force_perm_order`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, permutations
+from itertools import groupby
 from math import factorial, prod
 
 from .polyio import CanonicalForm
 
 __all__ = [
-    "TooManyVariablesError",
     "PureFactor",
     "MixedClassFactor",
     "PermGroupDescription",
     "permutation_group",
-    "brute_force_perm_order",
-    "permute_vector",
     "cycle_notation",
 ]
-
-BRUTE_FORCE_LIMIT = 8
-
-
-class TooManyVariablesError(ValueError):
-    """Brute force over n! permutations is limited to n <= 8."""
-
-
-def permute_vector(perm: tuple[int, ...], vec) -> tuple[int, ...]:
-    """Move entry v to slot perm[v] (the action of the permutation on
-    exponent vectors and diagonal coordinates)."""
-    out = [0] * len(vec)
-    for v, x in enumerate(vec):
-        out[perm[v]] = x
-    return tuple(out)
 
 
 def cycle_notation(perm: tuple[int, ...], names) -> str:
@@ -214,17 +196,3 @@ def _structure(classes: list[MixedClassFactor], pure_factors: list[PureFactor]) 
             parts.append(f"S{len(p.variables)}")
     return " × ".join(parts) if parts else "1"
 
-
-def brute_force_perm_order(cf: CanonicalForm) -> int:
-    """Count permutations with F o tau = F by trying all n! of them."""
-    n = cf.variable_count
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooManyVariablesError(
-            f"{n} variables: brute force is limited to n <= {BRUTE_FORCE_LIMIT}"
-        )
-    chars = set(cf.monomial_vectors)
-    count = 0
-    for perm in permutations(range(n)):
-        if {permute_vector(perm, chi) for chi in chars} == chars:
-            count += 1
-    return count

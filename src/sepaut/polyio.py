@@ -114,9 +114,6 @@ class Polynomial:
 
     terms: tuple[Term, ...]
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({v for t in self.terms for v, _ in t.monomial}))
-
 
 _LETTERS = set(string.ascii_letters)
 _DIGITS = set(string.digits)

@@ -23,12 +23,10 @@ them for `cocharacter_coordinates`); from them:
 * the torsion generator of d_k is sum over q of (d_k / q^v) s_i on the block
   i holding that valuation, reduced mod d_k.
 
-No Smith normal form is involved, and neither is the dense difference matrix
-D (rows chi_i - chi_0) of `character_matrix`.  D feeds only the independent
-cross-check `count_torsion_points_mod`, which counts the solutions of
-D e == 0 (mod N) among all N^n candidates column by column, keyed by the
-residues of the rows not yet complete, and the tests, where
-`intlat.smith_normal_form` and `gcd_of_minors` of D referee H.
+No Smith normal form is involved, and neither is the dense difference
+matrix D (rows chi_i - chi_0).  D serves only the independent cross-check
+in `oracles`, which counts the solutions of D e == 0 (mod N), and the
+tests, where the Smith normal form and the gcd of minors of D referee H.
 """
 
 from __future__ import annotations
@@ -36,31 +34,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .intlat import IntMatrix
 from .polyio import CanonicalForm
 
 __all__ = [
     "SingleMonomialError",
-    "EnumerationTooLargeError",
     "TorsionGenerator",
     "QuasitorusDescription",
-    "character_matrix",
     "quasitorus_structure",
     "cocharacter_coordinates",
-    "count_torsion_points_mod",
-    "torsion_count_formula",
 ]
-
-ENUMERATION_LIMIT = 10_000_000
 
 
 class SingleMonomialError(ValueError):
     """A one-monomial polynomial cuts out a union of coordinate hyperplane
     intersections; the semidirect-product description does not apply."""
-
-
-class EnumerationTooLargeError(ValueError):
-    """The brute-force count N^n would exceed the enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -104,29 +91,6 @@ class QuasitorusDescription:
     torsion_generators: tuple[TorsionGenerator, ...]
     # kept for cocharacter_coordinates; not part of the description's value
     _blocks: tuple[_Block, ...] = field(compare=False, repr=False)
-
-
-def _require_two_monomials(cf: CanonicalForm) -> None:
-    if cf.monomial_count < 2:
-        raise SingleMonomialError(
-            "need at least two monomials to cut out a hypersurface with "
-            "diagonal symmetry structure"
-        )
-
-
-def character_matrix(cf: CanonicalForm) -> IntMatrix:
-    """The difference matrix D of the monomial characters.
-
-    Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
-    blocks first, then pure powers).  Because monomial supports are pairwise
-    disjoint, the rows are linearly independent: D always has full row rank
-    M - 1.  Only the torsion count and the Smith-form referee tests read it;
-    the analysis works from the blocks.
-    """
-    _require_two_monomials(cf)
-    chars = cf.monomial_vectors
-    rows = [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
-    return IntMatrix.from_rows(rows, cols=cf.variable_count)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -261,7 +225,11 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
     with gcd(d_k, v_k) = 1; together with ker(D) they generate all of H's
     torsion points.
     """
-    _require_two_monomials(cf)
+    if cf.monomial_count < 2:
+        raise SingleMonomialError(
+            "need at least two monomials to cut out a hypersurface with "
+            "diagonal symmetry structure"
+        )
     blocks = _blocks(cf)
     n = cf.variable_count
     lcm = math.lcm(*(b.gcd for b in blocks))
@@ -312,63 +280,3 @@ def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, 
         coords += y[1:]
     return tuple(coords)
 
-
-def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
-    """Count e in (Z/N)^n with D e == 0 (mod N), one variable at a time.
-
-    The columns of D are taken in order; a dict maps the residues mod N of
-    the rows still open to the number of partial assignments of the
-    variables so far that reach them.  After a row's last entry that is
-    nonzero mod N its residue must be 0, and it leaves the key.  Each of the
-    N^n assignments is counted exactly once, for any integer matrix D, with
-    no Smith form or block theory, so the count stays independent of the
-    closed form it checks.  Guarded by N^n <= 10^7; D is built only once the
-    guard has passed.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    n = cf.variable_count
-    if modulus**n > ENUMERATION_LIMIT:
-        raise EnumerationTooLargeError(
-            f"N^n = {modulus}^{n} exceeds the enumeration guard "
-            f"{ENUMERATION_LIMIT}"
-        )
-    rows = [[x % modulus for x in row] for row in character_matrix(cf).to_rows()]
-    last = [max((j for j, x in enumerate(row) if x), default=-1) for row in rows]
-    open_rows = [r for r in range(len(rows)) if last[r] >= 0]
-    counts = {(0,) * len(open_rows): 1}
-    for j in range(n):
-        keep = [k for k, r in enumerate(open_rows) if last[r] > j]
-        closing = [k for k, r in enumerate(open_rows) if last[r] == j]
-        # the N values of e_j, tallied by what they add to the closing rows
-        # and to the others; a key reaches 0 on the closing rows only with
-        # the values that add its negative there
-        moves: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for x in range(modulus):
-            add = [rows[r][j] * x % modulus for r in open_rows]
-            tally = moves.setdefault(tuple(add[k] for k in closing), {})
-            rest = tuple(add[k] for k in keep)
-            tally[rest] = tally.get(rest, 0) + 1
-        step: dict[tuple[int, ...], int] = {}
-        for key, count in counts.items():
-            need = tuple(-key[k] % modulus for k in closing)
-            for rest, times in moves.get(need, {}).items():
-                reached = tuple((key[k] + a) % modulus for k, a in zip(keep, rest))
-                step[reached] = step.get(reached, 0) + count * times
-        open_rows = [open_rows[k] for k in keep]
-        counts = step
-    return counts[()]
-
-
-def torsion_count_formula(quasi: QuasitorusDescription, modulus: int) -> int:
-    """Closed form for the same count: N^rank * prod gcd(d_k, N).
-
-    Reads the torus rank and torsion invariants of the description `quasi`,
-    so `count_torsion_points_mod` checks the torsion the report emits.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    count = modulus**quasi.torus_rank
-    for dk in quasi.torsion:
-        count *= math.gcd(dk, modulus)
-    return count

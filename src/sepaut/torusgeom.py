@@ -12,10 +12,13 @@ Two families of diagonal one-parameter subgroups act on the hypersurface:
   moves.
 
 These span a finite-index sublattice of the full cocharacter lattice
-ker(D).  Expressed in any basis of ker(D), the coordinate functions get
-weight vectors w_v; the cone they span is pointed because the homogeneity
-cocharacter pairs strictly positively with every w_v, and its coordinate
-vector u in the chosen basis is a certificate checkable by n inner products.
+ker(D).  Expressed in the block-local basis of ker(D) that the quasitorus
+description holds, the coordinate functions get weight vectors w_v; the
+cone they span is pointed because the homogeneity cocharacter pairs
+strictly positively with every w_v, and its coordinate vector u in that
+basis is a certificate checkable by n inner products.  Any other basis of
+the same lattice gives the same verdict; the tests check that with their
+own solver after a unimodular change of basis.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .intlat import IntMatrix, smith_normal_form
 from .polyio import CanonicalForm
 from .quasitorus import cocharacter_coordinates
 
@@ -33,7 +35,6 @@ __all__ = [
     "ConeDescription",
     "torus_generators",
     "weight_cone",
-    "express_in_basis",
 ]
 
 
@@ -58,9 +59,9 @@ class TorusGenerators:
 
 @dataclass(frozen=True)
 class ConeDescription:
-    """Weight data of the coordinate functions in a chosen cocharacter basis."""
+    """Weight data of the coordinate functions in the cocharacter basis of
+    the quasitorus description."""
 
-    basis: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[int, ...], ...]
     pointed: bool
     witness: tuple[int, ...] | None
@@ -98,63 +99,27 @@ def torus_generators(cf: CanonicalForm) -> TorusGenerators:
             vec[idx[b.variables[j]]] = -b.exponents[0]
             pairs.append(PairCocharacter(block=bi, position=j, vector=tuple(vec)))
 
-    monomials = [
-        [(idx[v], e) for v, e in zip(b.variables, b.exponents)] for b in cf.mixed_blocks
-    ] + [[(idx[v], b.exponent)] for b in cf.pure_blocks for v in b.variables]
+    monomials = cf.monomial_supports
     for vec in [homogeneity, *(p.vector for p in pairs)]:
         if len({sum(e * vec[v] for v, e in mono) for mono in monomials}) != 1:
             raise AssertionError("constructed cocharacter is not a kernel vector")
     return TorusGenerators(homogeneity=homogeneity, pair_cocharacters=tuple(pairs))
 
 
-def express_in_basis(basis, target) -> tuple[int, ...]:
-    """Integer coordinates of `target` in the lattice spanned by `basis` rows.
-
-    Solves u . B = target exactly via the Smith form of B; raises ValueError
-    when the target is outside the spanned lattice.
-    """
-    b = IntMatrix.from_rows(basis)
-    if b.cols != len(target):
-        raise ValueError("dimension mismatch between basis and target")
-    snf = smith_normal_form(b)
-    d, n = b.rows, b.cols
-    z = [sum(target[i] * snf.V.at(i, j) for i in range(n)) for j in range(n)]
-    y = []
-    for k in range(d):
-        s = snf.S.at(k, k)
-        if s == 0 or z[k] % s:
-            raise ValueError("target is not in the lattice spanned by the basis")
-        y.append(z[k] // s)
-    if any(z[k] for k in range(d, n)):
-        raise ValueError("target is not in the lattice spanned by the basis")
-    return tuple(sum(y[k] * snf.U.at(k, j) for k in range(d)) for j in range(d))
-
-
-def weight_cone(quasi, homogeneity, basis=None) -> ConeDescription:
+def weight_cone(quasi, homogeneity) -> ConeDescription:
     """Weights of the coordinate functions and a pointedness certificate.
 
-    `basis` defaults to the block-local cocharacter basis of the quasitorus
-    description `quasi`, in which `cocharacter_coordinates` reads the witness
-    off the block data `quasi` keeps; any other basis of the same lattice
-    (for example after a unimodular change) yields the same pointedness
-    verdict and witness validity, with the witness solved for by
-    `express_in_basis`.  The witness is the homogeneity cocharacter written
-    in the basis: its pairing with the weight vector of variable v equals
-    that variable's homogeneity weight, which is strictly positive.
+    The weights are the block-local cocharacter basis of the quasitorus
+    description `quasi`, transposed; `cocharacter_coordinates` reads the
+    witness off the block data `quasi` keeps.  The witness is the
+    homogeneity cocharacter written in that basis: its pairing with the
+    weight vector of variable v equals that variable's homogeneity weight,
+    which is strictly positive.
     """
-    if basis is None:
-        basis = quasi.cocharacter_basis
-        witness = cocharacter_coordinates(quasi, homogeneity)
-    else:
-        basis = tuple(tuple(int(x) for x in row) for row in basis)
-        witness = express_in_basis(basis, homogeneity)
-    n = len(homogeneity)
-    weights = tuple(tuple(row[v] for row in basis) for v in range(n))
-    pointed = all(
-        sum(u * w for u, w in zip(witness, weights[v])) > 0 for v in range(n)
-    )
+    witness = cocharacter_coordinates(quasi, homogeneity)
+    weights = tuple(zip(*quasi.cocharacter_basis))
+    pointed = all(sum(u * w for u, w in zip(witness, wv)) > 0 for wv in weights)
     return ConeDescription(
-        basis=basis,
         weights=weights,
         pointed=pointed,
         witness=witness if pointed else None,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.polyio import make_canonical_form, parse_separated
 
 # running example used across the suite and in the README
@@ -76,6 +77,37 @@ def random_unimodular(rng, d):
         else:
             m[i] = [-a for a in m[i]]
     return m
+
+
+def change_basis(rng, basis):
+    """Rows of g @ basis for a random unimodular g: another basis of the
+    lattice spanned by `basis`."""
+    g = random_unimodular(rng, len(basis))
+    return [tuple(sum(c * b for c, b in zip(row, col)) for col in zip(*basis)) for row in g]
+
+
+def express_in_basis(basis, target) -> tuple[int, ...]:
+    """Integer coordinates of `target` in the lattice spanned by `basis` rows.
+
+    A referee solver, independent of the block data the analysis keeps:
+    solves u . B = target exactly via the Smith form of B, and raises
+    ValueError when the target is outside the spanned lattice.
+    """
+    b = IntMatrix.from_rows(basis)
+    if b.cols != len(target):
+        raise ValueError("dimension mismatch between basis and target")
+    snf = smith_normal_form(b)
+    d, n = b.rows, b.cols
+    z = [sum(target[i] * snf.V.at(i, j) for i in range(n)) for j in range(n)]
+    y = []
+    for k in range(d):
+        s = snf.S.at(k, k)
+        if s == 0 or z[k] % s:
+            raise ValueError("target is not in the lattice spanned by the basis")
+        y.append(z[k] // s)
+    if any(z[k] for k in range(d, n)):
+        raise ValueError("target is not in the lattice spanned by the basis")
+    return tuple(sum(y[k] * snf.U.at(k, j) for k in range(d)) for j in range(d))
 
 
 def block_shape(cf):

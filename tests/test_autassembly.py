@@ -7,19 +7,22 @@ from conftest import random_canonical_form
 from sepaut.autassembly import (
     IRREDUCIBLE,
     UNDETERMINED,
-    MonomialMap,
-    NotAnAutomorphismError,
     aut_group,
-    certify_pipeline_generators,
     fermat_aut,
     fermat_form,
     irreducibility_verdict,
     structure_string,
+)
+from sepaut.oracles import (
+    MonomialMap,
+    NotAnAutomorphismError,
+    certify_pipeline_generators,
+    character_matrix,
+    permute_vector,
     verify_generator,
 )
-from sepaut.permgroup import permute_vector
 from sepaut.polyio import parse_separated
-from sepaut.quasitorus import SingleMonomialError, character_matrix
+from sepaut.quasitorus import SingleMonomialError
 
 SEMI = "⋉"
 TIMES = "×"

@@ -193,25 +193,49 @@ def test_json_output_is_byte_identical_across_processes(flags):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_imports_only_the_standard_library():
+def test_cli_imports_only_the_standard_library(tmp_path):
     # modules loaded before the import (site hooks of the interpreter) are
-    # not on the CLI path and are left out
+    # not on the CLI path and are left out; the oracles and the Smith normal
+    # form load only with the commands that run them
     code = (
-        "import sys; before = set(sys.modules); import sepaut.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import sepaut.cli\n"
+        "argv, status = json.loads(sys.argv[1]), 0\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = sepaut.cli.main(argv)\n"
+        "print(status, *sorted(set(sys.modules) - before))\n"
     )
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("2 2\n2 4\n6 8\n")
+    oracles, intlat = "sepaut.oracles", "sepaut.intlat"
+    cases = [
+        ([], set()),
+        (["analyze", FLAGSHIP, "--json"], set()),
+        (["fermat", "4", "3"], set()),
+        (["analyze", FLAGSHIP, "--json", "--verify"], {oracles, intlat}),
+        (["verify", FLAGSHIP, "--oracle", "perms"], {oracles, intlat}),
+        (["verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"], {oracles, intlat}),
+        (["verify", FLAGSHIP, "--oracle", "generators"], {oracles, intlat}),
+        (["snf", str(matrix)], {intlat}),
+    ]
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    loaded = proc.stdout.split()
-    assert "sepaut.cli" in loaded
-    third_party = [
-        name for name in loaded
-        if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}
-    ]
-    assert third_party == []
+    for argv, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        status, *loaded = proc.stdout.split()
+        assert status == "0", (argv, proc.stderr)
+        assert "sepaut.cli" in loaded
+        assert {oracles, intlat} & set(loaded) == expected, argv
+        third_party = [
+            name for name in loaded
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}
+        ]
+        assert third_party == []
 
 
 def test_analysis_path_never_runs_smith_normal_form(monkeypatch):
@@ -264,6 +288,8 @@ def _count_calls(monkeypatch, names) -> dict[str, int]:
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):
+    import sepaut.oracles  # noqa: F401  (loaded so its character_matrix is counted)
+
     counts = _count_calls(monkeypatch, STAGES + ("character_matrix",))
     rng = random.Random(48)
     # torsion (2, 6) runs the torsion oracle at two moduli; the guard skips

@@ -5,13 +5,8 @@ import pytest
 
 from conftest import generated_group, random_canonical_form
 from sepaut.autassembly import fermat_form
-from sepaut.permgroup import (
-    TooManyVariablesError,
-    brute_force_perm_order,
-    cycle_notation,
-    permutation_group,
-    permute_vector,
-)
+from sepaut.oracles import TooManyVariablesError, brute_force_perm_order, permute_vector
+from sepaut.permgroup import cycle_notation, permutation_group
 from sepaut.polyio import make_canonical_form, parse_separated
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_canonical_form
+from conftest import express_in_basis, random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
 from sepaut.polyio import (
@@ -16,16 +16,17 @@ from sepaut.polyio import (
     make_canonical_form,
     parse_separated,
 )
-from sepaut.quasitorus import (
+from sepaut.oracles import (
     EnumerationTooLargeError,
-    SingleMonomialError,
     character_matrix,
-    cocharacter_coordinates,
     count_torsion_points_mod,
-    quasitorus_structure,
     torsion_count_formula,
 )
-from sepaut.torusgeom import express_in_basis
+from sepaut.quasitorus import (
+    SingleMonomialError,
+    cocharacter_coordinates,
+    quasitorus_structure,
+)
 
 
 def test_flagship_characters_and_differences(flagship):

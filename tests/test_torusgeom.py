@@ -2,12 +2,22 @@ import random
 
 import pytest
 
-from conftest import random_canonical_form, random_unimodular
+from conftest import change_basis, express_in_basis, random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, smith_normal_form
+from sepaut.oracles import character_matrix
 from sepaut.polyio import parse_separated
-from sepaut.quasitorus import character_matrix, quasitorus_structure
-from sepaut.torusgeom import express_in_basis, torus_generators, weight_cone
+from sepaut.quasitorus import quasitorus_structure
+from sepaut.torusgeom import torus_generators, weight_cone
+
+
+def witness_in(basis, t0):
+    """The homogeneity cocharacter `t0` in coordinates of another `basis`,
+    solved for by the referee; it pairs to t0[v] > 0 with every weight."""
+    witness = express_in_basis(basis, t0)
+    for v, weight in enumerate(zip(*basis)):
+        assert sum(u * x for u, x in zip(witness, weight)) == t0[v] > 0
+    return witness
 
 
 def test_flagship_generators(flagship):
@@ -64,31 +74,35 @@ def test_generators_span_rank_of_torus(flagship):
 
 
 def test_flagship_cone_with_explicit_basis(flagship):
-    basis = [(0, 1, 1, 1, 1), (10, 0, 11, 11, 11)]
-    cone = weight_cone(
-        quasitorus_structure(flagship), torus_generators(flagship).homogeneity, basis=basis
-    )
-    assert cone.weights == ((0, 10), (1, 0), (1, 11), (1, 11), (1, 11))
+    quasi = quasitorus_structure(flagship)
+    t0 = torus_generators(flagship).homogeneity
+    cone = weight_cone(quasi, t0)
+    assert cone.weights == ((10, -10), (-10, 11), (1, 0), (1, 0), (1, 0))
     assert cone.pointed
-    assert cone.witness == (10, 1)
+    assert cone.witness == (21, 20)
+    # a hand-picked basis of the same lattice, and a random one
+    assert witness_in([(0, 1, 1, 1, 1), (10, 0, 11, 11, 11)], t0) == (10, 1)
+    witness_in(change_basis(random.Random(17), quasi.cocharacter_basis), t0)
 
 
 def test_fermat_cone():
     cf = fermat_form(3, 4)
-    cone = weight_cone(
-        quasitorus_structure(cf), torus_generators(cf).homogeneity, basis=[(1, 1, 1)]
-    )
+    quasi = quasitorus_structure(cf)
+    t0 = torus_generators(cf).homogeneity
+    cone = weight_cone(quasi, t0)
     assert cone.weights == ((1,), (1,), (1,))
     assert cone.pointed and cone.witness == (1,)
+    witness_in(change_basis(random.Random(18), quasi.cocharacter_basis), t0)
 
 
 def test_two_pure_powers_cone():
     cf = parse_separated("x^2 + y^3")
-    cone = weight_cone(
-        quasitorus_structure(cf), torus_generators(cf).homogeneity, basis=[(2, 3)]
-    )
+    quasi = quasitorus_structure(cf)
+    t0 = torus_generators(cf).homogeneity
+    cone = weight_cone(quasi, t0)
     assert cone.weights == ((2,), (3,))
     assert cone.pointed and cone.witness == (1,)
+    witness_in(change_basis(random.Random(19), quasi.cocharacter_basis), t0)
 
 
 def test_witness_pairings_equal_homogeneity_weights(flagship):
@@ -116,20 +130,8 @@ def test_pointedness_survives_unimodular_basis_change(flagship):
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         quasi = quasitorus_structure(cf)
         t0 = torus_generators(cf).homogeneity
-        cone = weight_cone(quasi, t0)
-        d = len(cone.basis)
-        g = random_unimodular(rng, d)
-        new_basis = [
-            tuple(
-                sum(g[i][k] * cone.basis[k][v] for k in range(d))
-                for v in range(cf.variable_count)
-            )
-            for i in range(d)
-        ]
-        changed = weight_cone(quasi, t0, basis=new_basis)
-        assert changed.pointed
-        for v, w in enumerate(changed.weights):
-            assert sum(u * x for u, x in zip(changed.witness, w)) == t0[v]
+        assert weight_cone(quasi, t0).pointed
+        witness_in(change_basis(rng, quasi.cocharacter_basis), t0)
 
 
 def test_express_in_basis_solves_exactly():
