@@ -16,8 +16,8 @@ congruences, is `oracles.certify_pipeline_generators`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .permgroup import PermGroupDescription, permutation_group
 from .polyio import CanonicalForm, make_canonical_form
@@ -40,11 +40,9 @@ IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class AutGroupDescription:
+class AutGroupDescription(NamedTuple):
     perm: PermGroupDescription
     quasitorus: QuasitorusDescription
-    action: tuple[tuple[int, ...], ...]
     structure_string: str
     conditional: bool
     irreducible: str
@@ -81,9 +79,6 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
     return AutGroupDescription(
         perm=perm,
         quasitorus=quasi,
-        # conjugating a diagonal map by a permutation permutes the diagonal
-        # coordinates the same way the permutation moves the variables
-        action=perm.generators,
         structure_string=structure_string(perm.structure, quasi.torsion, quasi.torus_rank),
         conditional=cert.verdict != CERTIFIED_RIGID,
         irreducible=irreducibility_verdict(cf),

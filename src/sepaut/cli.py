@@ -195,7 +195,9 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "aut": {
             "structure": aut.structure_string,
             "conditional_on_rigidity": aut.conditional,
-            "action": [list(g) for g in aut.action],
+            # conjugating a diagonal map by a permutation permutes the diagonal
+            # coordinates the same way the permutation moves the variables
+            "action": [list(g) for g in aut.perm.generators],
         },
         "cone": {
             "basis": [_ints(v) for v in aut.quasitorus.cocharacter_basis],

@@ -24,8 +24,8 @@ on the analysis path imports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .intlat import IntMatrix
 from .permgroup import cycle_notation
@@ -64,8 +64,7 @@ class NotAnAutomorphismError(ValueError):
     """The candidate monomial map does not preserve the polynomial."""
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(NamedTuple):
     """Permutation-then-scaling map x_v -> zeta^(e_[perm(v)]) x_[perm(v)].
 
     `order` is the order N of the root of unity zeta; `exponents` lives in

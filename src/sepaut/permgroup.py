@@ -13,14 +13,13 @@ check over all n! permutations is `oracles.brute_force_perm_order`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from math import factorial, prod
+from typing import NamedTuple
 
-from .polyio import CanonicalForm
+from .polyio import CanonicalForm, PureBlock
 
 __all__ = [
-    "PureFactor",
     "MixedClassFactor",
     "PermGroupDescription",
     "permutation_group",
@@ -46,16 +45,7 @@ def cycle_notation(perm: tuple[int, ...], names) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-@dataclass(frozen=True)
-class PureFactor:
-    """Full symmetric group on the variables of one pure block."""
-
-    exponent: int
-    variables: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MixedClassFactor:
+class MixedClassFactor(NamedTuple):
     """Class of mixed blocks with identical exponent data.
 
     The factor is W^c : S_c (wreath type) where c is the class size and W is
@@ -76,9 +66,8 @@ class MixedClassFactor:
         return prod(factorial(m) for m in self.inner_multiplicities)
 
 
-@dataclass(frozen=True)
-class PermGroupDescription:
-    pure_factors: tuple[PureFactor, ...]
+class PermGroupDescription(NamedTuple):
+    pure_factors: tuple[PureBlock, ...]  # S_k on each pure block's k variables
     mixed_classes: tuple[MixedClassFactor, ...]
     order: int
     generators: tuple[tuple[int, ...], ...]
@@ -157,9 +146,8 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
             if cls.size >= 3:
                 gens.append(_pointwise_map(columns, n))
 
-    pure_factors = []
-    for b in cf.pure_blocks:
-        pure_factors.append(PureFactor(b.exponent, b.variables))
+    pure_factors = cf.pure_blocks
+    for b in pure_factors:
         gens.extend(_symmetric_generators([idx[v] for v in b.variables], n))
 
     order = 1
@@ -169,7 +157,7 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
         order *= factorial(len(p.variables))
 
     return PermGroupDescription(
-        pure_factors=tuple(pure_factors),
+        pure_factors=pure_factors,
         mixed_classes=tuple(classes),
         order=order,
         generators=tuple(gens),
@@ -177,7 +165,7 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     )
 
 
-def _structure(classes: list[MixedClassFactor], pure_factors: list[PureFactor]) -> str:
+def _structure(classes: list[MixedClassFactor], pure_factors: tuple[PureBlock, ...]) -> str:
     parts = []
     for cls in classes:
         inner = [f"S{m}" for m in cls.inner_multiplicities if m >= 2]

@@ -27,9 +27,8 @@ from __future__ import annotations
 import re
 import string
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "PolynomialError",
@@ -94,8 +93,7 @@ class ConstantTermError(PolynomialError):
 Monomial = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by var name
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coefficient: Fraction
     monomial: Monomial
 
@@ -104,8 +102,7 @@ class Term:
         return sum(e for _, e in self.monomial)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Sum of terms with distinct monomials and nonzero coefficients.
 
     Terms are kept sorted by monomial, so equal polynomials compare equal
@@ -268,8 +265,7 @@ def parse_polynomial(text: str) -> Polynomial:
 # canonical form
 
 
-@dataclass(frozen=True)
-class MixedBlock:
+class MixedBlock(NamedTuple):
     """One monomial in more than one variable; exponents sorted descending."""
 
     variables: tuple[str, ...]
@@ -280,30 +276,37 @@ class MixedBlock:
         return sum(self.exponents)
 
 
-@dataclass(frozen=True)
-class PureBlock:
+class PureBlock(NamedTuple):
     """All pure-power monomials w^q sharing the exponent q."""
 
     exponent: int
     variables: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Block decomposition of a separated polynomial, deterministically ordered.
 
     Mixed blocks come first, sorted by (length, exponent list) descending with
     ties broken by first variable name; pure blocks follow with strictly
     decreasing exponents.  `scaling_note` records that non-unit coefficients
-    were absorbed (it does not participate in equality: the block shape is the
-    canonical identity).
+    were absorbed (equality and the hash ignore it: the block shape is the
+    canonical identity).  The views below are recomputed on every read.
     """
 
     mixed_blocks: tuple[MixedBlock, ...]
     pure_blocks: tuple[PureBlock, ...]
-    scaling_note: bool = field(compare=False, default=False)
+    scaling_note: bool = False
 
-    @cached_property
+    def __eq__(self, other):
+        return isinstance(other, CanonicalForm) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    @property
     def var_order(self) -> tuple[str, ...]:
         out: list[str] = []
         for b in self.mixed_blocks:
@@ -312,7 +315,7 @@ class CanonicalForm:
             out.extend(b.variables)
         return tuple(out)
 
-    @cached_property
+    @property
     def variable_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.var_order)}
 
@@ -325,7 +328,7 @@ class CanonicalForm:
         """Total number of monomials: mixed blocks plus all pure powers."""
         return len(self.mixed_blocks) + sum(len(b.variables) for b in self.pure_blocks)
 
-    @cached_property
+    @property
     def exponent_vector(self) -> tuple[int, ...]:
         """Exponent of each variable, aligned with `var_order`."""
         out: list[int] = []
@@ -345,12 +348,13 @@ class CanonicalForm:
         out += [((idx[v], b.exponent),) for b in self.pure_blocks for v in b.variables]
         return tuple(out)
 
-    @cached_property
+    @property
     def monomial_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vector of each monomial over `var_order`, canonical order."""
+        n = self.variable_count
         out = []
         for support in self.monomial_supports:
-            vec = [0] * self.variable_count
+            vec = [0] * n
             for v, e in support:
                 vec[v] = e
             out.append(tuple(vec))
@@ -409,7 +413,8 @@ def make_canonical_form(mixed_blocks, pure_blocks, scaling_note: bool = False) -
     )
 
     cf = CanonicalForm(tuple(mixed_out), pure_out, scaling_note)
-    if len(set(cf.var_order)) != len(cf.var_order):
+    names = cf.var_order
+    if len(set(names)) != len(names):
         raise ValueError("a variable occurs in more than one block")
     return cf
 

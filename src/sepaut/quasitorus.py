@@ -11,8 +11,8 @@ pure power), and its character factors as chi_i = g_i * p_i, with g_i the
 gcd of its exponents and p_i primitive.  Extended Euclid on p_i gives a
 unimodular W_i with p_i W_i = e_1; its first column s_i pairs to 1 with p_i
 and its other columns span p_i's orthogonal lattice.  `quasitorus_structure`
-reads these block data off the canonical form in one O(n) pass (and keeps
-them for `cocharacter_coordinates`); from them:
+reads these block data off the canonical form in one O(n) pass and holds
+them in its `blocks` field, which `cocharacter_coordinates` reads; from them:
 
 * the cocharacter lattice ker(D) has the basis w (equal to (L/g_i) s_i on
   every S_i, with L = lcm(g)) followed by columns 2..k of every W_i, so the
@@ -32,7 +32,7 @@ tests, where the Smith normal form and the gcd of minors of D referee H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .polyio import CanonicalForm
 
@@ -50,8 +50,7 @@ class SingleMonomialError(ValueError):
     intersections; the semidirect-product description does not apply."""
 
 
-@dataclass(frozen=True)
-class TorsionGenerator:
+class TorsionGenerator(NamedTuple):
     """Diagonal map x_v -> zeta^e_v x_v with zeta a primitive root of unity.
 
     Held purely arithmetically as (order, exponent vector); membership and
@@ -62,8 +61,7 @@ class TorsionGenerator:
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """Per-monomial data chi = gcd * p on the monomial's support.
 
     `support` is the monomial's variable indices and `exponents` its
@@ -83,14 +81,12 @@ class _Block:
         return tuple(row[0] for row in self.transform)
 
 
-@dataclass(frozen=True)
-class QuasitorusDescription:
+class QuasitorusDescription(NamedTuple):
     torus_rank: int
     torsion: tuple[int, ...]
     cocharacter_basis: tuple[tuple[int, ...], ...]
     torsion_generators: tuple[TorsionGenerator, ...]
-    # kept for cocharacter_coordinates; not part of the description's value
-    _blocks: tuple[_Block, ...] = field(compare=False, repr=False)
+    blocks: tuple[_Block, ...]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -249,7 +245,7 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
         torsion=tuple(t.order for t in generators),
         cocharacter_basis=(tuple(w), *basis),
         torsion_generators=generators,
-        _blocks=tuple(blocks),
+        blocks=tuple(blocks),
     )
 
 
@@ -259,9 +255,9 @@ def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, 
     With P the common pairing of `vector` with every character, the
     coordinate on w is P / lcm(g); on block i the others are entries 2..k of
     W_i^{-1} (vector|S_i - (P / g_i) s_i), whose entry 1 is zero, from the
-    block data `quasi` keeps.  Raises ValueError off ker(D).
+    block data `quasi.blocks`.  Raises ValueError off ker(D).
     """
-    blocks = quasi._blocks
+    blocks = quasi.blocks
     if len(vector) != len(quasi.cocharacter_basis[0]):
         raise ValueError("dimension mismatch between vector and characters")
     pairings = {

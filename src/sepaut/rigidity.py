@@ -16,8 +16,8 @@ several variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polyio import CanonicalForm
 
@@ -34,8 +34,7 @@ INCONCLUSIVE = "inconclusive"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class RigidityCertificate:
+class RigidityCertificate(NamedTuple):
     reciprocal_sum: Fraction
     threshold: Fraction | None
     verdict: str

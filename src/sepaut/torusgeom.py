@@ -23,8 +23,8 @@ own solver after a unimodular change of basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .polyio import CanonicalForm
 from .quasitorus import cocharacter_coordinates
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairCocharacter:
+class PairCocharacter(NamedTuple):
     """Cocharacter rescaling one variable of a mixed block against its first.
 
     `position` is the 0-based index (>= 1) of the moved variable within the
@@ -51,14 +50,12 @@ class PairCocharacter:
     vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TorusGenerators:
+class TorusGenerators(NamedTuple):
     homogeneity: tuple[int, ...]
     pair_cocharacters: tuple[PairCocharacter, ...]
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(NamedTuple):
     """Weight data of the coordinate functions in the cocharacter basis of
     the quasitorus description."""
 
@@ -111,7 +108,7 @@ def weight_cone(quasi, homogeneity) -> ConeDescription:
 
     The weights are the block-local cocharacter basis of the quasitorus
     description `quasi`, transposed; `cocharacter_coordinates` reads the
-    witness off the block data `quasi` keeps.  The witness is the
+    witness off the block data `quasi.blocks`.  The witness is the
     homogeneity cocharacter written in that basis: its pairing with the
     weight vector of variable v equals that variable's homogeneity weight,
     which is strictly positive.

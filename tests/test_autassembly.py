@@ -33,7 +33,6 @@ def test_flagship_assembly(flagship):
     assert aut.structure_string == f"S3 {SEMI} ((Z/10)^2 {TIMES} T^2)"
     assert not aut.conditional
     assert aut.irreducible == IRREDUCIBLE
-    assert aut.action == aut.perm.generators
 
 
 def test_structure_string_grammar():

@@ -196,7 +196,8 @@ def test_json_output_is_byte_identical_across_processes(flags):
 def test_cli_imports_only_the_standard_library(tmp_path):
     # modules loaded before the import (site hooks of the interpreter) are
     # not on the CLI path and are left out; the oracles and the Smith normal
-    # form load only with the commands that run them
+    # form load only with the commands that run them, and `dataclasses` (with
+    # `inspect`) only with `intlat`
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -231,6 +232,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         assert status == "0", (argv, proc.stderr)
         assert "sepaut.cli" in loaded
         assert {oracles, intlat} & set(loaded) == expected, argv
+        if not expected:
+            assert {"dataclasses", "inspect"} & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
             if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}

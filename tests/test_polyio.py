@@ -183,6 +183,8 @@ def test_scaling_note_set_and_ignored_by_equality():
     plain = parse_separated("x^2 + y^3 + z^4")
     assert scaled.scaling_note and not plain.scaling_note
     assert scaled == plain
+    assert not (scaled != plain)
+    assert hash(scaled) == hash(plain)
 
 
 def test_negative_coefficient_absorbed():
