@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 failure or error, 2 input not separated,
 3 oracle guard violation.  JSON output has a fixed key order, escapes
 non-ASCII characters, and serializes unbounded integers and rationals as
 decimal strings, so identical invocations produce byte-identical output.
+The analysis holds its vectors sparse; `build_report` expands each one to
+its dense list of decimal strings, and refuses (`ReportTooLargeError`, exit
+1) a report whose vectors would hold more than `REPORT_LIMIT` entries.
 The oracles (`--verify`, `verify`) and the Smith normal form (`snf`) are
 imported only by the commands that run them.
 """
@@ -17,13 +20,19 @@ from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation, permutation_group
-from .polyio import NotSeparatedError, PolynomialError, parse_separated
+from .polyio import NotSeparatedError, PolynomialError, dense, parse_separated
 from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_SEPARATED = 2
 EXIT_GUARD = 3
+
+REPORT_LIMIT = 20_000_000
+
+
+class ReportTooLargeError(ValueError):
+    """The dense report would print more than `REPORT_LIMIT` vector entries."""
 
 _ASCII_FALLBACK = {"⋉": "x|", "×": "x"}
 
@@ -70,13 +79,6 @@ def _decimal(x: int) -> str:
         split, digits = split * split, 2 * digits
     high, low = divmod(x, split)
     return _decimal(high) + _decimal(low).zfill(digits)
-
-
-def _ints(vec) -> list[str]:
-    try:
-        return [str(int(x)) for x in vec]
-    except ValueError:
-        return [_decimal(int(x)) for x in vec]
 
 
 def _frac(x) -> str | None:
@@ -136,11 +138,36 @@ def run_verification(cf, aut) -> list[dict]:
     return checks
 
 
+def _report_size(n: int, aut) -> int:
+    """Entries of the vectors the dense report prints: the cocharacter basis
+    twice, the torsion generators, the homogeneity and pair cocharacters
+    (n each), the n weights and the witness (the torus rank each)."""
+    quasi, gens = aut.quasitorus, aut.torus_generators
+    rank = quasi.torus_rank
+    vectors = 2 * rank + len(quasi.torsion_generators) + 1 + len(gens.pair_cocharacters)
+    return vectors * n + (n + 1) * rank
+
+
 def build_report(input_text: str, cf, verify: bool = False) -> dict:
-    """Ordered, JSON-ready report of the full analysis."""
+    """Ordered, JSON-ready report of the full analysis.
+
+    Raises `ReportTooLargeError` before expanding any vector when the
+    report would print more than `REPORT_LIMIT` vector entries."""
     aut = aut_group(cf)
     cert, cone, gens = aut.rigidity, aut.cone, aut.torus_generators
     names = cf.var_order
+    n, rank = len(names), aut.quasitorus.torus_rank
+    size = _report_size(n, aut)
+    if size > REPORT_LIMIT:
+        raise ReportTooLargeError(
+            f"the report would print {size} vector entries, over the limit "
+            f"of {REPORT_LIMIT}"
+        )
+
+    def decimals(vec, dim=n) -> list[str]:
+        return dense(vec, dim, "0", _decimal)
+
+    basis = [decimals(v) for v in aut.quasitorus.cocharacter_basis]
     return {
         "input": input_text,
         "canonical_form": {
@@ -168,10 +195,10 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         },
         "quasitorus": {
             "torus_rank": aut.quasitorus.torus_rank,
-            "torsion": _ints(aut.quasitorus.torsion),
-            "cocharacter_basis": [_ints(v) for v in aut.quasitorus.cocharacter_basis],
+            "torsion": [_decimal(d) for d in aut.quasitorus.torsion],
+            "cocharacter_basis": basis,
             "torsion_generators": [
-                {"order": _decimal(t.order), "exponents": _ints(t.exponents)}
+                {"order": _decimal(t.order), "exponents": decimals(t.exponents)}
                 for t in aut.quasitorus.torsion_generators
             ],
         },
@@ -200,13 +227,13 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "action": [list(g) for g in aut.perm.generators],
         },
         "cone": {
-            "basis": [_ints(v) for v in aut.quasitorus.cocharacter_basis],
-            "weights": [_ints(v) for v in cone.weights],
+            "basis": basis,
+            "weights": [decimals(v, rank) for v in cone.weights],
             "pointed": cone.pointed,
-            "witness": _ints(cone.witness) if cone.witness is not None else None,
-            "homogeneity_cocharacter": _ints(gens.homogeneity),
+            "witness": decimals(cone.witness, rank) if cone.witness is not None else None,
+            "homogeneity_cocharacter": decimals(gens.homogeneity),
             "pair_cocharacters": [
-                {"block": p.block, "position": p.position, "vector": _ints(p.vector)}
+                {"block": p.block, "position": p.position, "vector": decimals(p.vector)}
                 for p in gens.pair_cocharacters
             ],
         },

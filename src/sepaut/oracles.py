@@ -18,7 +18,8 @@ The guards live here too: brute force over permutations needs n <= 8
 (`TooManyVariablesError`), the count N^n <= 10^7 (`EnumerationTooLargeError`).
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
-on the analysis path imports it.
+on the analysis path imports it.  `polyio.dense` expands the analysis'
+sparse vectors to the dense ones the oracles take.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .intlat import IntMatrix
 from .permgroup import cycle_notation
-from .polyio import CanonicalForm
+from .polyio import CanonicalForm, dense
 from .quasitorus import SingleMonomialError
 
 __all__ = [
@@ -190,6 +191,14 @@ def torsion_count_formula(quasi, modulus: int) -> int:
     return count
 
 
+def _polynomial_data(cf: CanonicalForm):
+    """(n, monomial supports, the set of monomials): what `_verify` reads of
+    `cf`, built once per polynomial."""
+    supports = cf.monomial_supports
+    n = sum(map(len, supports))
+    return n, supports, {frozenset(support) for support in supports}
+
+
 def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
     """Certify F o g = c * F by congruence arithmetic; returns c's exponent.
 
@@ -198,7 +207,11 @@ def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
     scalar sum(chi_v * e_[perm(v)]) mod N.  Raises `NotAnAutomorphismError`
     with the first violation otherwise.
     """
-    n = cf.variable_count
+    return _verify(cf, g, *_polynomial_data(cf))
+
+
+def _verify(cf: CanonicalForm, g: MonomialMap, n: int, supports, monomials) -> int:
+    """`verify_generator` with `_polynomial_data(cf)` passed in."""
     if sorted(g.perm) != list(range(n)):
         raise ValueError(f"not a permutation of {n} variables: {g.perm}")
     if g.order < 1:
@@ -207,8 +220,6 @@ def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
         raise ValueError("diagonal exponent vector has wrong length")
 
     # sparse monomials: O(n) per generator, where dense vectors cost O(M n)
-    supports = cf.monomial_supports
-    monomials = {frozenset(support) for support in supports}
     residue = None
     for i, support in enumerate(supports):
         if frozenset((g.perm[v], e) for v, e in support) not in monomials:
@@ -234,24 +245,25 @@ def certify_pipeline_generators(cf: CanonicalForm, aut):
 
     Runs `verify_generator` on the permutation generators, the torsion
     generators of the quasitorus, and the cocharacter basis vectors reduced
-    mod 2, 3 and 5.  Returns (label, scalar exponent) pairs; raises on the first failure.
+    mod 2, 3 and 5, each expanded to its n entries.  Returns (label, scalar
+    exponent) pairs; raises on the first failure.
     """
     results = []
     names = cf.var_order
+    data = _polynomial_data(cf)
+    n = data[0]
     for g in aut.perm.generators:
         label = f"perm {cycle_notation(g, names)}"
-        results.append((label, verify_generator(cf, MonomialMap.from_permutation(g))))
+        results.append((label, _verify(cf, MonomialMap.from_permutation(g), *data)))
     quasi = aut.quasitorus
     for tg in quasi.torsion_generators:
         label = f"torsion order {tg.order}"
-        results.append(
-            (label, verify_generator(cf, MonomialMap.from_diagonal(tg.order, tg.exponents)))
-        )
+        g = MonomialMap.from_diagonal(tg.order, dense(tg.exponents, n))
+        results.append((label, _verify(cf, g, *data)))
     for bi, vec in enumerate(quasi.cocharacter_basis):
+        full = dense(vec, n)
         for modulus in (2, 3, 5):
             label = f"cocharacter {bi} mod {modulus}"
-            reduced = tuple(x % modulus for x in vec)
-            results.append(
-                (label, verify_generator(cf, MonomialMap.from_diagonal(modulus, reduced)))
-            )
+            g = MonomialMap.from_diagonal(modulus, [x % modulus for x in full])
+            results.append((label, _verify(cf, g, *data)))
     return results

@@ -43,6 +43,8 @@ __all__ = [
     "MixedBlock",
     "PureBlock",
     "CanonicalForm",
+    "SparseVector",
+    "dense",
     "parse_polynomial",
     "recognize_separated",
     "parse_separated",
@@ -94,7 +96,10 @@ Monomial = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by var name
 
 
 class Term(NamedTuple):
-    coefficient: Fraction
+    """A coefficient, an `int` unless the input wrote a fraction, times a
+    monomial."""
+
+    coefficient: int | Fraction
     monomial: Monomial
 
     @property
@@ -115,6 +120,10 @@ class Polynomial(NamedTuple):
 _LETTERS = set(string.ascii_letters)
 _DIGITS = set(string.digits)
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# scanners matched at the parser position; \s is exactly str.isspace
+_WS_RE = re.compile(r"\s*")
+_NAME_TAIL_RE = re.compile(r"[A-Za-z0-9_]*")
+_NAT_RE = re.compile(r"[0-9]*")
 
 
 class _Parser:
@@ -123,8 +132,7 @@ class _Parser:
         self.pos = 0
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def _peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -136,7 +144,7 @@ class _Parser:
         self._skip_ws()
         if not self._peek():
             self._fail("empty input")
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         sign = 1
         if self._peek() == "-":
             self.pos += 1
@@ -144,7 +152,7 @@ class _Parser:
         while True:
             coef, mono = self._parse_term()
             key: Monomial = tuple(sorted(mono.items()))
-            acc[key] = acc.get(key, Fraction(0)) + sign * coef
+            acc[key] = acc.get(key, 0) + sign * coef
             self._skip_ws()
             ch = self._peek()
             if not ch:
@@ -161,10 +169,10 @@ class _Parser:
             raise ZeroPolynomialError("all terms cancel: got the zero polynomial")
         return Polynomial(terms)
 
-    def _parse_term(self) -> tuple[Fraction, dict[str, int]]:
+    def _parse_term(self) -> tuple[int | Fraction, dict[str, int]]:
         self._skip_ws()
         ch = self._peek()
-        coef = Fraction(1)
+        coef = 1
         mono: dict[str, int] = {}
         if ch in _DIGITS:
             coef = self._parse_coef()
@@ -186,7 +194,7 @@ class _Parser:
             self._parse_factor(mono)
         return coef, mono
 
-    def _parse_coef(self) -> Fraction:
+    def _parse_coef(self) -> int | Fraction:
         num = self._parse_nat("coefficient")
         self._skip_ws()
         if self._peek() == "/":
@@ -196,13 +204,12 @@ class _Parser:
             if den == 0:
                 self._fail("zero denominator", pos=den_pos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def _parse_nat(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self._peek() in _DIGITS:
-            self.pos += 1
+        self.pos = _NAT_RE.match(self.text, start).end()
         if self.pos == start:
             found = f", found {self._peek()!r}" if self._peek() else " but input ended"
             self._fail(f"expected {what}" + found)
@@ -217,9 +224,8 @@ class _Parser:
 
     def _parse_var(self) -> str:
         start = self.pos
-        self.pos += 1  # first char already checked to be a letter
-        while self._peek() in _LETTERS or self._peek() in _DIGITS or self._peek() == "_":
-            self.pos += 1
+        # the first character is already checked to be a letter
+        self.pos = _NAME_TAIL_RE.match(self.text, start + 1).end()
         return self.text[start : self.pos]
 
     def _parse_factor(self, mono: dict[str, int]) -> None:
@@ -263,6 +269,20 @@ def parse_polynomial(text: str) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # canonical form
+
+# A vector over the canonical variables as (index, value) pairs, index
+# strictly increasing, no value zero: a monomial's support with its
+# exponents, and every vector the analysis emits.
+SparseVector = tuple[tuple[int, int], ...]
+
+
+def dense(vec: SparseVector, n: int, zero=0, entry=int) -> list:
+    """The n entries of the sparse vector `vec`: `zero` off its support and
+    `entry(value)` on it."""
+    out = [zero] * n
+    for i, x in vec:
+        out[i] = entry(x)
+    return out
 
 
 class MixedBlock(NamedTuple):
@@ -339,8 +359,9 @@ class CanonicalForm(NamedTuple):
         return tuple(out)
 
     @property
-    def monomial_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each monomial as (variable index, exponent) pairs, in canonical order."""
+    def monomial_supports(self) -> tuple[SparseVector, ...]:
+        """Each monomial's character as a sparse vector of (variable index,
+        exponent) pairs, in canonical order."""
         idx = self.variable_index
         out = [
             tuple(zip(map(idx.get, b.variables), b.exponents)) for b in self.mixed_blocks
@@ -352,13 +373,7 @@ class CanonicalForm(NamedTuple):
     def monomial_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Exponent vector of each monomial over `var_order`, canonical order."""
         n = self.variable_count
-        out = []
-        for support in self.monomial_supports:
-            vec = [0] * n
-            for v, e in support:
-                vec[v] = e
-            out.append(tuple(vec))
-        return tuple(out)
+        return tuple(tuple(dense(support, n)) for support in self.monomial_supports)
 
     def to_text(self) -> str:
         """Render with unit coefficients; reparsing yields this form back."""

@@ -23,6 +23,12 @@ them in its `blocks` field, which `cocharacter_coordinates` reads; from them:
 * the torsion generator of d_k is sum over q of (d_k / q^v) s_i on the block
   i holding that valuation, reduced mod d_k.
 
+Every vector the description holds is a `polyio.SparseVector`: a tuple of
+(index, value) pairs with strictly increasing index and no zero value, so w
+and each torsion generator touch only the variables of the blocks they live
+on, and the whole description has O(n + sum of k_i^2) entries.
+`polyio.dense` expands one to its n entries, for the report and the oracles.
+
 No Smith normal form is involved, and neither is the dense difference
 matrix D (rows chi_i - chi_0).  D serves only the independent cross-check
 in `oracles`, which counts the solutions of D e == 0 (mod N), and the
@@ -34,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .polyio import CanonicalForm
+from .polyio import CanonicalForm, SparseVector
 
 __all__ = [
     "SingleMonomialError",
@@ -53,12 +59,13 @@ class SingleMonomialError(ValueError):
 class TorsionGenerator(NamedTuple):
     """Diagonal map x_v -> zeta^e_v x_v with zeta a primitive root of unity.
 
-    Held purely arithmetically as (order, exponent vector); membership and
-    order checks are integer congruences, no cyclotomic numbers involved.
+    Held purely arithmetically as (order, sparse exponent vector with entries
+    in 1..order-1); membership and order checks are integer congruences, no
+    cyclotomic numbers involved.
     """
 
     order: int
-    exponents: tuple[int, ...]
+    exponents: SparseVector
 
 
 class _Block(NamedTuple):
@@ -84,7 +91,7 @@ class _Block(NamedTuple):
 class QuasitorusDescription(NamedTuple):
     torus_rank: int
     torsion: tuple[int, ...]
-    cocharacter_basis: tuple[tuple[int, ...], ...]
+    cocharacter_basis: tuple[SparseVector, ...]
     torsion_generators: tuple[TorsionGenerator, ...]
     blocks: tuple[_Block, ...]
 
@@ -100,6 +107,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
 
 
+_IDENTITY_1 = ((1,),)
+
+
 def _completion(p) -> tuple[tuple, tuple]:
     """Unimodular W and its inverse (tuples of rows) with p W = e_1, for primitive p.
 
@@ -107,6 +117,8 @@ def _completion(p) -> tuple[tuple, tuple]:
     determinant 1 built from extended Euclid; the inverse applies the inverse
     row operations.
     """
+    if len(p) == 1 and p[0] == 1:  # a pure power
+        return _IDENTITY_1, _IDENTITY_1
     k = len(p)
     w = [[int(i == j) for j in range(k)] for i in range(k)]
     inv = [row[:] for row in w]
@@ -151,10 +163,12 @@ def _coprime_base(values) -> list[int]:
 
     Refines by pairwise gcds only (no factorization): a value sharing a
     factor d with a base element b replaces b by d and b/d and is itself
-    split into d and value/d, until every piece is coprime to the base.
+    split into d and value/d, until every piece is coprime to the base.  A
+    repeated value is already a product of base elements and would leave the
+    base as it is, so only first occurrences are refined.
     """
     base: list[int] = []
-    for value in values:
+    for value in dict.fromkeys(values):
         pending = [value]
         while pending:
             a = pending.pop()
@@ -179,7 +193,7 @@ def _valuation(value: int, q: int) -> int:
     return v
 
 
-def _torsion(blocks: list[_Block], n: int) -> tuple[TorsionGenerator, ...]:
+def _torsion(blocks: list[_Block]) -> tuple[TorsionGenerator, ...]:
     """Invariants and generators of (sum of Z/g_i) / <(1, ..., 1)>.
 
     For each base element q the monomial with the largest valuation of q in
@@ -188,8 +202,11 @@ def _torsion(blocks: list[_Block], n: int) -> tuple[TorsionGenerator, ...]:
     """
     chains = []
     for q in _coprime_base(b.gcd for b in blocks):
-        held = sorted((_valuation(b.gcd, q), i) for i, b in enumerate(blocks))
-        chains.append((q, [(v, i) for v, i in held[:-1] if v]))
+        # blocks with q not dividing g_i have valuation 0 and hold nothing
+        held = sorted(
+            (_valuation(b.gcd, q), i) for i, b in enumerate(blocks) if b.gcd % q == 0
+        )
+        chains.append((q, held[:-1]))
     r = max((len(held) for _, held in chains), default=0)
     generators = []
     for k in range(r):
@@ -200,13 +217,14 @@ def _torsion(blocks: list[_Block], n: int) -> tuple[TorsionGenerator, ...]:
             if k - r + len(held) >= 0
         ]
         d = math.prod(q**v for q, v, _ in parts)
-        exponents = [0] * n
+        exponents: dict[int, int] = {}
         for q, v, i in parts:
             c = d // q**v
             for var, s in zip(blocks[i].support, blocks[i].section):
-                exponents[var] += c * s
+                exponents[var] = exponents.get(var, 0) + c * s
+        reduced = ((var, x % d) for var, x in sorted(exponents.items()))
         generators.append(
-            TorsionGenerator(order=d, exponents=tuple(x % d for x in exponents))
+            TorsionGenerator(order=d, exponents=tuple((v, x) for v, x in reduced if x))
         )
     return tuple(generators)
 
@@ -227,19 +245,16 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
             "diagonal symmetry structure"
         )
     blocks = _blocks(cf)
-    n = cf.variable_count
     lcm = math.lcm(*(b.gcd for b in blocks))
-    w = [0] * n
+    w = []
     basis = []
     for b in blocks:
-        for var, s in zip(b.support, b.section):
-            w[var] = lcm // b.gcd * s
+        w += [(var, lcm // b.gcd * s) for var, s in zip(b.support, b.section) if s]
         for j in range(1, len(b.support)):
-            vec = [0] * n
-            for var, row in zip(b.support, b.transform):
-                vec[var] = row[j]
-            basis.append(tuple(vec))
-    generators = _torsion(blocks, n)
+            basis.append(
+                tuple((var, row[j]) for var, row in zip(b.support, b.transform) if row[j])
+            )
+    generators = _torsion(blocks)
     return QuasitorusDescription(
         torus_rank=len(basis) + 1,
         torsion=tuple(t.order for t in generators),
@@ -249,8 +264,11 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
     )
 
 
-def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, ...]:
-    """Coordinates of a kernel vector in `quasi.cocharacter_basis`.
+def cocharacter_coordinates(
+    quasi: QuasitorusDescription, vector: SparseVector
+) -> SparseVector:
+    """Coordinates of a sparse kernel vector in `quasi.cocharacter_basis`,
+    as a sparse vector of dimension `quasi.torus_rank`.
 
     With P the common pairing of `vector` with every character, the
     coordinate on w is P / lcm(g); on block i the others are entries 2..k of
@@ -258,21 +276,27 @@ def cocharacter_coordinates(quasi: QuasitorusDescription, vector) -> tuple[int, 
     block data `quasi.blocks`.  Raises ValueError off ker(D).
     """
     blocks = quasi.blocks
-    if len(vector) != len(quasi.cocharacter_basis[0]):
+    values = dict(vector)
+    n = sum(len(b.support) for b in blocks)
+    if not all(0 <= v < n for v in values):
         raise ValueError("dimension mismatch between vector and characters")
     pairings = {
-        sum(x * vector[v] for v, x in zip(b.support, b.exponents)) for b in blocks
+        sum(x * values.get(v, 0) for v, x in zip(b.support, b.exponents))
+        for b in blocks
     }
     if len(pairings) != 1:
         raise ValueError("vector is not in the cocharacter lattice ker(D)")
     (pairing,) = pairings
     coords = [pairing // math.lcm(*(b.gcd for b in blocks))]
-    for b in blocks:
+    # a one-variable block has no coordinate but the section's, which is zero
+    for b in (b for b in blocks if len(b.support) > 1):
         offset = pairing // b.gcd
-        rest = [vector[var] - offset * s for var, s in zip(b.support, b.section)]
+        rest = [
+            values.get(var, 0) - offset * s for var, s in zip(b.support, b.section)
+        ]
         y = [sum(u * x for u, x in zip(row, rest)) for row in b.inverse]
         if y[0]:
             raise AssertionError("block coordinate on the section is not zero")
         coords += y[1:]
-    return tuple(coords)
+    return tuple((k, c) for k, c in enumerate(coords) if c)
 

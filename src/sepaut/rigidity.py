@@ -51,7 +51,12 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     inconclusive     -- M >= 3 but the bound fails (says nothing either way);
     inapplicable     -- M <= 2, where the threshold denominator vanishes.
     """
-    total = sum((Fraction(1, e) for e in cf.exponent_vector), Fraction(0))
+    # a pure block of k variables of exponent q adds k/q in one step
+    total = sum(
+        [Fraction(1, e) for b in cf.mixed_blocks for e in b.exponents]
+        + [Fraction(len(b.variables), b.exponent) for b in cf.pure_blocks],
+        Fraction(0),
+    )
     m_count = cf.monomial_count
     blocks = len(cf.mixed_blocks) + len(cf.pure_blocks)
     alt = Fraction(1, blocks - 2) if blocks > 2 else None

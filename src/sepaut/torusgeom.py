@@ -19,6 +19,12 @@ strictly positively with every w_v, and its coordinate vector u in that
 basis is a certificate checkable by n inner products.  Any other basis of
 the same lattice gives the same verdict; the tests check that with their
 own solver after a unimodular change of basis.
+
+Every vector here is a `polyio.SparseVector` ((index, value) pairs,
+index increasing, no zero value): a pair cocharacter has two entries, the
+weight of variable v lists the basis vectors that move v, and the witness
+and the kernel check touch only nonzero entries, so both functions are
+linear in the size of the quasitorus description.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from .polyio import CanonicalForm
+from .polyio import CanonicalForm, SparseVector
 from .quasitorus import cocharacter_coordinates
 
 __all__ = [
@@ -47,58 +53,60 @@ class PairCocharacter(NamedTuple):
 
     block: int
     position: int
-    vector: tuple[int, ...]
+    vector: SparseVector
 
 
 class TorusGenerators(NamedTuple):
-    homogeneity: tuple[int, ...]
+    homogeneity: SparseVector
     pair_cocharacters: tuple[PairCocharacter, ...]
 
 
 class ConeDescription(NamedTuple):
     """Weight data of the coordinate functions in the cocharacter basis of
-    the quasitorus description."""
+    the quasitorus description.  The weights (one per variable) and the
+    witness are sparse vectors over the torus rank's coordinates."""
 
-    weights: tuple[tuple[int, ...], ...]
+    weights: tuple[SparseVector, ...]
     pointed: bool
-    witness: tuple[int, ...] | None
+    witness: SparseVector | None
 
 
 def torus_generators(cf: CanonicalForm) -> TorusGenerators:
     """The explicit cocharacters described in the module docstring.
 
     Each returned vector is verified to pair equally with every monomial
-    (i.e. to lie in ker(D), hence to define a diagonal symmetry); the M
-    pairings run over the monomial supports, O(n) per vector.
+    (i.e. to lie in ker(D), hence to define a diagonal symmetry); only the
+    monomials holding one of its nonzero entries are visited, the others
+    pair to 0.
     """
-    n = cf.variable_count
-    idx = cf.variable_index
-
     degrees = [b.degree for b in cf.mixed_blocks] + [
         b.exponent for b in cf.pure_blocks
     ]
     total = lcm(*degrees)
-    homogeneity = [0] * n
-    for b in cf.mixed_blocks:
-        for v in b.variables:
-            homogeneity[idx[v]] = total // b.degree
-    for b in cf.pure_blocks:
-        for v in b.variables:
-            homogeneity[idx[v]] = total // b.exponent
-    homogeneity = tuple(homogeneity)
+    # the blocks hold the canonical variable order in turn
+    scales = [total // b.degree for b in cf.mixed_blocks for _ in b.variables]
+    scales += [total // b.exponent for b in cf.pure_blocks for _ in b.variables]
+    homogeneity = tuple(enumerate(scales))
 
     pairs = []
+    first = 0
     for bi, b in enumerate(cf.mixed_blocks):
-        first = idx[b.variables[0]]
         for j in range(1, len(b.variables)):
-            vec = [0] * n
-            vec[first] = b.exponents[j]
-            vec[idx[b.variables[j]]] = -b.exponents[0]
-            pairs.append(PairCocharacter(block=bi, position=j, vector=tuple(vec)))
+            vec = ((first, b.exponents[j]), (first + j, -b.exponents[0]))
+            pairs.append(PairCocharacter(block=bi, position=j, vector=vec))
+        first += len(b.variables)
 
     monomials = cf.monomial_supports
+    owner = {v: (i, e) for i, mono in enumerate(monomials) for v, e in mono}
     for vec in [homogeneity, *(p.vector for p in pairs)]:
-        if len({sum(e * vec[v] for v, e in mono) for mono in monomials}) != 1:
+        pairings: dict[int, int] = {}
+        for v, x in vec:
+            i, e = owner[v]
+            pairings[i] = pairings.get(i, 0) + e * x
+        values = set(pairings.values())
+        if len(pairings) < len(monomials):
+            values.add(0)
+        if len(values) != 1:
             raise AssertionError("constructed cocharacter is not a kernel vector")
     return TorusGenerators(homogeneity=homogeneity, pair_cocharacters=tuple(pairs))
 
@@ -107,15 +115,23 @@ def weight_cone(quasi, homogeneity) -> ConeDescription:
     """Weights of the coordinate functions and a pointedness certificate.
 
     The weights are the block-local cocharacter basis of the quasitorus
-    description `quasi`, transposed; `cocharacter_coordinates` reads the
-    witness off the block data `quasi.blocks`.  The witness is the
+    description `quasi`, transposed (sparse: the weight of variable v lists
+    the basis vectors with a nonzero entry at v); `cocharacter_coordinates`
+    reads the witness off the block data `quasi.blocks`.  The witness is the
     homogeneity cocharacter written in that basis: its pairing with the
     weight vector of variable v equals that variable's homogeneity weight,
     which is strictly positive.
     """
     witness = cocharacter_coordinates(quasi, homogeneity)
-    weights = tuple(zip(*quasi.cocharacter_basis))
-    pointed = all(sum(u * w for u, w in zip(witness, wv)) > 0 for wv in weights)
+    columns: list[list[tuple[int, int]]] = [
+        [] for b in quasi.blocks for _ in b.support
+    ]
+    for k, vec in enumerate(quasi.cocharacter_basis):
+        for v, x in vec:
+            columns[v].append((k, x))
+    weights = tuple(map(tuple, columns))
+    u = dict(witness)
+    pointed = all(sum(u.get(k, 0) * x for k, x in wv) > 0 for wv in weights)
     return ConeDescription(
         weights=weights,
         pointed=pointed,

@@ -22,7 +22,7 @@ from sepaut.oracles import (
     verify_generator,
 )
 from sepaut.permgroup import permutation_group
-from sepaut.polyio import parse_separated
+from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 from sepaut.rigidity import CERTIFIED_RIGID, rigidity_certificate
 from sepaut.torusgeom import torus_generators, weight_cone
@@ -161,7 +161,7 @@ def test_criterion_5_generator_certification():
         quasi = quasitorus_structure(cf)
         maps = [MonomialMap.from_permutation(g) for g in perm.generators]
         maps += [
-            MonomialMap.from_diagonal(t.order, t.exponents)
+            MonomialMap.from_diagonal(t.order, dense(t.exponents, cf.variable_count))
             for t in quasi.torsion_generators
         ]
         for g in maps:
@@ -189,18 +189,16 @@ def test_criterion_6_torus_rank_identity():
         by_blocks = sum(len(b.variables) - 1 for b in cf.mixed_blocks) + 1
         good = q.torus_rank == n - m_count + 1 == by_blocks
         gens = torus_generators(cf)
-        stacked = IntMatrix.from_rows(
-            [list(gens.homogeneity)] + [list(p.vector) for p in gens.pair_cocharacters]
-        )
+        t0 = dense(gens.homogeneity, n)
+        pairs = [dense(p.vector, n) for p in gens.pair_cocharacters]
+        stacked = IntMatrix.from_rows([t0] + pairs)
         # full rank inside ker(D) means the explicit generators span a
         # finite-index sublattice of the cocharacter lattice
         good = good and len(smith_normal_form(stacked).divisors) == q.torus_rank
         zero = (0,) * (m_count - 1)
         d_matrix = character_matrix(cf)
-        good = good and d_matrix.matvec(gens.homogeneity) == zero
-        good = good and all(
-            d_matrix.matvec(p.vector) == zero for p in gens.pair_cocharacters
-        )
+        good = good and d_matrix.matvec(t0) == zero
+        good = good and all(d_matrix.matvec(p) == zero for p in pairs)
         if not good:
             failures += 1
     elapsed = time.perf_counter() - start
@@ -219,15 +217,18 @@ def test_criterion_7_pointedness_witness():
     failures = 0
     for cf in _forms_for_torus_checks():
         quasi = quasitorus_structure(cf)
-        t0 = torus_generators(cf).homogeneity
-        cone = weight_cone(quasi, t0)
+        homogeneity = torus_generators(cf).homogeneity
+        cone = weight_cone(quasi, homogeneity)
         good = cone.pointed and cone.witness is not None
+        n, rank = cf.variable_count, quasi.torus_rank
+        t0 = dense(homogeneity, n)
+        witness = dense(cone.witness, rank)
         for v, w in enumerate(cone.weights):
-            pairing = sum(u * x for u, x in zip(cone.witness, w))
+            pairing = sum(u * x for u, x in zip(witness, dense(w, rank)))
             good = good and pairing == t0[v] > 0
         # second basis, related by a unimodular change; the referee solves
         # for the witness there
-        new_basis = change_basis(rng, quasi.cocharacter_basis)
+        new_basis = change_basis(rng, [dense(v, n) for v in quasi.cocharacter_basis])
         witness = express_in_basis(new_basis, t0)
         for v, w in enumerate(zip(*new_basis)):
             pairing = sum(u * x for u, x in zip(witness, w))

@@ -21,7 +21,7 @@ from sepaut.oracles import (
     permute_vector,
     verify_generator,
 )
-from sepaut.polyio import parse_separated
+from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import SingleMonomialError
 
 SEMI = "⋉"
@@ -160,7 +160,18 @@ def test_conjugation_preserves_membership(flagship):
         rows = character_matrix(cf).to_rows()
         for tau in aut.perm.generators:
             for gen in aut.quasitorus.torsion_generators:
-                conjugated = permute_vector(tau, gen.exponents)
+                conjugated = permute_vector(tau, dense(gen.exponents, len(tau)))
                 for row in rows:
                     dot = sum(a * e for a, e in zip(row, conjugated))
                     assert dot % gen.order == 0
+
+
+def test_description_stores_linear_many_vector_entries():
+    # dense vectors would hold n^2 entries in the torsion generators alone
+    n = 2000
+    aut = aut_group(fermat_form(n, 2))
+    quasi, gens, cone = aut.quasitorus, aut.torus_generators, aut.cone
+    vectors = [*quasi.cocharacter_basis, *(t.exponents for t in quasi.torsion_generators)]
+    vectors += [gens.homogeneity, *(p.vector for p in gens.pair_cocharacters)]
+    vectors += [*cone.weights, cone.witness]
+    assert sum(map(len, vectors)) <= 6 * n

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from conftest import FLAGSHIP, random_canonical_form
-from sepaut.autassembly import fermat_form
-from sepaut.cli import build_report, main
+import sepaut.cli
+from sepaut.autassembly import aut_group, fermat_form
+from sepaut.cli import REPORT_LIMIT, build_report, main
 from sepaut.polyio import parse_separated
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -428,3 +429,34 @@ def test_overlong_exponent_exits_1_with_position(capsys):
     code, _, err = run_cli(capsys, "analyze", "x^2 + y^" + "7" * 5000)
     assert code == 1
     assert "5000 digits" in err and "position 8" in err
+
+
+def test_huge_report_exits_1_with_its_size(capsys):
+    # 100000 pure squares: 99999 torsion generators of 100000 entries each
+    code, out, err = run_cli(capsys, "fermat", "100000", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the report would print 10000300001 vector entries, over the "
+        f"limit of {REPORT_LIMIT}\n"
+    )
+
+
+def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
+    for argv in (["analyze", FLAGSHIP, "--json"], ["fermat", "5", "3", "--json"]):
+        report = json.loads(run_cli(capsys, *argv)[1])
+        quasi, cone = report["quasitorus"], report["cone"]
+        vectors = [*quasi["cocharacter_basis"], *cone["basis"], *cone["weights"]]
+        vectors += [t["exponents"] for t in quasi["torsion_generators"]]
+        vectors += [cone["witness"], cone["homogeneity_cocharacter"]]
+        vectors += [p["vector"] for p in cone["pair_cocharacters"]]
+        size = sum(map(len, vectors))
+        monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size - 1)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and f"print {size} vector entries" in err
+
+
+def test_fermat_1600_squares_fit_the_report_limit():
+    aut = aut_group(fermat_form(1600, 2))
+    assert sepaut.cli._report_size(1600, aut) <= REPORT_LIMIT

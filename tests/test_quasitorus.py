@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import express_in_basis, random_canonical_form
-from sepaut.autassembly import fermat_form
+from sepaut.autassembly import aut_group, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
 from sepaut.polyio import (
     CanonicalForm,
     MixedBlock,
     PureBlock,
+    dense,
     make_canonical_form,
     parse_separated,
 )
@@ -89,13 +90,14 @@ def test_torsion_generators_are_valid(flagship):
         d_matrix = character_matrix(cf)
         q = quasitorus_structure(cf)
         for gen in q.torsion_generators:
+            exponents = dense(gen.exponents, cf.variable_count)
             residues = [
-                sum(a * e for a, e in zip(row, gen.exponents)) % gen.order
+                sum(a * e for a, e in zip(row, exponents)) % gen.order
                 for row in d_matrix.to_rows()
             ]
             assert residues == [0] * d_matrix.rows
             # exact order: no smaller modulus works
-            assert math.gcd(gen.order, *gen.exponents) == 1
+            assert math.gcd(gen.order, *exponents) == 1
 
 
 def test_count_modulus_one():
@@ -229,7 +231,7 @@ def test_closed_form_matches_minor_quotients(cf):
 @settings(max_examples=200, deadline=None)
 @given(separated_forms())
 def test_kernel_bases_span_the_same_lattice(cf):
-    closed = quasitorus_structure(cf).cocharacter_basis
+    closed = [dense(v, cf.variable_count) for v in quasitorus_structure(cf).cocharacter_basis]
     referee = kernel_basis(character_matrix(cf))
     for vec in referee:
         express_in_basis(closed, vec)
@@ -248,9 +250,10 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     n = cf.variable_count
     modulus = math.lcm(*q.torsion)
     rows = [[modulus * int(i == j) for j in range(n)] for i in range(n)]
-    rows += [list(v) for v in q.cocharacter_basis]
+    rows += [dense(v, n) for v in q.cocharacter_basis]
     rows += [
-        [modulus // t.order * x for x in t.exponents] for t in q.torsion_generators
+        [modulus // t.order * x for x in dense(t.exponents, n)]
+        for t in q.torsion_generators
     ]
     lattice = IntMatrix.from_rows(rows)
     for row in rows:
@@ -263,20 +266,56 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
 @given(separated_forms(), st.data())
 def test_cocharacter_coordinates_invert_the_basis(cf, data):
     quasi = quasitorus_structure(cf)
-    basis = quasi.cocharacter_basis
+    n = cf.variable_count
+    basis = [dense(v, n) for v in quasi.cocharacter_basis]
     coords = data.draw(
         st.lists(st.integers(-20, 20), min_size=len(basis), max_size=len(basis))
     )
-    vec = tuple(
-        sum(c * b[v] for c, b in zip(coords, basis)) for v in range(cf.variable_count)
+    vec = [sum(c * b[v] for c, b in zip(coords, basis)) for v in range(n)]
+    sparse = tuple((v, x) for v, x in enumerate(vec) if x)
+    assert dense(cocharacter_coordinates(quasi, sparse), len(basis)) == coords
+
+
+def _canonical_sparse(vec, dim) -> bool:
+    """(index, value) pairs, index strictly increasing inside range(dim), no
+    value zero."""
+    indices = [i for i, _ in vec]
+    return (
+        all(x != 0 for _, x in vec)
+        and indices == sorted(set(indices))
+        and all(0 <= i < dim for i in indices)
     )
-    assert cocharacter_coordinates(quasi, vec) == tuple(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_forms())
+def test_every_emitted_vector_is_sparse_and_solves_d(cf):
+    """Each vector of the analysis is in canonical sparse form; expanded, the
+    ones over the variables solve D v = 0, or D v == 0 (mod d) for a torsion
+    generator of order d, with D from the oracles."""
+    aut = aut_group(cf)
+    quasi, gens, cone = aut.quasitorus, aut.torus_generators, aut.cone
+    n, rank = cf.variable_count, quasi.torus_rank
+    d_matrix = character_matrix(cf)
+    zero = (0,) * d_matrix.rows
+    kernel = [*quasi.cocharacter_basis, gens.homogeneity]
+    kernel += [p.vector for p in gens.pair_cocharacters]
+    for vec in kernel:
+        assert _canonical_sparse(vec, n)
+        assert d_matrix.matvec(dense(vec, n)) == zero
+    for t in quasi.torsion_generators:
+        assert _canonical_sparse(t.exponents, n)
+        assert all(0 < x < t.order for _, x in t.exponents)
+        assert all(x % t.order == 0 for x in d_matrix.matvec(dense(t.exponents, n)))
+    assert len(cone.weights) == n
+    for vec in [*cone.weights, cone.witness]:
+        assert _canonical_sparse(vec, rank)
 
 
 def test_cocharacter_coordinates_reject_non_kernel_vectors(flagship):
     quasi = quasitorus_structure(flagship)
     with pytest.raises(ValueError):
-        cocharacter_coordinates(quasi, (1, 0, 0, 0, 0))
+        cocharacter_coordinates(quasi, ((0, 1),))
 
 
 def test_overlapping_supports_fail_loudly():

@@ -6,7 +6,7 @@ from conftest import change_basis, express_in_basis, random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.oracles import character_matrix
-from sepaut.polyio import parse_separated
+from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 from sepaut.torusgeom import torus_generators, weight_cone
 
@@ -20,34 +20,38 @@ def witness_in(basis, t0):
     return witness
 
 
+def dense_basis(quasi, n):
+    return [dense(v, n) for v in quasi.cocharacter_basis]
+
+
 def test_flagship_generators(flagship):
     gens = torus_generators(flagship)
     # block degrees 21 and 10; every variable gets 210 / (its block degree)
-    assert gens.homogeneity == (10, 10, 21, 21, 21)
+    assert dense(gens.homogeneity, 5) == [10, 10, 21, 21, 21]
     (pair,) = gens.pair_cocharacters
     assert pair.block == 0 and pair.position == 1
     # first block variable carries exponent 11, the second 10
-    assert pair.vector == (10, -11, 0, 0, 0)
+    assert dense(pair.vector, 5) == [10, -11, 0, 0, 0]
 
 
 def test_fermat_generators():
     gens = torus_generators(fermat_form(4, 5))
-    assert gens.homogeneity == (1, 1, 1, 1)
+    assert dense(gens.homogeneity, 4) == [1, 1, 1, 1]
     assert gens.pair_cocharacters == ()
 
 
 def test_two_pure_powers_generators():
     gens = torus_generators(parse_separated("x^2 + y^3"))
     # canonical variable order (y, x); weights 6/3 and 6/2
-    assert gens.homogeneity == (2, 3)
+    assert dense(gens.homogeneity, 2) == [2, 3]
 
 
 def test_homogeneity_uses_lcm_of_block_degrees():
     # degrees 4 and 6: weights 12/6 and 12/4, not 24/6 and 24/4
     gens = torus_generators(parse_separated("x^4 + y^6"))
-    assert gens.homogeneity == (2, 3)
+    assert dense(gens.homogeneity, 2) == [2, 3]
     gens = torus_generators(parse_separated("a^2*b^2 + c^6 + d^3"))
-    assert gens.homogeneity == (3, 3, 2, 4)
+    assert dense(gens.homogeneity, 4) == [3, 3, 2, 4]
 
 
 def test_generators_lie_in_kernel(flagship):
@@ -55,18 +59,21 @@ def test_generators_lie_in_kernel(flagship):
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(20)]:
         d_matrix = character_matrix(cf)
         gens = torus_generators(cf)
+        n = cf.variable_count
         zero = (0,) * d_matrix.rows
-        assert d_matrix.matvec(gens.homogeneity) == zero
+        assert d_matrix.matvec(dense(gens.homogeneity, n)) == zero
         for pair in gens.pair_cocharacters:
-            assert d_matrix.matvec(pair.vector) == zero
+            assert d_matrix.matvec(dense(pair.vector, n)) == zero
 
 
 def test_generators_span_rank_of_torus(flagship):
     rng = random.Random(20)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(20)]:
         gens = torus_generators(cf)
+        n = cf.variable_count
         stacked = IntMatrix.from_rows(
-            [list(gens.homogeneity)] + [list(p.vector) for p in gens.pair_cocharacters]
+            [dense(gens.homogeneity, n)]
+            + [dense(p.vector, n) for p in gens.pair_cocharacters]
         )
         rank = len(smith_normal_form(stacked).divisors)
         q = quasitorus_structure(cf)
@@ -75,50 +82,58 @@ def test_generators_span_rank_of_torus(flagship):
 
 def test_flagship_cone_with_explicit_basis(flagship):
     quasi = quasitorus_structure(flagship)
-    t0 = torus_generators(flagship).homogeneity
-    cone = weight_cone(quasi, t0)
-    assert cone.weights == ((10, -10), (-10, 11), (1, 0), (1, 0), (1, 0))
+    homogeneity = torus_generators(flagship).homogeneity
+    t0 = dense(homogeneity, 5)
+    cone = weight_cone(quasi, homogeneity)
+    assert [dense(w, 2) for w in cone.weights] == [
+        [10, -10], [-10, 11], [1, 0], [1, 0], [1, 0]
+    ]
     assert cone.pointed
-    assert cone.witness == (21, 20)
+    assert dense(cone.witness, 2) == [21, 20]
     # a hand-picked basis of the same lattice, and a random one
     assert witness_in([(0, 1, 1, 1, 1), (10, 0, 11, 11, 11)], t0) == (10, 1)
-    witness_in(change_basis(random.Random(17), quasi.cocharacter_basis), t0)
+    witness_in(change_basis(random.Random(17), dense_basis(quasi, 5)), t0)
 
 
 def test_fermat_cone():
     cf = fermat_form(3, 4)
     quasi = quasitorus_structure(cf)
-    t0 = torus_generators(cf).homogeneity
-    cone = weight_cone(quasi, t0)
-    assert cone.weights == ((1,), (1,), (1,))
-    assert cone.pointed and cone.witness == (1,)
-    witness_in(change_basis(random.Random(18), quasi.cocharacter_basis), t0)
+    homogeneity = torus_generators(cf).homogeneity
+    cone = weight_cone(quasi, homogeneity)
+    assert [dense(w, 1) for w in cone.weights] == [[1], [1], [1]]
+    assert cone.pointed and dense(cone.witness, 1) == [1]
+    t0 = dense(homogeneity, 3)
+    witness_in(change_basis(random.Random(18), dense_basis(quasi, 3)), t0)
 
 
 def test_two_pure_powers_cone():
     cf = parse_separated("x^2 + y^3")
     quasi = quasitorus_structure(cf)
-    t0 = torus_generators(cf).homogeneity
-    cone = weight_cone(quasi, t0)
-    assert cone.weights == ((2,), (3,))
-    assert cone.pointed and cone.witness == (1,)
-    witness_in(change_basis(random.Random(19), quasi.cocharacter_basis), t0)
+    homogeneity = torus_generators(cf).homogeneity
+    cone = weight_cone(quasi, homogeneity)
+    assert [dense(w, 1) for w in cone.weights] == [[2], [3]]
+    assert cone.pointed and dense(cone.witness, 1) == [1]
+    t0 = dense(homogeneity, 2)
+    witness_in(change_basis(random.Random(19), dense_basis(quasi, 2)), t0)
 
 
 def test_witness_pairings_equal_homogeneity_weights(flagship):
     rng = random.Random(21)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        t0 = torus_generators(cf).homogeneity
-        cone = weight_cone(quasitorus_structure(cf), t0)
+        homogeneity = torus_generators(cf).homogeneity
+        quasi = quasitorus_structure(cf)
+        cone = weight_cone(quasi, homogeneity)
+        t0 = dense(homogeneity, cf.variable_count)
+        witness = dense(cone.witness, quasi.torus_rank)
         for v, w in enumerate(cone.weights):
-            pairing = sum(u * x for u, x in zip(cone.witness, w))
+            pairing = sum(u * x for u, x in zip(witness, dense(w, quasi.torus_rank)))
             assert pairing == t0[v] > 0
 
 
 def test_monomials_equally_weighted_by_kernel_cocharacters(flagship):
     rng = random.Random(22)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        for vec in quasitorus_structure(cf).cocharacter_basis:
+        for vec in dense_basis(quasitorus_structure(cf), cf.variable_count):
             weights = {
                 sum(a * b for a, b in zip(chi, vec)) for chi in cf.monomial_vectors
             }
@@ -129,9 +144,10 @@ def test_pointedness_survives_unimodular_basis_change(flagship):
     rng = random.Random(23)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         quasi = quasitorus_structure(cf)
-        t0 = torus_generators(cf).homogeneity
-        assert weight_cone(quasi, t0).pointed
-        witness_in(change_basis(rng, quasi.cocharacter_basis), t0)
+        homogeneity = torus_generators(cf).homogeneity
+        assert weight_cone(quasi, homogeneity).pointed
+        n = cf.variable_count
+        witness_in(change_basis(rng, dense_basis(quasi, n)), dense(homogeneity, n))
 
 
 def test_express_in_basis_solves_exactly():
