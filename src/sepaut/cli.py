@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 failure or error, 2 input not separated,
 3 oracle guard violation.  JSON output has a fixed key order, escapes
 non-ASCII characters, and serializes unbounded integers and rationals as
 decimal strings, so identical invocations produce byte-identical output.
-The analysis holds its vectors sparse; `build_report` expands each one to
-its dense list of decimal strings, and refuses (`ReportTooLargeError`, exit
-1) a report whose vectors would hold more than `REPORT_LIMIT` entries.
+The analysis holds its vectors sparse and its permutations as cycles;
+`build_report` expands each vector to its dense list of decimal strings and
+each permutation generator to its n images (`aut.action`), and refuses
+(`ReportTooLargeError`, exit 1) a report whose vectors and actions would
+hold more than `REPORT_LIMIT` entries.
 The oracles (`--verify`, `verify`) and the Smith normal form (`snf`) are
 imported only by the commands that run them.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation, permutation_group
-from .polyio import NotSeparatedError, PolynomialError, dense, parse_separated
+from .polyio import NotSeparatedError, PolynomialError, dense, parse_separated, permutation
 from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
@@ -32,7 +34,7 @@ REPORT_LIMIT = 20_000_000
 
 
 class ReportTooLargeError(ValueError):
-    """The dense report would print more than `REPORT_LIMIT` vector entries."""
+    """The report would print more than `REPORT_LIMIT` vector entries."""
 
 _ASCII_FALLBACK = {"⋉": "x|", "×": "x"}
 
@@ -140,11 +142,13 @@ def run_verification(cf, aut) -> list[dict]:
 
 def _report_size(n: int, aut) -> int:
     """Entries of the vectors the dense report prints: the cocharacter basis
-    twice, the torsion generators, the homogeneity and pair cocharacters
-    (n each), the n weights and the witness (the torus rank each)."""
+    twice, the torsion generators, the homogeneity and pair cocharacters and
+    the action of each permutation generator (n each), the n weights and the
+    witness (the torus rank each)."""
     quasi, gens = aut.quasitorus, aut.torus_generators
     rank = quasi.torus_rank
     vectors = 2 * rank + len(quasi.torsion_generators) + 1 + len(gens.pair_cocharacters)
+    vectors += len(aut.perm.generators)
     return vectors * n + (n + 1) * rank
 
 
@@ -207,7 +211,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "structure": aut.perm.structure,
             "pure_factors": [
                 {"exponent": p.exponent, "variables": list(p.variables)}
-                for p in aut.perm.pure_factors
+                for p in cf.pure_blocks
             ],
             "mixed_classes": [
                 {
@@ -224,7 +228,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "conditional_on_rigidity": aut.conditional,
             # conjugating a diagonal map by a permutation permutes the diagonal
             # coordinates the same way the permutation moves the variables
-            "action": [list(g) for g in aut.perm.generators],
+            "action": [permutation(g, n) for g in aut.perm.generators],
         },
         "cone": {
             "basis": basis,
@@ -373,12 +377,12 @@ def cmd_snf(args) -> int:
             "rows": matrix.rows,
             "cols": matrix.cols,
             "rank": result.rank,
-            "divisors": [str(d) for d in result.divisors],
+            "divisors": [_decimal(d) for d in result.divisors],
         }
         print(json.dumps(out, indent=2))
     else:
         print(f"rows={matrix.rows} cols={matrix.cols} rank={result.rank}")
-        divisors = " ".join(str(d) for d in result.divisors)
+        divisors = " ".join(map(_decimal, result.divisors))
         print(f"divisors: {divisors}" if divisors else "divisors: (none)")
     return EXIT_OK
 

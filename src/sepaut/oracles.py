@@ -18,8 +18,9 @@ The guards live here too: brute force over permutations needs n <= 8
 (`TooManyVariablesError`), the count N^n <= 10^7 (`EnumerationTooLargeError`).
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
-on the analysis path imports it.  `polyio.dense` expands the analysis'
-sparse vectors to the dense ones the oracles take.
+on the analysis path imports it.  `polyio.dense` and `polyio.permutation`
+expand the analysis' sparse vectors and cycles to the dense ones the
+oracles take; this is the one module that holds dense permutations.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from .intlat import IntMatrix
 from .permgroup import cycle_notation
-from .polyio import CanonicalForm, dense
+from .polyio import CanonicalForm, Permutation, dense, permutation
 from .quasitorus import SingleMonomialError
 
 __all__ = [
@@ -94,6 +95,22 @@ def permute_vector(perm: tuple[int, ...], vec) -> tuple[int, ...]:
     for v, x in enumerate(vec):
         out[perm[v]] = x
     return tuple(out)
+
+
+def _cycles(perm: tuple[int, ...]) -> Permutation:
+    """The cycle form of the dense permutation `perm`."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = perm[v]
+        if len(cycle) > 1:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def brute_force_perm_order(cf: CanonicalForm) -> int:
@@ -227,7 +244,7 @@ def _verify(cf: CanonicalForm, g: MonomialMap, n: int, supports, monomials) -> i
             raise NotAnAutomorphismError(
                 f"monomial {i} maps to exponent vector {image}, which is not a "
                 "monomial of the polynomial "
-                f"(permutation {cycle_notation(g.perm, cf.var_order)})"
+                f"(permutation {cycle_notation(_cycles(g.perm), cf.var_order)})"
             )
         r = sum(e * g.exponents[g.perm[v]] for v, e in support) % g.order
         if residue is None:
@@ -245,8 +262,8 @@ def certify_pipeline_generators(cf: CanonicalForm, aut):
 
     Runs `verify_generator` on the permutation generators, the torsion
     generators of the quasitorus, and the cocharacter basis vectors reduced
-    mod 2, 3 and 5, each expanded to its n entries.  Returns (label, scalar
-    exponent) pairs; raises on the first failure.
+    mod 2, 3 and 5, each expanded to its n entries or images.  Returns
+    (label, scalar exponent) pairs; raises on the first failure.
     """
     results = []
     names = cf.var_order
@@ -254,7 +271,8 @@ def certify_pipeline_generators(cf: CanonicalForm, aut):
     n = data[0]
     for g in aut.perm.generators:
         label = f"perm {cycle_notation(g, names)}"
-        results.append((label, _verify(cf, MonomialMap.from_permutation(g), *data)))
+        perm = MonomialMap.from_permutation(permutation(g, n))
+        results.append((label, _verify(cf, perm, *data)))
     quasi = aut.quasitorus
     for tg in quasi.torsion_generators:
         label = f"torsion order {tg.order}"

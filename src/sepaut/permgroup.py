@@ -7,8 +7,11 @@ factor per pure block); within a mixed block only variables of equal
 exponent may move, and whole mixed blocks can swap when their exponent
 multisets coincide, which yields a wreath-type factor per class of
 identical blocks.  The group is the direct product of those factors, so its
-order has a closed formula and a short generator list.  Its brute-force
-check over all n! permutations is `oracles.brute_force_perm_order`.
+order has a closed formula and a short generator list.  Each generator is
+held as its cycles (`polyio.Permutation`), in O(points moved) entries, and
+`polyio.permutation` expands it to n images only where one is printed or
+checked.  The brute-force check over all n! permutations is
+`oracles.brute_force_perm_order`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import groupby
 from math import factorial, prod
 from typing import NamedTuple
 
-from .polyio import CanonicalForm, PureBlock
+from .polyio import CanonicalForm, Permutation, PureBlock
 
 __all__ = [
     "MixedClassFactor",
@@ -27,22 +30,11 @@ __all__ = [
 ]
 
 
-def cycle_notation(perm: tuple[int, ...], names) -> str:
-    """Render a permutation in cycle notation over variable names."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(names[v])
-            v = perm[v]
-        cycles.append("(" + " ".join(cyc) + ")")
-    return "".join(cycles) if cycles else "()"
+def cycle_notation(cycles: Permutation, names) -> str:
+    """Render a permutation, given as its cycles, over variable names."""
+    return "".join(
+        "(" + " ".join(names[v] for v in cycle) + ")" for cycle in cycles
+    ) or "()"
 
 
 class MixedClassFactor(NamedTuple):
@@ -67,105 +59,70 @@ class MixedClassFactor(NamedTuple):
 
 
 class PermGroupDescription(NamedTuple):
-    pure_factors: tuple[PureBlock, ...]  # S_k on each pure block's k variables
+    """Mixed classes, order, generators in cycle form, structure; each pure
+    block of `cf.pure_blocks` adds a factor S_k on its k variables."""
+
     mixed_classes: tuple[MixedClassFactor, ...]
     order: int
-    generators: tuple[tuple[int, ...], ...]
+    generators: tuple[Permutation, ...]
     structure: str
 
 
-def _transposition(a: int, b: int, n: int) -> tuple[int, ...]:
-    perm = list(range(n))
-    perm[a], perm[b] = b, a
-    return tuple(perm)
-
-
-def _cycle(points: list[int], n: int) -> tuple[int, ...]:
-    perm = list(range(n))
-    for a, b in zip(points, points[1:] + points[:1]):
-        perm[a] = b
-    return tuple(perm)
-
-
-def _symmetric_generators(points: list[int], n: int) -> list[tuple[int, ...]]:
+def _symmetric_generators(points: tuple[int, ...]) -> list[Permutation]:
     # transposition plus full cycle generate the symmetric group on `points`
     if len(points) < 2:
         return []
-    gens = [_transposition(points[0], points[1], n)]
+    gens = [((points[0], points[1]),)]
     if len(points) >= 3:
-        gens.append(_cycle(points, n))
+        gens.append((points,))
     return gens
-
-
-def _pointwise_map(columns: list[list[int]], n: int) -> tuple[int, ...]:
-    # block k position i maps to block k+1 position i, cyclically
-    perm = list(range(n))
-    for src, dst in zip(columns, columns[1:] + columns[:1]):
-        for a, b in zip(src, dst):
-            perm[a] = b
-    return tuple(perm)
 
 
 def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     """Factor structure, exact order, and generators of the group."""
-    n = cf.variable_count
     idx = cf.variable_index
-    blocks = cf.mixed_blocks
-    gens: list[tuple[int, ...]] = []
+    gens: list[Permutation] = []
 
-    # canonical sorting puts identically shaped mixed blocks next to each other
+    # canonical sorting puts identically shaped mixed blocks next to each
+    # other and numbers the variables block by block, so every run of points
+    # and every column (position i of each block in the class) ascends: the
+    # generators are built directly in canonical cycle form
     classes: list[MixedClassFactor] = []
-    i = 0
-    while i < len(blocks):
-        j = i
-        shape = (len(blocks[i].variables), blocks[i].exponents)
-        while j < len(blocks) and (len(blocks[j].variables), blocks[j].exponents) == shape:
-            j += 1
-        mults = tuple(len(list(g)) for _, g in groupby(blocks[i].exponents))
-        classes.append(
-            MixedClassFactor(
-                block_indices=tuple(range(i, j)),
-                exponents=blocks[i].exponents,
-                inner_multiplicities=mults,
-            )
-        )
-        i = j
-
-    for cls in classes:
-        for b in cls.block_indices:
-            vars_ = blocks[b].variables
+    blocks = enumerate(cf.mixed_blocks)
+    for exponents, members in groupby(blocks, key=lambda ib: ib[1].exponents):
+        members = list(members)
+        mults = tuple(len(list(g)) for _, g in groupby(exponents))
+        classes.append(MixedClassFactor(tuple(i for i, _ in members), exponents, mults))
+        rows = [tuple(idx[v] for v in b.variables) for _, b in members]
+        for row in rows:
             start = 0
-            for _, g in groupby(blocks[b].exponents):
-                run = len(list(g))
-                points = [idx[v] for v in vars_[start : start + run]]
-                gens.extend(_symmetric_generators(points, n))
-                start += run
-        if cls.size >= 2:
-            columns = [[idx[v] for v in blocks[b].variables] for b in cls.block_indices]
-            gens.append(_pointwise_map(columns[:2], n))
-            if cls.size >= 3:
-                gens.append(_pointwise_map(columns, n))
+            for m in mults:
+                gens.extend(_symmetric_generators(row[start : start + m]))
+                start += m
+        # block k position i maps to block k+1 position i, cyclically
+        if len(rows) >= 2:
+            gens.append(tuple(zip(*rows[:2])))
+            if len(rows) >= 3:
+                gens.append(tuple(zip(*rows)))
 
-    pure_factors = cf.pure_blocks
-    for b in pure_factors:
-        gens.extend(_symmetric_generators([idx[v] for v in b.variables], n))
+    for b in cf.pure_blocks:
+        gens.extend(_symmetric_generators(tuple(idx[v] for v in b.variables)))
 
     order = 1
     for cls in classes:
         order *= factorial(cls.size) * cls.inner_order**cls.size
-    for p in pure_factors:
+    for p in cf.pure_blocks:
         order *= factorial(len(p.variables))
 
     return PermGroupDescription(
-        pure_factors=pure_factors,
         mixed_classes=tuple(classes),
         order=order,
         generators=tuple(gens),
-        structure=_structure(classes, pure_factors),
+        structure=_structure(classes, cf.pure_blocks),
     )
 
 
-def _structure(classes: list[MixedClassFactor], pure_factors: tuple[PureBlock, ...]) -> str:
+def _structure(classes: list[MixedClassFactor], pure_blocks: tuple[PureBlock, ...]) -> str:
     parts = []
     for cls in classes:
         inner = [f"S{m}" for m in cls.inner_multiplicities if m >= 2]
@@ -179,7 +136,7 @@ def _structure(classes: list[MixedClassFactor], pure_factors: tuple[PureBlock, .
             if len(inner) > 1:
                 core = f"({core})"
             parts.append(f"{core} wr S{cls.size}")
-    for p in pure_factors:
+    for p in pure_blocks:
         if len(p.variables) >= 2:
             parts.append(f"S{len(p.variables)}")
     return " × ".join(parts) if parts else "1"

@@ -45,6 +45,8 @@ __all__ = [
     "CanonicalForm",
     "SparseVector",
     "dense",
+    "Permutation",
+    "permutation",
     "parse_polynomial",
     "recognize_separated",
     "parse_separated",
@@ -282,6 +284,21 @@ def dense(vec: SparseVector, n: int, zero=0, entry=int) -> list:
     out = [zero] * n
     for i, x in vec:
         out[i] = entry(x)
+    return out
+
+
+# A permutation of the variable indices as its nontrivial cycles, each
+# starting at its least index, ordered by that index: every permutation the
+# analysis emits.  Each cycle maps an entry to the next, the last to the first.
+Permutation = tuple[tuple[int, ...], ...]
+
+
+def permutation(cycles: Permutation, n: int) -> list[int]:
+    """The images of 0, ..., n-1 under the permutation `cycles`."""
+    out = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a] = b
     return out
 
 

@@ -22,7 +22,7 @@ from sepaut.oracles import (
     verify_generator,
 )
 from sepaut.permgroup import permutation_group
-from sepaut.polyio import dense, parse_separated
+from sepaut.polyio import dense, parse_separated, permutation
 from sepaut.quasitorus import quasitorus_structure
 from sepaut.rigidity import CERTIFIED_RIGID, rigidity_certificate
 from sepaut.torusgeom import torus_generators, weight_cone
@@ -159,7 +159,10 @@ def test_criterion_5_generator_certification():
     for cf in instances:
         perm = permutation_group(cf)
         quasi = quasitorus_structure(cf)
-        maps = [MonomialMap.from_permutation(g) for g in perm.generators]
+        maps = [
+            MonomialMap.from_permutation(permutation(g, cf.variable_count))
+            for g in perm.generators
+        ]
         maps += [
             MonomialMap.from_diagonal(t.order, dense(t.exponents, cf.variable_count))
             for t in quasi.torsion_generators

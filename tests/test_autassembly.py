@@ -21,7 +21,7 @@ from sepaut.oracles import (
     permute_vector,
     verify_generator,
 )
-from sepaut.polyio import dense, parse_separated
+from sepaut.polyio import dense, parse_separated, permutation
 from sepaut.quasitorus import SingleMonomialError
 
 SEMI = "⋉"
@@ -158,7 +158,8 @@ def test_conjugation_preserves_membership(flagship):
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         aut = aut_group(cf)
         rows = character_matrix(cf).to_rows()
-        for tau in aut.perm.generators:
+        for cycles in aut.perm.generators:
+            tau = permutation(cycles, cf.variable_count)
             for gen in aut.quasitorus.torsion_generators:
                 conjugated = permute_vector(tau, dense(gen.exponents, len(tau)))
                 for row in rows:
@@ -168,10 +169,15 @@ def test_conjugation_preserves_membership(flagship):
 
 def test_description_stores_linear_many_vector_entries():
     # dense vectors would hold n^2 entries in the torsion generators alone
-    n = 2000
-    aut = aut_group(fermat_form(n, 2))
-    quasi, gens, cone = aut.quasitorus, aut.torus_generators, aut.cone
-    vectors = [*quasi.cocharacter_basis, *(t.exponents for t in quasi.torsion_generators)]
-    vectors += [gens.homogeneity, *(p.vector for p in gens.pair_cocharacters)]
-    vectors += [*cone.weights, cone.witness]
-    assert sum(map(len, vectors)) <= 6 * n
+    # (2000 pure squares), dense permutations n entries for each of the
+    # 1002 generators of 1000 blocks a_i^2*b_i^2; both have n = 2000
+    blocks = parse_separated(" + ".join(f"a{i}^2*b{i}^2" for i in range(1000)))
+    for cf, per_variable in ((fermat_form(2000, 2), 6), (blocks, 9)):
+        n = cf.variable_count
+        aut = aut_group(cf)
+        quasi, gens, cone = aut.quasitorus, aut.torus_generators, aut.cone
+        vectors = [*quasi.cocharacter_basis, *(t.exponents for t in quasi.torsion_generators)]
+        vectors += [gens.homogeneity, *(p.vector for p in gens.pair_cocharacters)]
+        vectors += [*cone.weights, cone.witness]
+        vectors += [cycle for g in aut.perm.generators for cycle in g]
+        assert sum(map(len, vectors)) <= per_variable * n

@@ -152,6 +152,26 @@ def test_snf_subcommand(tmp_path, capsys):
     }
 
 
+def test_snf_prints_divisors_beyond_the_conversion_limit(tmp_path, capsys):
+    # consecutive 3000-digit integers are coprime: the divisors are 1 and
+    # their product, about 6000 digits
+    a = 10**2999 + 1
+    b = a + 1
+    path = tmp_path / "matrix.txt"
+    path.write_text(f"2 2\n{a} 0\n0 {b}\n")
+    code, out, _ = run_cli(capsys, "snf", str(path))
+    assert code == 0
+    first, second = out.splitlines()
+    assert first == "rows=2 cols=2 rank=2"
+    one, product = second.removeprefix("divisors: ").split(" ")
+    assert one == "1" and _long_int(product) == a * b
+    code, out, _ = run_cli(capsys, "snf", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["divisors"][0] == "1" and _long_int(report["divisors"][1]) == a * b
+    assert len(report["divisors"]) == 2 and report["rank"] == 2
+
+
 def test_snf_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n2 4\n6 8\n"))
     code, out, _ = run_cli(capsys, "snf", "-")
@@ -432,11 +452,12 @@ def test_overlong_exponent_exits_1_with_position(capsys):
 
 
 def test_huge_report_exits_1_with_its_size(capsys):
-    # 100000 pure squares: 99999 torsion generators of 100000 entries each
+    # 100000 pure squares: 99999 torsion generators and 2 permutation
+    # generators of 100000 entries each
     code, out, err = run_cli(capsys, "fermat", "100000", "2")
     assert (code, out) == (1, "")
     assert err == (
-        "error: the report would print 10000300001 vector entries, over the "
+        "error: the report would print 10000500001 vector entries, over the "
         f"limit of {REPORT_LIMIT}\n"
     )
 
@@ -449,6 +470,7 @@ def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
         vectors += [t["exponents"] for t in quasi["torsion_generators"]]
         vectors += [cone["witness"], cone["homogeneity_cocharacter"]]
         vectors += [p["vector"] for p in cone["pair_cocharacters"]]
+        vectors += report["aut"]["action"]
         size = sum(map(len, vectors))
         monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size)
         assert run_cli(capsys, *argv)[0] == 0

@@ -23,7 +23,8 @@ from sepaut.cli import main
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 
 FLAGSHIP = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
-# all of these have n <= 8, so every oracle runs under --verify
+# all but the last have n <= 8, so every oracle runs under --verify; the last
+# three hold a class of three identical mixed blocks or an inner run of three
 FORMS = (
     FLAGSHIP,
     "x + y",
@@ -31,6 +32,9 @@ FORMS = (
     "x^2 + y^2",
     "x^2*y^3 + z^5",
     "x^3*y^3 + z^6 + w^6",
+    "a*b + c*d + e*f + g^3",
+    "x^2*y^2*z^2*u^5 + v^7 + w^7",
+    "a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5",
 )
 
 # 16 mixed blocks of 3 variables; each block gcd is 2, 6, 10 or 30, so the

@@ -7,10 +7,11 @@ from conftest import generated_group, random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.oracles import TooManyVariablesError, brute_force_perm_order, permute_vector
 from sepaut.permgroup import cycle_notation, permutation_group
-from sepaut.polyio import make_canonical_form, parse_separated
+from sepaut.polyio import make_canonical_form, parse_separated, permutation
 
 
-def preserves(cf, perm):
+def preserves(cf, cycles):
+    perm = permutation(cycles, cf.variable_count)
     chars = set(cf.monomial_vectors)
     return {permute_vector(perm, chi) for chi in chars} == chars
 
@@ -37,7 +38,8 @@ def test_two_identical_mixed_blocks():
     assert brute_force_perm_order(cf) == 2
     # the generator swaps the two blocks position-wise: canonical order
     # within each block is (x2, x1) and (x4, x3)
-    (gen,) = desc.generators
+    (cycles,) = desc.generators
+    gen = permutation(cycles, cf.variable_count)
     idx = cf.variable_index
     assert gen[idx["x1"]] == idx["x3"] and gen[idx["x3"]] == idx["x1"]
     assert gen[idx["x2"]] == idx["x4"] and gen[idx["x4"]] == idx["x2"]
@@ -109,7 +111,16 @@ def test_generators_generate_exactly_the_order():
         desc = permutation_group(cf)
         if desc.order > 10**4:
             continue
-        group = generated_group(desc.generators, cf.variable_count)
+        n = cf.variable_count
+        for cycles in desc.generators:
+            # canonical cycle form: disjoint nontrivial cycles, each
+            # starting at its least index, sorted by it
+            points = [v for cycle in cycles for v in cycle]
+            assert len(set(points)) == len(points) and set(points) <= set(range(n))
+            assert all(len(cycle) >= 2 and cycle[0] == min(cycle) for cycle in cycles)
+            assert [cycle[0] for cycle in cycles] == sorted(cycle[0] for cycle in cycles)
+        perms = [permutation(cycles, n) for cycles in desc.generators]
+        group = generated_group(perms, n)
         assert len(group) == desc.order
         checked += 1
     assert checked >= 20
@@ -137,10 +148,18 @@ def test_brute_force_guard():
 
 
 def test_cycle_notation():
-    assert cycle_notation((0, 1, 2), "abc") == "()"
-    assert cycle_notation((1, 0, 2), "abc") == "(a b)"
-    assert cycle_notation((1, 2, 0), "abc") == "(a b c)"
-    assert cycle_notation((1, 0, 3, 2), "abcd") == "(a b)(c d)"
+    assert cycle_notation((), "abc") == "()"
+    assert cycle_notation(((0, 1),), "abc") == "(a b)"
+    assert cycle_notation(((0, 1, 2),), "abc") == "(a b c)"
+    assert cycle_notation(((0, 1), (2, 3)), "abcd") == "(a b)(c d)"
+
+
+def test_permutation_expands_cycles():
+    assert permutation((), 3) == [0, 1, 2]
+    assert permutation(((0, 1),), 3) == [1, 0, 2]
+    assert permutation(((0, 1, 2),), 3) == [1, 2, 0]
+    assert permutation(((0, 1), (2, 3)), 4) == [1, 0, 3, 2]
+    assert permutation(((1, 3, 2),), 5) == [0, 3, 1, 2, 4]
 
 
 def test_permute_vector_moves_entries():
