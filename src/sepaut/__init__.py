@@ -7,8 +7,8 @@ of the permutation group of the polynomial with the diagonal quasitorus,
 together with a rigidity certificate, explicit torus generators and the
 weight cone of the coordinates.  This namespace holds the analysis; the
 brute-force verification oracles are in `sepaut.oracles` and the exact
-integer linear algebra (Smith normal form) in `sepaut.intlat`, which the
-analysis never imports.
+integer linear algebra (Smith normal form) in `sepaut.intlat`, which
+neither the analysis nor the oracles import.
 """
 
 from .autassembly import (

@@ -20,7 +20,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .permgroup import PermGroupDescription, permutation_group
-from .polyio import CanonicalForm, make_canonical_form
+from .polyio import CanonicalForm, decimal, make_canonical_form
 from .quasitorus import QuasitorusDescription, quasitorus_structure
 from .rigidity import CERTIFIED_RIGID, RigidityCertificate, rigidity_certificate
 from .torusgeom import ConeDescription, TorusGenerators, torus_generators, weight_cone
@@ -54,7 +54,7 @@ class AutGroupDescription(NamedTuple):
 def structure_string(perm_structure: str, torsion, torus_rank: int) -> str:
     """Fixed grammar: '<perm> x| ((Z/d)^e x ... x T^rank)' with real symbols."""
     parts = [
-        f"(Z/{d})^{len(list(grp))}" for d, grp in groupby(torsion)
+        f"(Z/{decimal(d)})^{len(list(grp))}" for d, grp in groupby(torsion)
     ]
     parts.append(f"T^{torus_rank}")
     return f"{perm_structure} ⋉ (" + " × ".join(parts) + ")"

@@ -8,9 +8,11 @@ The analysis holds its vectors sparse and its permutations as cycles;
 `build_report` expands each vector to its dense list of decimal strings and
 each permutation generator to its n images (`aut.action`), and refuses
 (`ReportTooLargeError`, exit 1) a report whose vectors and actions would
-hold more than `REPORT_LIMIT` entries.
-The oracles (`--verify`, `verify`) and the Smith normal form (`snf`) are
-imported only by the commands that run them.
+hold more than `REPORT_LIMIT` entries.  Every integer prints through
+`polyio.decimal`, whatever its length.
+The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
+the analysis emits them, and load only with the commands that run them;
+the Smith normal form (`intlat`) loads only with `snf`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation, permutation_group
-from .polyio import NotSeparatedError, PolynomialError, dense, parse_separated, permutation
+from .polyio import NotSeparatedError, PolynomialError, decimal, dense
+from .polyio import parse_separated, permutation
 from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
@@ -61,34 +64,12 @@ def _read_input(arg: str) -> str:
     return arg
 
 
-# str(int) refuses more than sys.get_int_max_str_digits() digits (640 at the
-# least); the analysis can produce integers far longer than its input, so
-# those are converted in pieces of fewer digits than that
-_PIECE_DIGITS = 600
-_PIECE = 10**_PIECE_DIGITS
-
-
-def _decimal(x: int) -> str:
-    """Decimal string of any integer, whatever its length."""
-    try:
-        return str(x)
-    except ValueError:
-        pass
-    if x < 0:
-        return "-" + _decimal(-x)
-    split, digits = _PIECE, _PIECE_DIGITS
-    while split * split <= x:
-        split, digits = split * split, 2 * digits
-    high, low = divmod(x, split)
-    return _decimal(high) + _decimal(low).zfill(digits)
-
-
 def _frac(x) -> str | None:
     if x is None:
         return None
     if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+        return decimal(x.numerator)
+    return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
 def _oracle(oracle: str, cf, claim, modulus):
@@ -133,7 +114,7 @@ def run_verification(cf, aut) -> list[dict]:
         status, found, claimed = _oracle(oracle, cf, claim, modulus)
         template = _CHECK_DETAILS[oracle]
         checks.append({
-            "oracle": f"torsion mod {modulus}" if modulus else oracle,
+            "oracle": f"torsion mod {decimal(modulus)}" if modulus else oracle,
             "status": status,
             "detail": found if claimed is None else template.format(found, claimed),
         })
@@ -169,7 +150,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         )
 
     def decimals(vec, dim=n) -> list[str]:
-        return dense(vec, dim, "0", _decimal)
+        return dense(vec, dim, "0", decimal)
 
     basis = [decimals(v) for v in aut.quasitorus.cocharacter_basis]
     return {
@@ -199,15 +180,15 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         },
         "quasitorus": {
             "torus_rank": aut.quasitorus.torus_rank,
-            "torsion": [_decimal(d) for d in aut.quasitorus.torsion],
+            "torsion": [decimal(d) for d in aut.quasitorus.torsion],
             "cocharacter_basis": basis,
             "torsion_generators": [
-                {"order": _decimal(t.order), "exponents": decimals(t.exponents)}
+                {"order": decimal(t.order), "exponents": decimals(t.exponents)}
                 for t in aut.quasitorus.torsion_generators
             ],
         },
         "permutation_group": {
-            "order": _decimal(aut.perm.order),
+            "order": decimal(aut.perm.order),
             "structure": aut.perm.structure,
             "pure_factors": [
                 {"exponent": p.exponent, "variables": list(p.variables)}
@@ -377,12 +358,12 @@ def cmd_snf(args) -> int:
             "rows": matrix.rows,
             "cols": matrix.cols,
             "rank": result.rank,
-            "divisors": [_decimal(d) for d in result.divisors],
+            "divisors": [decimal(d) for d in result.divisors],
         }
         print(json.dumps(out, indent=2))
     else:
         print(f"rows={matrix.rows} cols={matrix.cols} rank={result.rank}")
-        divisors = " ".join(map(_decimal, result.divisors))
+        divisors = " ".join(map(decimal, result.divisors))
         print(f"divisors: {divisors}" if divisors else "divisors: (none)")
     return EXIT_OK
 

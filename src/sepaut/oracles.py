@@ -10,28 +10,24 @@ code with the one that made it:
   all N^n candidates, with D the difference matrix of `character_matrix`;
   it checks `torsion_count_formula`, N^rank * prod gcd(d_k, N) read off the
   torus rank and torsion of a quasitorus description;
-* `verify_generator` certifies F o g = c * F for a monomial map g by integer
-  congruences, and `certify_pipeline_generators` runs it on every generator
-  an analysis emits.
+* `verify_permutation` (on cycles) and `verify_diagonal` (on a sparse
+  vector) certify F o g = c * F on the monomials g touches, and
+  `certify_pipeline_generators` on every generator an analysis emits.
 
 The guards live here too: brute force over permutations needs n <= 8
 (`TooManyVariablesError`), the count N^n <= 10^7 (`EnumerationTooLargeError`).
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
-on the analysis path imports it.  `polyio.dense` and `polyio.permutation`
-expand the analysis' sparse vectors and cycles to the dense ones the
-oracles take; this is the one module that holds dense permutations.
+on the analysis path imports it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import NamedTuple
 
-from .intlat import IntMatrix
 from .permgroup import cycle_notation
-from .polyio import CanonicalForm, Permutation, dense, permutation
+from .polyio import CanonicalForm, Permutation, SparseVector, decimal
 from .quasitorus import SingleMonomialError
 
 __all__ = [
@@ -40,13 +36,13 @@ __all__ = [
     "TooManyVariablesError",
     "EnumerationTooLargeError",
     "NotAnAutomorphismError",
-    "MonomialMap",
     "permute_vector",
     "brute_force_perm_order",
     "character_matrix",
     "count_torsion_points_mod",
     "torsion_count_formula",
-    "verify_generator",
+    "verify_permutation",
+    "verify_diagonal",
     "certify_pipeline_generators",
 ]
 
@@ -66,28 +62,6 @@ class NotAnAutomorphismError(ValueError):
     """The candidate monomial map does not preserve the polynomial."""
 
 
-class MonomialMap(NamedTuple):
-    """Permutation-then-scaling map x_v -> zeta^(e_[perm(v)]) x_[perm(v)].
-
-    `order` is the order N of the root of unity zeta; `exponents` lives in
-    (Z/N)^n.  Pure permutations use N = 1.
-    """
-
-    perm: tuple[int, ...]
-    order: int
-    exponents: tuple[int, ...]
-
-    @classmethod
-    def from_permutation(cls, perm) -> MonomialMap:
-        perm = tuple(perm)
-        return cls(perm, 1, (0,) * len(perm))
-
-    @classmethod
-    def from_diagonal(cls, order: int, exponents) -> MonomialMap:
-        exponents = tuple(exponents)
-        return cls(tuple(range(len(exponents))), order, exponents)
-
-
 def permute_vector(perm: tuple[int, ...], vec) -> tuple[int, ...]:
     """Move entry v to slot perm[v] (the action of the permutation on
     exponent vectors and diagonal coordinates)."""
@@ -95,22 +69,6 @@ def permute_vector(perm: tuple[int, ...], vec) -> tuple[int, ...]:
     for v, x in enumerate(vec):
         out[perm[v]] = x
     return tuple(out)
-
-
-def _cycles(perm: tuple[int, ...]) -> Permutation:
-    """The cycle form of the dense permutation `perm`."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        cycle = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-            v = perm[v]
-        if len(cycle) > 1:
-            cycles.append(tuple(cycle))
-    return tuple(cycles)
 
 
 def brute_force_perm_order(cf: CanonicalForm) -> int:
@@ -128,8 +86,8 @@ def brute_force_perm_order(cf: CanonicalForm) -> int:
     return count
 
 
-def character_matrix(cf: CanonicalForm) -> IntMatrix:
-    """The difference matrix D of the monomial characters.
+def character_matrix(cf: CanonicalForm) -> list[list[int]]:
+    """The rows of the difference matrix D of the monomial characters.
 
     Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
     blocks first, then pure powers).  Because monomial supports are pairwise
@@ -142,8 +100,7 @@ def character_matrix(cf: CanonicalForm) -> IntMatrix:
             "diagonal symmetry structure"
         )
     chars = cf.monomial_vectors
-    rows = [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
-    return IntMatrix.from_rows(rows, cols=cf.variable_count)
+    return [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
 
 
 def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
@@ -155,18 +112,21 @@ def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
     nonzero mod N its residue must be 0, and it leaves the key.  Each of the
     N^n assignments is counted exactly once, for any integer matrix D, with
     no Smith form or block theory, so the count stays independent of the
-    closed form it checks.  Guarded by N^n <= 10^7; D is built only once the
-    guard has passed.
+    closed form it checks.  Guarded by N^n <= 10^7, decided by multiplying
+    up to the limit; D is built only once the guard has passed.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     n = cf.variable_count
-    if modulus**n > ENUMERATION_LIMIT:
-        raise EnumerationTooLargeError(
-            f"N^n = {modulus}^{n} exceeds the enumeration guard "
-            f"{ENUMERATION_LIMIT}"
-        )
-    rows = [[x % modulus for x in row] for row in character_matrix(cf).to_rows()]
+    power = 1
+    for _ in range(n):
+        power *= modulus
+        if power > ENUMERATION_LIMIT:
+            raise EnumerationTooLargeError(
+                f"N^n = {decimal(modulus)}^{n} exceeds the enumeration guard "
+                f"{ENUMERATION_LIMIT}"
+            )
+    rows = [[x % modulus for x in row] for row in character_matrix(cf)]
     last = [max((j for j, x in enumerate(row) if x), default=-1) for row in rows]
     open_rows = [r for r in range(len(rows)) if last[r] >= 0]
     counts = {(0,) * len(open_rows): 1}
@@ -208,80 +168,99 @@ def torsion_count_formula(quasi, modulus: int) -> int:
     return count
 
 
-def _polynomial_data(cf: CanonicalForm):
-    """(n, monomial supports, the set of monomials): what `_verify` reads of
-    `cf`, built once per polynomial."""
+def _support_index(cf: CanonicalForm):
+    """What the generator checks read of `cf`, built once: the variable
+    names, the monomial supports, and the monomial holding each variable
+    with its exponent there."""
     supports = cf.monomial_supports
-    n = sum(map(len, supports))
-    return n, supports, {frozenset(support) for support in supports}
+    owner = {v: (i, e) for i, support in enumerate(supports) for v, e in support}
+    return cf.var_order, supports, owner
 
 
-def verify_generator(cf: CanonicalForm, g: MonomialMap) -> int:
-    """Certify F o g = c * F by congruence arithmetic; returns c's exponent.
+def verify_permutation(cf: CanonicalForm, cycles: Permutation) -> int:
+    """Certify F o g = F for the permutation g given as its `cycles`.
 
-    The permutation must map every monomial exponent vector onto one from
-    the polynomial, and the diagonal part must give every monomial the same
-    scalar sum(chi_v * e_[perm(v)]) mod N.  Raises `NotAnAutomorphismError`
-    with the first violation otherwise.
+    Only the monomials holding a moved point are checked; each must map
+    onto a monomial of F.  Returns 0, the exponent of the scalar 1.  Raises
+    `NotAnAutomorphismError` naming the first monomial that does not map
+    onto one, and `ValueError` for a repeated or out-of-range point.
     """
-    return _verify(cf, g, *_polynomial_data(cf))
+    return _check_permutation(_support_index(cf), cycles)
 
 
-def _verify(cf: CanonicalForm, g: MonomialMap, n: int, supports, monomials) -> int:
-    """`verify_generator` with `_polynomial_data(cf)` passed in."""
-    if sorted(g.perm) != list(range(n)):
-        raise ValueError(f"not a permutation of {n} variables: {g.perm}")
-    if g.order < 1:
-        raise ValueError("root-of-unity order must be >= 1")
-    if len(g.exponents) != n:
-        raise ValueError("diagonal exponent vector has wrong length")
-
-    # sparse monomials: O(n) per generator, where dense vectors cost O(M n)
-    residue = None
-    for i, support in enumerate(supports):
-        if frozenset((g.perm[v], e) for v, e in support) not in monomials:
-            image = permute_vector(g.perm, cf.monomial_vectors[i])
+def _check_permutation(index, cycles: Permutation) -> int:
+    names, supports, owner = index
+    image = {a: b for cycle in cycles for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    if len(image) < sum(map(len, cycles)) or not all(a in owner for a in image):
+        raise ValueError(f"not a permutation of {len(names)} variables: {cycles}")
+    for i in sorted({owner[v][0] for v in image}):
+        moved = {image.get(v, v): e for v, e in supports[i]}
+        j = owner[next(iter(moved))][0]
+        # the images are distinct: as many as monomial j holds, all in j, fill it
+        if len(supports[j]) != len(moved) or any(
+            owner[w] != (j, e) for w, e in moved.items()
+        ):
+            vector = tuple(moved.get(w, 0) for w in range(len(names)))  # for the error
             raise NotAnAutomorphismError(
-                f"monomial {i} maps to exponent vector {image}, which is not a "
+                f"monomial {i} maps to exponent vector {vector}, which is not a "
                 "monomial of the polynomial "
-                f"(permutation {cycle_notation(_cycles(g.perm), cf.var_order)})"
+                f"(permutation {cycle_notation(cycles, names)})"
             )
-        r = sum(e * g.exponents[g.perm[v]] for v, e in support) % g.order
-        if residue is None:
-            residue = r
-        elif r != residue:
+    return 0
+
+
+def verify_diagonal(cf: CanonicalForm, order: int, exponents: SparseVector) -> int:
+    """Certify F o g = c * F for g: x_v -> zeta^(e_v) x_v, zeta of order N.
+
+    `exponents` holds the nonzero e_v as (v, e_v) pairs, and only the
+    monomials they touch are summed: every other one scales by zeta^0.
+    Returns c's exponent mod N.  Raises `NotAnAutomorphismError` naming the
+    first monomial whose scalar differs from monomial 0's, and `ValueError`
+    for N < 1 or an index outside the n variables.
+    """
+    return _check_diagonal(_support_index(cf), order, exponents)
+
+
+def _check_diagonal(index, order: int, exponents: SparseVector) -> int:
+    _, supports, owner = index
+    if order < 1:
+        raise ValueError("root-of-unity order must be >= 1")
+    residues: dict[int, int] = {}
+    for v, x in exponents:
+        if v not in owner:
+            raise ValueError(f"exponent index {v} outside the {len(owner)} variables")
+        i, e = owner[v]
+        residues[i] = (residues.get(i, 0) + e * x) % order
+    residue = residues.get(0, 0)
+    # the first untouched monomial stands for all of them
+    untouched = next(i for i in range(len(supports) + 1) if i not in residues)
+    for i in sorted({*residues, untouched}):
+        if i < len(supports) and residues.get(i, 0) != residue:
             raise NotAnAutomorphismError(
-                f"monomial {i} scales by zeta^{r} but an earlier monomial by "
-                f"zeta^{residue} (mod {g.order})"
+                f"monomial {i} scales by zeta^{decimal(residues.get(i, 0))} but an "
+                f"earlier monomial by zeta^{decimal(residue)} (mod {decimal(order)})"
             )
     return residue
 
 
 def certify_pipeline_generators(cf: CanonicalForm, aut):
-    """Certify every generator the description `aut` of `cf` emits.
-
-    Runs `verify_generator` on the permutation generators, the torsion
-    generators of the quasitorus, and the cocharacter basis vectors reduced
-    mod 2, 3 and 5, each expanded to its n entries or images.  Returns
-    (label, scalar exponent) pairs; raises on the first failure.
-    """
+    """Certify every generator the description `aut` of `cf` emits: the
+    permutation generators as cycles, the torsion generators and the
+    cocharacter basis vectors, reduced mod 2, 3 and 5, as sparse vectors,
+    all against one support index of `cf`, in time linear in what `aut`
+    holds.  Returns (label, scalar exponent) pairs; raises on the first
+    failure."""
+    index = _support_index(cf)
     results = []
-    names = cf.var_order
-    data = _polynomial_data(cf)
-    n = data[0]
     for g in aut.perm.generators:
-        label = f"perm {cycle_notation(g, names)}"
-        perm = MonomialMap.from_permutation(permutation(g, n))
-        results.append((label, _verify(cf, perm, *data)))
+        label = f"perm {cycle_notation(g, index[0])}"
+        results.append((label, _check_permutation(index, g)))
     quasi = aut.quasitorus
     for tg in quasi.torsion_generators:
-        label = f"torsion order {tg.order}"
-        g = MonomialMap.from_diagonal(tg.order, dense(tg.exponents, n))
-        results.append((label, _verify(cf, g, *data)))
+        label = f"torsion order {decimal(tg.order)}"
+        results.append((label, _check_diagonal(index, tg.order, tg.exponents)))
     for bi, vec in enumerate(quasi.cocharacter_basis):
-        full = dense(vec, n)
         for modulus in (2, 3, 5):
             label = f"cocharacter {bi} mod {modulus}"
-            g = MonomialMap.from_diagonal(modulus, [x % modulus for x in full])
-            results.append((label, _verify(cf, g, *data)))
+            results.append((label, _check_diagonal(index, modulus, vec)))
     return results

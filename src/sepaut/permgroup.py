@@ -9,8 +9,8 @@ multisets coincide, which yields a wreath-type factor per class of
 identical blocks.  The group is the direct product of those factors, so its
 order has a closed formula and a short generator list.  Each generator is
 held as its cycles (`polyio.Permutation`), in O(points moved) entries, and
-`polyio.permutation` expands it to n images only where one is printed or
-checked.  The brute-force check over all n! permutations is
+`polyio.permutation` expands it to n images only where the report prints
+one.  The brute-force check over all n! permutations is
 `oracles.brute_force_perm_order`.
 """
 

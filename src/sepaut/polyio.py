@@ -45,6 +45,7 @@ __all__ = [
     "CanonicalForm",
     "SparseVector",
     "dense",
+    "decimal",
     "Permutation",
     "permutation",
     "parse_polynomial",
@@ -103,10 +104,6 @@ class Term(NamedTuple):
 
     coefficient: int | Fraction
     monomial: Monomial
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.monomial)
 
 
 class Polynomial(NamedTuple):
@@ -287,6 +284,27 @@ def dense(vec: SparseVector, n: int, zero=0, entry=int) -> list:
     return out
 
 
+# str(int) refuses more than sys.get_int_max_str_digits() digits (640 at the
+# least); the analysis can produce integers far longer than its input, so
+# those are converted in pieces of fewer digits than that
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def decimal(x: int) -> str:
+    """Decimal string of any integer, whatever its length."""
+    try:
+        return str(x)
+    except ValueError:
+        if x < 0:
+            return "-" + decimal(-x)
+    split, digits = _PIECE, _PIECE_DIGITS
+    while split * split <= x:
+        split, digits = split * split, 2 * digits
+    high, low = divmod(x, split)
+    return decimal(high) + decimal(low).zfill(digits)
+
+
 # A permutation of the variable indices as its nontrivial cycles, each
 # starting at its least index, ordered by that index: every permutation the
 # analysis emits.  Each cycle maps an entry to the next, the last to the first.
@@ -364,16 +382,6 @@ class CanonicalForm(NamedTuple):
     def monomial_count(self) -> int:
         """Total number of monomials: mixed blocks plus all pure powers."""
         return len(self.mixed_blocks) + sum(len(b.variables) for b in self.pure_blocks)
-
-    @property
-    def exponent_vector(self) -> tuple[int, ...]:
-        """Exponent of each variable, aligned with `var_order`."""
-        out: list[int] = []
-        for b in self.mixed_blocks:
-            out.extend(b.exponents)
-        for b in self.pure_blocks:
-            out.extend([b.exponent] * len(b.variables))
-        return tuple(out)
 
     @property
     def monomial_supports(self) -> tuple[SparseVector, ...]:

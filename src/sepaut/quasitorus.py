@@ -27,7 +27,7 @@ Every vector the description holds is a `polyio.SparseVector`: a tuple of
 (index, value) pairs with strictly increasing index and no zero value, so w
 and each torsion generator touch only the variables of the blocks they live
 on, and the whole description has O(n + sum of k_i^2) entries.
-`polyio.dense` expands one to its n entries, for the report and the oracles.
+`polyio.dense` expands one to its n entries, for the report only.
 
 No Smith normal form is involved, and neither is the dense difference
 matrix D (rows chi_i - chi_0).  D serves only the independent cross-check

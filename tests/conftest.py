@@ -3,6 +3,8 @@
 import pytest
 
 from sepaut.intlat import IntMatrix, smith_normal_form
+from sepaut.oracles import NotAnAutomorphismError, character_matrix, permute_vector
+from sepaut.permgroup import cycle_notation
 from sepaut.polyio import make_canonical_form, parse_separated
 
 # running example used across the suite and in the README
@@ -116,3 +118,69 @@ def block_shape(cf):
         tuple((len(b.variables), b.exponents) for b in cf.mixed_blocks),
         tuple((b.exponent, len(b.variables)) for b in cf.pure_blocks),
     )
+
+
+def d_matrix(cf) -> IntMatrix:
+    """The difference matrix D of `oracles.character_matrix` as an
+    `IntMatrix`, for the referees that take one."""
+    return IntMatrix.from_rows(character_matrix(cf), cols=cf.variable_count)
+
+
+def times_rows(rows, vec) -> tuple[int, ...]:
+    """The product of the matrix with rows `rows` and the dense `vec`."""
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
+
+
+def cycles_of(perm) -> tuple[tuple[int, ...], ...]:
+    """The cycle form (`polyio.Permutation`) of the dense permutation `perm`."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = perm[v]
+        if len(cycle) > 1:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def verify_dense(cf, perm, order, exponents) -> int:
+    """Referee for `oracles.verify_permutation` and `verify_diagonal`.
+
+    Certifies F o g = c * F for the monomial map
+    g: x_v -> zeta^(exponents[perm[v]]) x_[perm[v]], zeta of order `order`,
+    given by the dense permutation `perm` and the n dense `exponents`, on
+    every monomial in turn; returns c's exponent.  This is the check the
+    oracles made before they read cycles and sparse vectors, kept as the
+    definition of their results and messages.
+    """
+    supports = cf.monomial_supports
+    n = sum(map(len, supports))
+    monomials = {frozenset(support) for support in supports}
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of {n} variables: {perm}")
+    if order < 1:
+        raise ValueError("root-of-unity order must be >= 1")
+    if len(exponents) != n:
+        raise ValueError("diagonal exponent vector has wrong length")
+    residue = None
+    for i, support in enumerate(supports):
+        if frozenset((perm[v], e) for v, e in support) not in monomials:
+            image = permute_vector(perm, cf.monomial_vectors[i])
+            raise NotAnAutomorphismError(
+                f"monomial {i} maps to exponent vector {image}, which is not a "
+                "monomial of the polynomial "
+                f"(permutation {cycle_notation(cycles_of(perm), cf.var_order)})"
+            )
+        r = sum(e * exponents[perm[v]] for v, e in support) % order
+        if residue is None:
+            residue = r
+        elif r != residue:
+            raise NotAnAutomorphismError(
+                f"monomial {i} scales by zeta^{r} but an earlier monomial by "
+                f"zeta^{residue} (mod {order})"
+            )
+    return residue

@@ -14,12 +14,12 @@ from sepaut.autassembly import (
     structure_string,
 )
 from sepaut.oracles import (
-    MonomialMap,
     NotAnAutomorphismError,
     certify_pipeline_generators,
     character_matrix,
     permute_vector,
-    verify_generator,
+    verify_diagonal,
+    verify_permutation,
 )
 from sepaut.polyio import dense, parse_separated, permutation
 from sepaut.quasitorus import SingleMonomialError
@@ -98,52 +98,50 @@ def test_irreducibility_verdicts(flagship):
 
 
 def test_verify_identity(flagship):
-    assert verify_generator(flagship, MonomialMap.from_permutation(range(5))) == 0
+    assert verify_permutation(flagship, ()) == 0
+    assert verify_diagonal(flagship, 1, ()) == 0
 
 
 def test_verify_flagship_diagonal(flagship):
     # order 10 on (X2, X1, Y1, Y2, Y3): mixed monomial untouched; the pure
     # monomials scale by 10*1 and 10*9, both 0 mod 10
-    g = MonomialMap.from_diagonal(10, (0, 0, 1, 9, 0))
-    assert verify_generator(flagship, g) == 0
+    assert verify_diagonal(flagship, 10, ((2, 1), (3, 9))) == 0
 
 
 def test_verify_rejects_unbalanced_diagonal(flagship):
     # mod 3 the mixed monomial scales by 11 = 2 while the pure ones by 0
-    g = MonomialMap.from_diagonal(3, (1, 0, 0, 0, 0))
     message = "monomial 1 scales by zeta^0 but an earlier monomial by zeta^2 (mod 3)"
     with pytest.raises(NotAnAutomorphismError, match=f"^{re.escape(message)}$"):
-        verify_generator(flagship, g)
+        verify_diagonal(flagship, 3, ((0, 1),))
 
 
 def test_verify_rejects_monomial_mismatch(flagship):
     # swapping a mixed variable with a pure one cannot preserve the monomials
     idx = flagship.variable_index
-    perm = list(range(5))
-    perm[idx["X2"]], perm[idx["Y1"]] = perm[idx["Y1"]], perm[idx["X2"]]
     message = (
         "monomial 0 maps to exponent vector (0, 10, 11, 0, 0), which is not a "
         "monomial of the polynomial (permutation (X2 Y1))"
     )
     with pytest.raises(NotAnAutomorphismError, match=f"^{re.escape(message)}$"):
-        verify_generator(flagship, MonomialMap.from_permutation(perm))
+        verify_permutation(flagship, ((idx["X2"], idx["Y1"]),))
 
 
 def test_verify_scalar_can_be_nonzero():
     cf = parse_separated("x^2 + y^3")
     # x -> zeta_4 x multiplies x^2 by zeta_4^2 and must multiply y^3 alike,
     # so e_y must satisfy 3 e == 2 mod 4, i.e. e = 2
-    g = MonomialMap.from_diagonal(4, (2, 1))  # var order (y, x)
-    assert verify_generator(cf, g) == 2
+    assert verify_diagonal(cf, 4, ((0, 2), (1, 1))) == 2  # var order (y, x)
 
 
 def test_verify_validates_input(flagship):
-    with pytest.raises(ValueError):
-        verify_generator(flagship, MonomialMap((0, 0, 1, 2, 3), 1, (0,) * 5))
-    with pytest.raises(ValueError):
-        verify_generator(flagship, MonomialMap(tuple(range(5)), 0, (0,) * 5))
-    with pytest.raises(ValueError):
-        verify_generator(flagship, MonomialMap(tuple(range(5)), 2, (0,) * 4))
+    for cycles in (((0, 1), (1, 2)), ((0, 0),), ((0, 5),), ((-1, 2),)):
+        with pytest.raises(ValueError, match="^not a permutation of 5 variables"):
+            verify_permutation(flagship, cycles)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        verify_diagonal(flagship, 0, ())
+    for index in (5, -1):
+        with pytest.raises(ValueError, match="outside the 5 variables"):
+            verify_diagonal(flagship, 2, ((index, 1),))
 
 
 def test_all_pipeline_generators_certify(flagship):
@@ -157,7 +155,7 @@ def test_conjugation_preserves_membership(flagship):
     rng = random.Random(25)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         aut = aut_group(cf)
-        rows = character_matrix(cf).to_rows()
+        rows = character_matrix(cf)
         for cycles in aut.perm.generators:
             tau = permutation(cycles, cf.variable_count)
             for gen in aut.quasitorus.torsion_generators:
@@ -165,6 +163,8 @@ def test_conjugation_preserves_membership(flagship):
                 for row in rows:
                     dot = sum(a * e for a, e in zip(row, conjugated))
                     assert dot % gen.order == 0
+                sparse = sorted((tau[v], x) for v, x in gen.exponents)
+                verify_diagonal(cf, gen.order, sparse)
 
 
 def test_description_stores_linear_many_vector_entries():

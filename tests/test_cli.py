@@ -216,9 +216,9 @@ def test_json_output_is_byte_identical_across_processes(flags):
 
 def test_cli_imports_only_the_standard_library(tmp_path):
     # modules loaded before the import (site hooks of the interpreter) are
-    # not on the CLI path and are left out; the oracles and the Smith normal
-    # form load only with the commands that run them, and `dataclasses` (with
-    # `inspect`) only with `intlat`
+    # not on the CLI path and are left out; the oracles load only with the
+    # commands that run them, and the Smith normal form, with `dataclasses`
+    # and `inspect`, only with `snf`
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -236,10 +236,11 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         ([], set()),
         (["analyze", FLAGSHIP, "--json"], set()),
         (["fermat", "4", "3"], set()),
-        (["analyze", FLAGSHIP, "--json", "--verify"], {oracles, intlat}),
-        (["verify", FLAGSHIP, "--oracle", "perms"], {oracles, intlat}),
-        (["verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"], {oracles, intlat}),
-        (["verify", FLAGSHIP, "--oracle", "generators"], {oracles, intlat}),
+        (["analyze", FLAGSHIP, "--json", "--verify"], {oracles}),
+        (["fermat", "4", "3", "--verify"], {oracles}),
+        (["verify", FLAGSHIP, "--oracle", "perms"], {oracles}),
+        (["verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"], {oracles}),
+        (["verify", FLAGSHIP, "--oracle", "generators"], {oracles}),
         (["snf", str(matrix)], {intlat}),
     ]
     env = dict(os.environ)
@@ -253,7 +254,7 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         assert status == "0", (argv, proc.stderr)
         assert "sepaut.cli" in loaded
         assert {oracles, intlat} & set(loaded) == expected, argv
-        if not expected:
+        if intlat not in expected:
             assert {"dataclasses", "inspect"} & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
@@ -426,6 +427,36 @@ def _long_int(text: str) -> int:
         piece = text[start : start + 500]
         value = value * 10 ** len(piece) + int(piece)
     return value
+
+
+def test_torsion_beyond_the_conversion_limit(capsys):
+    # coprime P and Q of 4000 digits: the torsion invariant P*Q has 7999
+    p, q = 10**3999 + 1, 10**3999 + 3
+    text = f"x^{p} + y^{p} + z^{q} + w^{q}"
+    code, out, _ = run_cli(capsys, "analyze", text, "--json")
+    assert code == 0
+    report = json.loads(out)
+    (d,) = report["quasitorus"]["torsion"]
+    assert len(d) == 7999 and _long_int(d) == p * q
+    assert report["aut"]["structure"] == f"S2 × S2 ⋉ ((Z/{d})^1 × T^1)"
+    code, out, _ = run_cli(capsys, "analyze", text, "--verify")
+    assert code == 0
+    assert f"verify torsion mod {d}: skipped (N^n = {d}^4 exceeds" in out
+    assert "verify generators: pass (6 generators certified)" in out
+
+
+def test_enumeration_guard_never_builds_the_power(capsys):
+    # N^20000 of a 1000-digit N has 2*10^7 digits; the guard is decided
+    # after the first multiplication
+    modulus = 10**999 + 7
+    text = fermat_form(20000, 2).to_text()
+    argv = ["verify", text, "--oracle", "torsion", "--mod", str(modulus)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"guard violation: N^n = {modulus}^20000 exceeds the enumeration "
+        "guard 10000000\n"
+    )
 
 
 def test_report_prints_integers_beyond_the_conversion_limit(capsys):

@@ -25,7 +25,8 @@ from sepaut.polyio import (
 def test_parse_flagship():
     p = parse_polynomial(FLAGSHIP)
     assert len(p.terms) == 4
-    assert sorted((t.degree for t in p.terms), reverse=True) == [21, 10, 10, 10]
+    degrees = [sum(e for _, e in t.monomial) for t in p.terms]
+    assert sorted(degrees, reverse=True) == [21, 10, 10, 10]
     assert all(t.coefficient == 1 for t in p.terms)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import express_in_basis, random_canonical_form
+from conftest import d_matrix, express_in_basis, random_canonical_form, times_rows
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
 from sepaut.polyio import (
@@ -37,7 +37,7 @@ def test_flagship_characters_and_differences(flagship):
         (0, 0, 0, 10, 0),
         (0, 0, 0, 0, 10),
     )
-    assert character_matrix(flagship).to_rows() == [
+    assert character_matrix(flagship) == [
         [-11, -10, 10, 0, 0],
         [-11, -10, 0, 10, 0],
         [-11, -10, 0, 0, 10],
@@ -45,14 +45,14 @@ def test_flagship_characters_and_differences(flagship):
 
 
 def test_fermat_difference_matrix():
-    assert character_matrix(fermat_form(3, 3)).to_rows() == [[-3, 3, 0], [-3, 0, 3]]
+    assert character_matrix(fermat_form(3, 3)) == [[-3, 3, 0], [-3, 0, 3]]
 
 
 def test_two_pure_powers_difference():
     # canonical order puts the higher pure exponent first: (y, x)
     cf = parse_separated("x^2 + y^3")
     assert cf.var_order == ("y", "x")
-    assert character_matrix(cf).to_rows() == [[-3, 2]]
+    assert character_matrix(cf) == [[-3, 2]]
 
 
 def test_single_monomial_rejected():
@@ -87,15 +87,15 @@ def test_fermat_family_structure(n, alpha):
 def test_torsion_generators_are_valid(flagship):
     rng = random.Random(44)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        d_matrix = character_matrix(cf)
+        rows = character_matrix(cf)
         q = quasitorus_structure(cf)
         for gen in q.torsion_generators:
             exponents = dense(gen.exponents, cf.variable_count)
             residues = [
                 sum(a * e for a, e in zip(row, exponents)) % gen.order
-                for row in d_matrix.to_rows()
+                for row in rows
             ]
-            assert residues == [0] * d_matrix.rows
+            assert residues == [0] * len(rows)
             # exact order: no smaller modulus works
             assert math.gcd(gen.order, *exponents) == 1
 
@@ -136,7 +136,7 @@ def test_count_matches_formula_randomized():
 
 def _enumerated(cf, modulus):
     """Plain count over all of (Z/N)^n, the reference for the column count."""
-    rows = character_matrix(cf).to_rows()
+    rows = character_matrix(cf)
     return sum(
         all(sum(a * x for a, x in zip(row, e)) % modulus == 0 for row in rows)
         for e in itertools.product(range(modulus), repeat=cf.variable_count)
@@ -179,7 +179,7 @@ def test_difference_matrix_always_full_rank():
     for _ in range(30):
         cf = random_canonical_form(rng)
         q = quasitorus_structure(cf)
-        assert len(q.cocharacter_basis) == cf.variable_count - character_matrix(cf).rows
+        assert len(q.cocharacter_basis) == cf.variable_count - len(character_matrix(cf))
 
 
 @st.composite
@@ -211,7 +211,7 @@ def separated_forms(draw, max_monomials=6, max_width=3, max_exp=9):
 @given(separated_forms())
 def test_closed_form_matches_smith_referee(cf):
     q = quasitorus_structure(cf)
-    snf = smith_normal_form(character_matrix(cf))
+    snf = smith_normal_form(d_matrix(cf))
     assert q.torus_rank == cf.variable_count - snf.rank
     assert q.torsion == tuple(d for d in snf.divisors if d > 1)
 
@@ -219,10 +219,10 @@ def test_closed_form_matches_smith_referee(cf):
 @settings(max_examples=60, deadline=None)
 @given(separated_forms(max_monomials=4, max_width=2))
 def test_closed_form_matches_minor_quotients(cf):
-    d_matrix = character_matrix(cf)
+    d = d_matrix(cf)
     quotients, prev = [], 1
-    for k in range(1, d_matrix.rows + 1):
-        delta = gcd_of_minors(d_matrix, k)
+    for k in range(1, d.rows + 1):
+        delta = gcd_of_minors(d, k)
         quotients.append(delta // prev)
         prev = delta
     assert quasitorus_structure(cf).torsion == tuple(d for d in quotients if d > 1)
@@ -232,7 +232,7 @@ def test_closed_form_matches_minor_quotients(cf):
 @given(separated_forms())
 def test_kernel_bases_span_the_same_lattice(cf):
     closed = [dense(v, cf.variable_count) for v in quasitorus_structure(cf).cocharacter_basis]
-    referee = kernel_basis(character_matrix(cf))
+    referee = kernel_basis(d_matrix(cf))
     for vec in referee:
         express_in_basis(closed, vec)
     for vec in closed:
@@ -245,7 +245,7 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     """N Z^n + ker(D) + sum (N/d_k) v_k is the whole lattice of solutions of
     D x == 0 (mod N), N = lcm(torsion): it lies inside, and its index
     N^(n - rank) / prod d_k is that of the solutions."""
-    d_matrix = character_matrix(cf)
+    d_rows = character_matrix(cf)
     q = quasitorus_structure(cf)
     n = cf.variable_count
     modulus = math.lcm(*q.torsion)
@@ -257,7 +257,7 @@ def test_generators_and_kernel_give_all_torsion_points(cf):
     ]
     lattice = IntMatrix.from_rows(rows)
     for row in rows:
-        assert all(x % modulus == 0 for x in d_matrix.matvec(row))
+        assert all(x % modulus == 0 for x in times_rows(d_rows, row))
     index = math.prod(smith_normal_form(lattice).divisors)
     assert index * math.prod(q.torsion) == modulus ** (n - q.torus_rank)
 
@@ -296,17 +296,17 @@ def test_every_emitted_vector_is_sparse_and_solves_d(cf):
     aut = aut_group(cf)
     quasi, gens, cone = aut.quasitorus, aut.torus_generators, aut.cone
     n, rank = cf.variable_count, quasi.torus_rank
-    d_matrix = character_matrix(cf)
-    zero = (0,) * d_matrix.rows
+    d_rows = character_matrix(cf)
+    zero = (0,) * len(d_rows)
     kernel = [*quasi.cocharacter_basis, gens.homogeneity]
     kernel += [p.vector for p in gens.pair_cocharacters]
     for vec in kernel:
         assert _canonical_sparse(vec, n)
-        assert d_matrix.matvec(dense(vec, n)) == zero
+        assert times_rows(d_rows, dense(vec, n)) == zero
     for t in quasi.torsion_generators:
         assert _canonical_sparse(t.exponents, n)
         assert all(0 < x < t.order for _, x in t.exponents)
-        assert all(x % t.order == 0 for x in d_matrix.matvec(dense(t.exponents, n)))
+        assert all(x % t.order == 0 for x in times_rows(d_rows, dense(t.exponents, n)))
     assert len(cone.weights) == n
     for vec in [*cone.weights, cone.witness]:
         assert _canonical_sparse(vec, rank)

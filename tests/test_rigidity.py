@@ -72,7 +72,9 @@ def test_exponent_one_is_never_certified():
     found = 0
     for _ in range(200):
         cf = random_canonical_form(rng)
-        if cf.monomial_count < 3 or 1 not in cf.exponent_vector:
+        exponents = {b.exponent for b in cf.pure_blocks}
+        exponents.update(e for b in cf.mixed_blocks for e in b.exponents)
+        if cf.monomial_count < 3 or 1 not in exponents:
             continue
         found += 1
         assert rigidity_certificate(cf).verdict != CERTIFIED_RIGID
