@@ -116,7 +116,10 @@ def run_verification(cf, aut) -> list[dict]:
         checks.append({
             "oracle": f"torsion mod {decimal(modulus)}" if modulus else oracle,
             "status": status,
-            "detail": found if claimed is None else template.format(found, claimed),
+            "detail": (
+                found if claimed is None
+                else template.format(decimal(found), decimal(claimed))
+            ),
         })
     return checks
 
@@ -335,8 +338,8 @@ def cmd_verify(args) -> int:
         print(f"perms: brute force {found} {rel} {claimed} (closed formula) "
               f"-> {verdict}")
     elif args.oracle == "torsion":
-        print(f"torsion mod {args.mod}: enumerated {found} {rel} {claimed} "
-              f"(divisor formula) -> {verdict}")
+        print(f"torsion mod {args.mod}: enumerated {decimal(found)} {rel} "
+              f"{decimal(claimed)} (divisor formula) -> {verdict}")
     elif ok:
         print(f"generators: {found} certified -> pass")
     else:

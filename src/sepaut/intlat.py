@@ -2,10 +2,10 @@
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is used anywhere.  The analysis of a polynomial never imports this
-module (quasitorus computes H block by block).  `IntMatrix` holds the
-difference matrix D of the torsion oracle in `oracles`; the Smith normal
-form serves `sepaut snf` and the tests, where it and the gcd-of-minors
-oracle referee the block-local closed form.
+module (quasitorus computes H block by block).  The Smith normal form
+serves `sepaut snf` and the tests, where it and the gcd-of-minors oracle,
+on the difference matrix D as an `IntMatrix`, referee the block-local
+closed form.
 The implementation favours exactness and auditability over asymptotics:
 
 * Smith normal form by elimination with a minimal-|entry| pivot rule, which

@@ -6,16 +6,18 @@ code with the one that made it:
 * `brute_force_perm_order` tries all n! variable permutations and counts
   those mapping the set of monomial exponent vectors onto itself; it checks
   the closed order formula of `permgroup.permutation_group`;
-* `count_torsion_points_mod` counts the solutions of D e == 0 (mod N) among
-  all N^n candidates, with D the difference matrix of `character_matrix`;
-  it checks `torsion_count_formula`, N^rank * prod gcd(d_k, N) read off the
-  torus rank and torsion of a quasitorus description;
+* `count_torsion_points_mod` counts the e in (Z/N)^n on which all monomial
+  characters agree mod N (the solutions of D e == 0, D the difference
+  matrix), one tally per monomial over its own variables; it checks
+  `torsion_count_formula`, N^rank * prod gcd(d_k, N) read off the torus
+  rank and torsion of a quasitorus description;
 * `verify_permutation` (on cycles) and `verify_diagonal` (on a sparse
   vector) certify F o g = c * F on the monomials g touches, and
   `certify_pipeline_generators` on every generator an analysis emits.
 
 The guards live here too: brute force over permutations needs n <= 8
-(`TooManyVariablesError`), the count N^n <= 10^7 (`EnumerationTooLargeError`).
+(`TooManyVariablesError`), the count M*N + (n-M)*N^2 <= 10^6 steps, decided
+before it runs (`EnumerationTooLargeError`).
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
 on the analysis path imports it.
@@ -24,6 +26,7 @@ on the analysis path imports it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import permutations
 
 from .permgroup import cycle_notation
@@ -38,7 +41,6 @@ __all__ = [
     "NotAnAutomorphismError",
     "permute_vector",
     "brute_force_perm_order",
-    "character_matrix",
     "count_torsion_points_mod",
     "torsion_count_formula",
     "verify_permutation",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 8
-ENUMERATION_LIMIT = 10_000_000
+ENUMERATION_LIMIT = 1_000_000
 
 
 class TooManyVariablesError(ValueError):
@@ -55,7 +57,7 @@ class TooManyVariablesError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """The brute-force count N^n would exceed the enumeration guard."""
+    """The torsion count would take more steps than the enumeration guard."""
 
 
 class NotAnAutomorphismError(ValueError):
@@ -86,80 +88,48 @@ def brute_force_perm_order(cf: CanonicalForm) -> int:
     return count
 
 
-def character_matrix(cf: CanonicalForm) -> list[list[int]]:
-    """The rows of the difference matrix D of the monomial characters.
-
-    Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
-    blocks first, then pure powers).  Because monomial supports are pairwise
-    disjoint, the rows are linearly independent: D always has full row rank
-    M - 1, and H's character group is Z^n modulo its row lattice.
-    """
-    if cf.monomial_count < 2:
-        raise SingleMonomialError(
-            "need at least two monomials to cut out a hypersurface with "
-            "diagonal symmetry structure"
-        )
-    chars = cf.monomial_vectors
-    return [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
-
-
 def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
-    """Count e in (Z/N)^n with D e == 0 (mod N), one variable at a time.
-
-    The columns of D are taken in order; a dict maps the residues mod N of
-    the rows still open to the number of partial assignments of the
-    variables so far that reach them.  After a row's last entry that is
-    nonzero mod N its residue must be 0, and it leaves the key.  Each of the
-    N^n assignments is counted exactly once, for any integer matrix D, with
-    no Smith form or block theory, so the count stays independent of the
-    closed form it checks.  Guarded by N^n <= 10^7, decided by multiplying
-    up to the limit; D is built only once the guard has passed.
-    """
+    """Count e in (Z/N)^n on which all characters chi_i . e agree mod N (the
+    solutions of D e == 0, D with rows chi_i - chi_0): the sum over c of
+    prod_i T_i[c], where T_i[c] counts the assignments of monomial i's own
+    variables with chi_i . e == c, built from [1, 0, ..., 0] one variable and
+    N values at a time.  No gcd, Smith form or block theory.  The work,
+    M*N + (n-M)*N^2 steps, is checked against `ENUMERATION_LIMIT` before
+    counting; at the limit a count took 0.03-1.2 s on one core, and 5 s on
+    one block of 250 000 variables mod 2, whose tallies reach 250 000 bits."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    n = cf.variable_count
-    power = 1
-    for _ in range(n):
-        power *= modulus
-        if power > ENUMERATION_LIMIT:
-            raise EnumerationTooLargeError(
-                f"N^n = {decimal(modulus)}^{n} exceeds the enumeration guard "
-                f"{ENUMERATION_LIMIT}"
-            )
-    rows = [[x % modulus for x in row] for row in character_matrix(cf)]
-    last = [max((j for j, x in enumerate(row) if x), default=-1) for row in rows]
-    open_rows = [r for r in range(len(rows)) if last[r] >= 0]
-    counts = {(0,) * len(open_rows): 1}
-    for j in range(n):
-        keep = [k for k, r in enumerate(open_rows) if last[r] > j]
-        closing = [k for k, r in enumerate(open_rows) if last[r] == j]
-        # the N values of e_j, tallied by what they add to the closing rows
-        # and to the others; a key reaches 0 on the closing rows only with
-        # the values that add its negative there
-        moves: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for x in range(modulus):
-            add = [rows[r][j] * x % modulus for r in open_rows]
-            tally = moves.setdefault(tuple(add[k] for k in closing), {})
-            rest = tuple(add[k] for k in keep)
-            tally[rest] = tally.get(rest, 0) + 1
-        step: dict[tuple[int, ...], int] = {}
-        for key, count in counts.items():
-            need = tuple(-key[k] % modulus for k in closing)
-            for rest, times in moves.get(need, {}).items():
-                reached = tuple((key[k] + a) % modulus for k, a in zip(keep, rest))
-                step[reached] = step.get(reached, 0) + count * times
-        open_rows = [open_rows[k] for k in keep]
-        counts = step
-    return counts[()]
+    supports = cf.monomial_supports
+    n, m = cf.variable_count, len(supports)
+    if m < 2:
+        raise SingleMonomialError("need at least two monomials")
+    if m * modulus + (n - m) * modulus**2 > ENUMERATION_LIMIT:
+        raise EnumerationTooLargeError(
+            f"M*N + (n-M)*N^2 steps for N = {decimal(modulus)}, n = {n}, M = {m} "
+            f"exceed the enumeration guard {ENUMERATION_LIMIT}"
+        )
+    # monomials with the same exponents mod N have the same tally
+    shapes = Counter(tuple(e % modulus for _, e in support) for support in supports)
+    tallies: Counter[tuple[int, ...]] = Counter()
+    for shape, times in shapes.items():
+        tally = [1] + [0] * (modulus - 1)
+        for e in shape:
+            adds = [e * x % modulus for x in range(modulus)]
+            step = [0] * modulus
+            for c in (c for c, count in enumerate(tally) if count):
+                for a in adds:
+                    step[(c + a) % modulus] += tally[c]
+            tally = step
+        tallies[tuple(tally)] += times
+    return sum(
+        math.prod(t[c] ** times for t, times in tallies.items()) for c in range(modulus)
+    )
 
 
 def torsion_count_formula(quasi, modulus: int) -> int:
-    """Closed form for the same count: N^rank * prod gcd(d_k, N).
-
-    Reads the torus rank and torsion invariants of the quasitorus
-    description `quasi`, so `count_torsion_points_mod` checks the torsion
-    the report emits.
-    """
+    """Closed form for the same count, N^rank * prod gcd(d_k, N), read off
+    the torus rank and torsion of the quasitorus description `quasi`: the
+    torsion the report emits."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     count = modulus**quasi.torus_rank

@@ -10,9 +10,11 @@ a run of the canonical variable order (one per mixed block, one variable per
 pure power), and its character factors as chi_i = g_i * p_i, with g_i the
 gcd of its exponents and p_i primitive.  Extended Euclid on p_i gives a
 unimodular W_i with p_i W_i = e_1; its first column s_i pairs to 1 with p_i
-and its other columns span p_i's orthogonal lattice.  `quasitorus_structure`
-reads these block data off the canonical form in one O(n) pass and holds
-them in its `blocks` field, which `cocharacter_coordinates` reads; from them:
+and its other columns span p_i's orthogonal lattice.  W_i is held as sparse
+columns with O(k_i log p_i) entries, its inverse only as the column
+operations that built W_i (see `_completion`).  `quasitorus_structure`
+reads these block data off the canonical form in one pass and holds them in
+its `blocks` field, which `cocharacter_coordinates` reads; from them:
 
 * the cocharacter lattice ker(D) has the basis w (equal to (L/g_i) s_i on
   every S_i, with L = lcm(g)) followed by columns 2..k of every W_i, so the
@@ -26,13 +28,13 @@ them in its `blocks` field, which `cocharacter_coordinates` reads; from them:
 Every vector the description holds is a `polyio.SparseVector`: a tuple of
 (index, value) pairs with strictly increasing index and no zero value, so w
 and each torsion generator touch only the variables of the blocks they live
-on, and the whole description has O(n + sum of k_i^2) entries.
+on, and the whole description has O(n + sum of k_i log p_i) entries.
 `polyio.dense` expands one to its n entries, for the report only.
 
 No Smith normal form is involved, and neither is the dense difference
-matrix D (rows chi_i - chi_0).  D serves only the independent cross-check
-in `oracles`, which counts the solutions of D e == 0 (mod N), and the
-tests, where the Smith normal form and the gcd of minors of D referee H.
+matrix D (rows chi_i - chi_0).  Only the tests build D, where its Smith
+normal form and gcd of minors referee H; the independent cross-check in
+`oracles` counts the solutions of D e == 0 (mod N) monomial by monomial.
 """
 
 from __future__ import annotations
@@ -72,20 +74,19 @@ class _Block(NamedTuple):
     """Per-monomial data chi = gcd * p on the monomial's support.
 
     `support` is the monomial's variable indices and `exponents` its
-    character on them; `transform` is a unimodular W (rows indexed like
-    `support`) with p W = e_1, and `inverse` is its inverse.
+    character on them.  A unimodular W with p W = e_1 is held as its first
+    column `section` (s, the vector pairing to 1 with p) and its other
+    columns `kernel`, all sparse over the variable indices; `steps` are the
+    column operations that built W, which `cocharacter_coordinates` undoes
+    to apply W^{-1}.
     """
 
     support: tuple[int, ...]
     exponents: tuple[int, ...]
     gcd: int
-    transform: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[int, ...], ...]
-
-    @property
-    def section(self) -> tuple[int, ...]:
-        """s, the first column of W: the vector pairing to 1 with p."""
-        return tuple(row[0] for row in self.transform)
+    section: SparseVector
+    kernel: tuple[SparseVector, ...]
+    steps: tuple[tuple[int, int, int, int, int], ...]
 
 
 class QuasitorusDescription(NamedTuple):
@@ -107,36 +108,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
 
 
-_IDENTITY_1 = ((1,),)
+def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...], tuple]:
+    """(section, kernel, steps) of a unimodular W with p W = e_1, for primitive p.
 
-
-def _completion(p) -> tuple[tuple, tuple]:
-    """Unimodular W and its inverse (tuples of rows) with p W = e_1, for primitive p.
-
-    Each step folds entry j into entry 0 by a 2x2 column operation of
-    determinant 1 built from extended Euclid; the inverse applies the inverse
-    row operations.
+    Step j folds entry j into entry 0 by a 2x2 column operation of
+    determinant 1 built from extended Euclid on the running gcd a and p_j:
+    column j becomes (a/g) e_j - (p_j/g) s and s becomes x s + y e_j.
+    Column j is final from then on.  When a divides p_j, s stays as it is
+    (x = 1, y = 0) or becomes e_j (a = p_j); it gains an entry only when the
+    gcd drops, at most log2(p_0) times, so W has O(k log p_0) entries.
     """
-    if len(p) == 1 and p[0] == 1:  # a pure power
-        return _IDENTITY_1, _IDENTITY_1
-    k = len(p)
-    w = [[int(i == j) for j in range(k)] for i in range(k)]
-    inv = [row[:] for row in w]
-    r = list(p)
-    for j in range(1, k):
-        a, b = r[0], r[j]
-        g, x, y = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in w:
-            c0, cj = row[0], row[j]
-            row[0], row[j] = x * c0 + y * cj, ag * cj - bg * c0
-        r0, rj = inv[0], inv[j]
-        inv[0] = [ag * u + bg * v for u, v in zip(r0, rj)]
-        inv[j] = [x * v - y * u for u, v in zip(r0, rj)]
-        r[0], r[j] = g, 0
-    if r[0] != 1:
+    section = {0: 1}
+    kernel = []
+    steps = []
+    a = p[0]
+    for j in range(1, len(p)):
+        g, x, y = _xgcd(a, p[j])
+        ag, bg = a // g, p[j] // g
+        kernel.append({**{i: -bg * u for i, u in section.items()}, j: ag})
+        if (x, y) != (1, 0):
+            section = {i: x * u for i, u in section.items() if x * u}
+            if y:
+                section[j] = y
+        steps.append((j, x, y, ag, bg))
+        a = g
+    if a != 1:
         raise AssertionError(f"character part {tuple(p)} is not primitive")
-    return tuple(map(tuple, w)), tuple(map(tuple, inv))
+
+    def sparse(column) -> SparseVector:
+        return tuple((support[i], u) for i, u in column.items())
+
+    return sparse(section), tuple(map(sparse, kernel)), tuple(steps)
 
 
 def _blocks(cf: CanonicalForm) -> list[_Block]:
@@ -153,8 +155,8 @@ def _blocks(cf: CanonicalForm) -> list[_Block]:
     for pairs in cf.monomial_supports:
         support, exponents = zip(*pairs)
         g = math.gcd(*exponents)
-        w, inv = _completion([e // g for e in exponents])
-        blocks.append(_Block(support, exponents, g, w, inv))
+        p = [e // g for e in exponents]
+        blocks.append(_Block(support, exponents, g, *_completion(p, support)))
     return blocks
 
 
@@ -220,7 +222,7 @@ def _torsion(blocks: list[_Block]) -> tuple[TorsionGenerator, ...]:
         exponents: dict[int, int] = {}
         for q, v, i in parts:
             c = d // q**v
-            for var, s in zip(blocks[i].support, blocks[i].section):
+            for var, s in blocks[i].section:
                 exponents[var] = exponents.get(var, 0) + c * s
         reduced = ((var, x % d) for var, x in sorted(exponents.items()))
         generators.append(
@@ -249,11 +251,8 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
     w = []
     basis = []
     for b in blocks:
-        w += [(var, lcm // b.gcd * s) for var, s in zip(b.support, b.section) if s]
-        for j in range(1, len(b.support)):
-            basis.append(
-                tuple((var, row[j]) for var, row in zip(b.support, b.transform) if row[j])
-            )
+        w += [(var, lcm // b.gcd * s) for var, s in b.section]
+        basis += b.kernel
     generators = _torsion(blocks)
     return QuasitorusDescription(
         torus_rank=len(basis) + 1,
@@ -273,7 +272,8 @@ def cocharacter_coordinates(
     With P the common pairing of `vector` with every character, the
     coordinate on w is P / lcm(g); on block i the others are entries 2..k of
     W_i^{-1} (vector|S_i - (P / g_i) s_i), whose entry 1 is zero, from the
-    block data `quasi.blocks`.  Raises ValueError off ker(D).
+    block data `quasi.blocks`, in O(k_i) steps per block.  Raises ValueError
+    off ker(D).
     """
     blocks = quasi.blocks
     values = dict(vector)
@@ -291,10 +291,11 @@ def cocharacter_coordinates(
     # a one-variable block has no coordinate but the section's, which is zero
     for b in (b for b in blocks if len(b.support) > 1):
         offset = pairing // b.gcd
-        rest = [
-            values.get(var, 0) - offset * s for var, s in zip(b.support, b.section)
-        ]
-        y = [sum(u * x for u, x in zip(row, rest)) for row in b.inverse]
+        section = dict(b.section)
+        y = [values.get(v, 0) - offset * section.get(v, 0) for v in b.support]
+        # W^{-1} undoes the column operations of W in the order they were made
+        for j, x, c, ag, bg in b.steps:
+            y[0], y[j] = ag * y[0] + bg * y[j], x * y[j] - c * y[0]
         if y[0]:
             raise AssertionError("block coordinate on the section is not zero")
         coords += y[1:]

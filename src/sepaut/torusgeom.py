@@ -79,13 +79,14 @@ def torus_generators(cf: CanonicalForm) -> TorusGenerators:
     monomials holding one of its nonzero entries are visited, the others
     pair to 0.
     """
-    degrees = [b.degree for b in cf.mixed_blocks] + [
-        b.exponent for b in cf.pure_blocks
-    ]
-    total = lcm(*degrees)
+    # each block's degree is summed once, not once per variable
+    blocks = [(b.degree, b.variables) for b in cf.mixed_blocks]
+    blocks += [(b.exponent, b.variables) for b in cf.pure_blocks]
+    total = lcm(*(degree for degree, _ in blocks))
     # the blocks hold the canonical variable order in turn
-    scales = [total // b.degree for b in cf.mixed_blocks for _ in b.variables]
-    scales += [total // b.exponent for b in cf.pure_blocks for _ in b.variables]
+    scales = []
+    for degree, names in blocks:
+        scales += [total // degree] * len(names)
     homogeneity = tuple(enumerate(scales))
 
     pairs = []

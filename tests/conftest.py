@@ -3,9 +3,10 @@
 import pytest
 
 from sepaut.intlat import IntMatrix, smith_normal_form
-from sepaut.oracles import NotAnAutomorphismError, character_matrix, permute_vector
+from sepaut.oracles import NotAnAutomorphismError, permute_vector
 from sepaut.permgroup import cycle_notation
 from sepaut.polyio import make_canonical_form, parse_separated
+from sepaut.quasitorus import SingleMonomialError
 
 # running example used across the suite and in the README
 FLAGSHIP = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
@@ -120,9 +121,27 @@ def block_shape(cf):
     )
 
 
+def character_matrix(cf) -> list[list[int]]:
+    """The rows of the difference matrix D of the monomial characters.
+
+    Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
+    blocks first, then pure powers).  Because monomial supports are pairwise
+    disjoint, the rows are linearly independent: D always has full row rank
+    M - 1, and H's character group is Z^n modulo its row lattice.  The Smith
+    normal form and the gcd of minors of D referee the closed form of H.
+    """
+    if cf.monomial_count < 2:
+        raise SingleMonomialError(
+            "need at least two monomials to cut out a hypersurface with "
+            "diagonal symmetry structure"
+        )
+    chars = cf.monomial_vectors
+    return [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
+
+
 def d_matrix(cf) -> IntMatrix:
-    """The difference matrix D of `oracles.character_matrix` as an
-    `IntMatrix`, for the referees that take one."""
+    """The difference matrix D of `character_matrix` as an `IntMatrix`, for
+    the referees that take one."""
     return IntMatrix.from_rows(character_matrix(cf), cols=cf.variable_count)
 
 

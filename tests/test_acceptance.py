@@ -13,6 +13,7 @@ from math import factorial
 from conftest import (
     FLAGSHIP,
     change_basis,
+    character_matrix,
     express_in_basis,
     random_canonical_form,
     times_rows,
@@ -21,7 +22,6 @@ from sepaut.autassembly import aut_group, fermat_aut, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, smith_normal_form
 from sepaut.oracles import (
     brute_force_perm_order,
-    character_matrix,
     count_torsion_points_mod,
     torsion_count_formula,
     verify_diagonal,

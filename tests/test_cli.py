@@ -15,7 +15,7 @@ from conftest import FLAGSHIP, random_canonical_form
 import sepaut.cli
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.cli import REPORT_LIMIT, build_report, main
-from sepaut.polyio import parse_separated
+from sepaut.polyio import decimal, parse_separated
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -124,8 +124,10 @@ def test_verify_guards_exit_3(capsys):
     code, _, err = run_cli(capsys, "verify", BIG, "--oracle", "perms")
     assert code == 3
     assert "guard" in err
-    code, _, err = run_cli(capsys, "verify", BIG, "--oracle", "torsion", "--mod", "10")
+    # 9 pure squares mod 200000: M*N = 1.8*10^6 steps, over the guard
+    code, _, err = run_cli(capsys, "verify", BIG, "--oracle", "torsion", "--mod", "200000")
     assert code == 3
+    assert "guard" in err
 
 
 def test_analyze_verify_reports_guard_as_skipped(capsys):
@@ -313,12 +315,12 @@ def _count_calls(monkeypatch, names) -> dict[str, int]:
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):
-    import sepaut.oracles  # noqa: F401  (loaded so its character_matrix is counted)
+    import sepaut.oracles  # noqa: F401  (loaded so its torsion count is counted)
 
-    counts = _count_calls(monkeypatch, STAGES + ("character_matrix",))
+    counts = _count_calls(monkeypatch, STAGES + ("count_torsion_points_mod",))
     rng = random.Random(48)
-    # torsion (2, 6) runs the torsion oracle at two moduli; the guard skips
-    # the torsion oracle of fermat 30 2, so D is never built there
+    # torsion (2, 6) runs the torsion oracle at two moduli; fermat 30 2 is
+    # counted mod 2 in 60 steps
     fermat = fermat_form(30, 2).to_text()
     texts = [FLAGSHIP, BIG, "x + y", "x^2*y^2 + z^6 + w^6", fermat]
     texts += [random_canonical_form(rng).to_text() for _ in range(8)]
@@ -328,13 +330,13 @@ def test_build_report_runs_each_stage_once(monkeypatch):
                 counts[name] = 0
             report = build_report(text, parse_separated(text), verify=verify)
             assert {name: counts[name] for name in STAGES} == dict.fromkeys(STAGES, 1)
-            counted = [
-                c for c in report["verification"]["checks"]
-                if c["oracle"].startswith("torsion mod") and c["status"] != "skipped"
+            torsion = [
+                c["status"] for c in report["verification"]["checks"]
+                if c["oracle"].startswith("torsion mod")
             ]
-            assert counts["character_matrix"] == len(counted)
-            if text == fermat:
-                assert counted == []
+            assert counts["count_torsion_points_mod"] == len(torsion)
+            if text == fermat and verify:
+                assert torsion == ["pass"]
 
 
 @pytest.mark.parametrize(
@@ -441,22 +443,34 @@ def test_torsion_beyond_the_conversion_limit(capsys):
     assert report["aut"]["structure"] == f"S2 × S2 ⋉ ((Z/{d})^1 × T^1)"
     code, out, _ = run_cli(capsys, "analyze", text, "--verify")
     assert code == 0
-    assert f"verify torsion mod {d}: skipped (N^n = {d}^4 exceeds" in out
+    assert f"verify torsion mod {d}: skipped (M*N + (n-M)*N^2 steps for N = {d}, " in out
     assert "verify generators: pass (6 generators certified)" in out
 
 
 def test_enumeration_guard_never_builds_the_power(capsys):
-    # N^20000 of a 1000-digit N has 2*10^7 digits; the guard is decided
-    # after the first multiplication
+    # N^20000 of a 1000-digit N would have 2*10^7 digits; the guard's work
+    # M*N + (n-M)*N^2 has about 2000
     modulus = 10**999 + 7
     text = fermat_form(20000, 2).to_text()
     argv = ["verify", text, "--oracle", "torsion", "--mod", str(modulus)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == (
-        f"guard violation: N^n = {modulus}^20000 exceeds the enumeration "
-        "guard 10000000\n"
+        f"guard violation: M*N + (n-M)*N^2 steps for N = {modulus}, n = 20000, "
+        "M = 20000 exceed the enumeration guard 1000000\n"
     )
+
+
+def test_verify_torsion_counts_a_wide_fermat_form(capsys):
+    # fermat 20000 2 mod 2: 40000 steps, and a count of 6021 digits
+    text = fermat_form(20000, 2).to_text()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", text, "--oracle", "torsion", "--mod", "2")
+    elapsed = time.perf_counter() - start
+    count = decimal(2**20000)
+    assert (code, err) == (0, "")
+    assert out == f"torsion mod 2: enumerated {count} == {count} (divisor formula) -> pass\n"
+    assert elapsed < 1.0
 
 
 def test_report_prints_integers_beyond_the_conversion_limit(capsys):

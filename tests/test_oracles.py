@@ -5,18 +5,23 @@ import ast
 import importlib
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import sepaut.oracles
 from conftest import cycles_of, random_canonical_form, verify_dense
 from sepaut.autassembly import aut_group
+from sepaut.cli import build_report
 from sepaut.oracles import (
     NotAnAutomorphismError,
     certify_pipeline_generators,
+    count_torsion_points_mod,
+    torsion_count_formula,
     verify_diagonal,
     verify_permutation,
 )
 from sepaut.polyio import dense, make_canonical_form, parse_separated, permutation
+from sepaut.quasitorus import quasitorus_structure
 
 # the modules whose claims the oracles check
 CHECKED = {"quasitorus", "permgroup", "torusgeom", "rigidity", "autassembly"}
@@ -158,3 +163,44 @@ def test_certification_reads_linearly_many_supports(monkeypatch):
     assert len(certify_pipeline_generators(cf, aut)) == 5004
     assert entries == 14003
     assert 0 < reads[0] <= 5 * entries
+
+
+def _small_forms(max_vars=4, max_exp=6):
+    """Every canonical form of at least two monomials on at most `max_vars`
+    variables with exponents at most `max_exp`, each once: a multiset of
+    monomials, each monomial a multiset of exponents."""
+    shapes = [
+        shape
+        for width in range(1, max_vars + 1)
+        for shape in combinations_with_replacement(range(max_exp, 0, -1), width)
+    ]
+
+    def grow(start, used, chosen):
+        if len(chosen) >= 2:
+            yield chosen
+        for k in range(start, len(shapes)):
+            if used + len(shapes[k]) <= max_vars:
+                yield from grow(k, used + len(shapes[k]), chosen + [shapes[k]])
+
+    for chosen in grow(0, 0, []):
+        names = iter(f"v{k}" for k in range(max_vars))
+        mixed = [([next(names) for _ in s], list(s)) for s in chosen if len(s) > 1]
+        pure = [(s[0], [next(names)]) for s in chosen if len(s) == 1]
+        yield make_canonical_form(mixed, pure)
+
+
+def test_every_small_form_passes_every_oracle():
+    """Small scope: on every form with n <= 4 and exponents <= 6, where the
+    brute-force oracles are complete, every check of the report passes and
+    the torsion count equals the divisor formula at every N <= 12."""
+    forms = list(_small_forms())
+    assert len(forms) == len(set(forms)) == 1337
+    for cf in forms:
+        report = build_report(cf.to_text(), cf, verify=True)
+        checks = report["verification"]["checks"]
+        assert [c["status"] for c in checks] == ["pass"] * len(checks), checks
+        quasi = quasitorus_structure(cf)
+        for modulus in range(1, 13):
+            assert count_torsion_points_mod(cf, modulus) == torsion_count_formula(
+                quasi, modulus
+            )

@@ -1,12 +1,20 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import d_matrix, express_in_basis, random_canonical_form, times_rows
+import sepaut.oracles
+from conftest import (
+    character_matrix,
+    d_matrix,
+    express_in_basis,
+    random_canonical_form,
+    times_rows,
+)
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, kernel_basis, smith_normal_form
 from sepaut.polyio import (
@@ -19,7 +27,6 @@ from sepaut.polyio import (
 )
 from sepaut.oracles import (
     EnumerationTooLargeError,
-    character_matrix,
     count_torsion_points_mod,
     torsion_count_formula,
 )
@@ -116,11 +123,29 @@ def test_count_flagship_mod_ten(flagship):
     assert torsion_count_formula(quasitorus_structure(flagship), 10) == 10000
 
 
+# M*N + (n-M)*N^2 = 2*N + N^2 steps mod N
+_MIXED_EDGE = parse_separated("a^2*b^3 + c^5")
+
+
 def test_count_guard():
+    # 9 pure squares mod 200000: M*N = 1.8*10^6 steps
     names = [f"a{k}" for k in range(9)]
     cf = make_canonical_form([], [(2, names)])
     with pytest.raises(EnumerationTooLargeError):
-        count_torsion_points_mod(cf, 10)
+        count_torsion_points_mod(cf, 200_000)
+
+
+def test_count_just_over_the_guard():
+    # one step over at N = 1001 and 2001 steps over at N = 1000 (see the
+    # guard edge below); the guard decides before any tally is built
+    cases = ((fermat_form(1000, 3), 1001, 1000, 1000), (_MIXED_EDGE, 1000, 3, 2))
+    for cf, modulus, n, m in cases:
+        with pytest.raises(EnumerationTooLargeError) as exc:
+            count_torsion_points_mod(cf, modulus)
+        assert str(exc.value) == (
+            f"M*N + (n-M)*N^2 steps for N = {modulus}, n = {n}, M = {m} exceed "
+            "the enumeration guard 1000000"
+        )
 
 
 def test_count_matches_formula_randomized():
@@ -155,12 +180,34 @@ def test_count_matches_plain_enumeration(data):
     assert count == torsion_count_formula(quasitorus_structure(cf), modulus)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_count_the_power_guard_admitted_still_runs(data):
+    """The guard used to admit N^n <= 10^7; every such count takes at most
+    46655 steps, far within the step guard, and is right: it equals the
+    plain enumeration where that is small enough to run, else the formula."""
+    cf = data.draw(separated_forms(max_monomials=8, max_width=4))
+    n = cf.variable_count
+    top = 1
+    while (top + 1) ** n <= 10**7:
+        top += 1
+    modulus = data.draw(st.integers(1, top))
+    with mock.patch.object(sepaut.oracles, "ENUMERATION_LIMIT", 46_655):
+        count = count_torsion_points_mod(cf, modulus)
+    if modulus**n <= 20_000:
+        assert count == _enumerated(cf, modulus)
+    else:
+        assert count == torsion_count_formula(quasitorus_structure(cf), modulus)
+
+
 def test_count_at_the_guard_edge():
-    # 2^23 <= 10^7: the largest pure Fermat count the guard lets through
-    cf = fermat_form(23, 3)
-    assert count_torsion_points_mod(cf, 2) == torsion_count_formula(
-        quasitorus_structure(cf), 2
-    )
+    # M*N + (n-M)*N^2 steps <= 10^6: 1000*1000 on fermat 1000 3 and
+    # 2*999 + 999^2 = 999999 on a^2*b^3 + c^5, the largest moduli the guard
+    # lets through on these forms
+    for cf, modulus in ((fermat_form(1000, 3), 1000), (_MIXED_EDGE, 999)):
+        assert count_torsion_points_mod(cf, modulus) == torsion_count_formula(
+            quasitorus_structure(cf), modulus
+        )
 
 
 def test_torus_rank_identity_random():
@@ -326,3 +373,24 @@ def test_overlapping_supports_fail_loudly():
     )
     with pytest.raises(AssertionError, match="share variable 'y'"):
         quasitorus_structure(cf)
+
+
+def test_wide_block_data_stay_linear():
+    """One block of k = 4000 variables.  A dense W and W^{-1} held 2k^2 =
+    3.2*10^7 entries; the sparse columns of W hold at most 3 per variable
+    and its inverse is the k - 1 column operations.  The first block drops
+    its gcd once (p_0 = 4001, p_1 = 4000), the second takes the a = p_j
+    branch of every step after the first (exponents 2, 1, ..., 1)."""
+    k = 4000
+    chains = (
+        "*".join(f"x{i}^{i + 2}" for i in range(k)),
+        "x0^2*" + "*".join(f"x{i}" for i in range(1, k)),
+    )
+    for chain in chains:
+        aut = aut_group(parse_separated(chain + " + y^3 + z^5"))
+        wide = aut.quasitorus.blocks[0]
+        assert len(wide.support) == k
+        assert len(wide.section) + sum(map(len, wide.kernel)) <= 3 * k
+        assert len(wide.steps) == k - 1
+        # the cone's witness applies W^{-1} through the column operations
+        assert aut.cone.pointed

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from conftest import change_basis, express_in_basis, random_canonical_form, times_rows
+from conftest import (
+    change_basis,
+    character_matrix,
+    express_in_basis,
+    random_canonical_form,
+    times_rows,
+)
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, smith_normal_form
-from sepaut.oracles import character_matrix
 from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 from sepaut.torusgeom import torus_generators, weight_cone
