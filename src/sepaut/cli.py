@@ -1,9 +1,10 @@
 """Command-line front end: analyze, verify, snf, fermat.
 
 Exit codes: 0 success, 1 failure or error, 2 input not separated,
-3 oracle guard violation.  JSON output has a fixed key order, escapes
-non-ASCII characters, and serializes unbounded integers and rationals as
-decimal strings, so identical invocations produce byte-identical output.
+3 oracle guard violation (the oracle would take over 10^6 steps).  JSON
+output has a fixed key order, escapes non-ASCII characters, and serializes
+unbounded integers and rationals as decimal strings, so identical
+invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles;
 `build_report` expands each vector to its dense list of decimal strings and
 each permutation generator to its n images (`aut.action`), and refuses
@@ -75,10 +76,10 @@ def _frac(x) -> str | None:
 def _oracle(oracle: str, cf, claim, modulus):
     """(status, found, claimed) of one oracle run against `claim`: the
     permutation group ('perms'), the quasitorus ('torsion', counting mod
-    `modulus`) or the whole analysis ('generators').  A guard gives
-    ('skipped', message, None), a generator failing certification
-    ('fail', message, None).  The oracles load only here, so a plain
-    analysis never imports them."""
+    `modulus`) or the whole analysis ('generators').  The enumeration
+    guard of the perms and torsion oracles gives ('skipped', message, None),
+    a generator failing certification ('fail', message, None).  The oracles
+    load only here, so a plain analysis never imports them."""
     from . import oracles
 
     try:
@@ -89,7 +90,7 @@ def _oracle(oracle: str, cf, claim, modulus):
             claimed = oracles.torsion_count_formula(claim, modulus)
         else:
             found = claimed = len(oracles.certify_pipeline_generators(cf, claim))
-    except (oracles.TooManyVariablesError, oracles.EnumerationTooLargeError) as exc:
+    except oracles.EnumerationTooLargeError as exc:
         return "skipped", str(exc), None
     except oracles.NotAnAutomorphismError as exc:
         return "fail", str(exc), None

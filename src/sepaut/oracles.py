@@ -3,9 +3,9 @@
 Each oracle recomputes a claim of the analysis by a method that shares no
 code with the one that made it:
 
-* `brute_force_perm_order` tries all n! variable permutations and counts
-  those mapping the set of monomial exponent vectors onto itself; it checks
-  the closed order formula of `permgroup.permutation_group`;
+* `brute_force_perm_order` tries every variable permutation that keeps
+  each exponent and counts those mapping the monomials onto themselves; it
+  checks the closed order formula of `permgroup.permutation_group`;
 * `count_torsion_points_mod` counts the e in (Z/N)^n on which all monomial
   characters agree mod N (the solutions of D e == 0, D the difference
   matrix), one tally per monomial over its own variables; it checks
@@ -15,9 +15,9 @@ code with the one that made it:
   vector) certify F o g = c * F on the monomials g touches, and
   `certify_pipeline_generators` on every generator an analysis emits.
 
-The guards live here too: brute force over permutations needs n <= 8
-(`TooManyVariablesError`), the count M*N + (n-M)*N^2 <= 10^6 steps, decided
-before it runs (`EnumerationTooLargeError`).
+The guards live here too, both a number of steps decided before the oracle
+runs and held to `ENUMERATION_LIMIT` = 10^6 (`EnumerationTooLargeError`):
+n per permutation tried, and M*N + (n-M)*N^2 for the count.
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
 on the analysis path imports it.
@@ -34,12 +34,9 @@ from .polyio import CanonicalForm, Permutation, SparseVector, decimal
 from .quasitorus import SingleMonomialError
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "ENUMERATION_LIMIT",
-    "TooManyVariablesError",
     "EnumerationTooLargeError",
     "NotAnAutomorphismError",
-    "permute_vector",
     "brute_force_perm_order",
     "count_torsion_points_mod",
     "torsion_count_formula",
@@ -48,44 +45,69 @@ __all__ = [
     "certify_pipeline_generators",
 ]
 
-BRUTE_FORCE_LIMIT = 8
 ENUMERATION_LIMIT = 1_000_000
 
 
-class TooManyVariablesError(ValueError):
-    """Brute force over n! permutations is limited to n <= 8."""
-
-
 class EnumerationTooLargeError(ValueError):
-    """The torsion count would take more steps than the enumeration guard."""
+    """A brute-force oracle would take more steps than the enumeration guard."""
 
 
 class NotAnAutomorphismError(ValueError):
     """The candidate monomial map does not preserve the polynomial."""
 
 
-def permute_vector(perm: tuple[int, ...], vec) -> tuple[int, ...]:
-    """Move entry v to slot perm[v] (the action of the permutation on
-    exponent vectors and diagonal coordinates)."""
-    out = [0] * len(vec)
-    for v, x in enumerate(vec):
-        out[perm[v]] = x
-    return tuple(out)
-
-
 def brute_force_perm_order(cf: CanonicalForm) -> int:
-    """Count permutations with F o tau = F by trying all n! of them."""
+    """Count the permutations tau with F o tau = F by trying every one that
+    sends each variable to a variable of the same exponent, as each such tau
+    does: the monomial holding v lands on a monomial of F, and v lies in
+    exactly one.  A candidate keeps every exponent, so it fixes F exactly
+    when it maps the variables of each monomial onto those of a monomial,
+    which is checked on every monomial.  The candidates, the orderings of
+    each exponent class, are generated one at a time.  The work, n steps
+    per candidate, is checked against `ENUMERATION_LIMIT` before
+    enumerating, by a product of class factorials that stops as soon as it
+    passes the limit."""
+    supports = cf.monomial_supports
     n = cf.variable_count
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooManyVariablesError(
-            f"{n} variables: brute force is limited to n <= {BRUTE_FORCE_LIMIT}"
+    classes: dict[int, list[int]] = {}
+    for support in supports:
+        for v, e in support:
+            classes.setdefault(e, []).append(v)
+    fixed = tuple(points[0] for points in classes.values() if len(points) == 1)
+    moving = [tuple(points) for points in classes.values() if len(points) > 1]
+    steps = n
+    for k in (k for points in moving for k in range(2, len(points) + 1)):
+        if steps > ENUMERATION_LIMIT:
+            break
+        steps *= k
+    if steps > ENUMERATION_LIMIT:
+        raise EnumerationTooLargeError(
+            f"n * (product of k! over the exponent classes of k variables) steps "
+            f"for n = {n} exceed the enumeration guard {ENUMERATION_LIMIT}"
         )
-    chars = set(cf.monomial_vectors)
+    # a candidate lists the images of `fixed`, then of each moving class
+    position = {v: i for i, v in enumerate(fixed + sum(moving, ()))}
+    slots = [tuple(position[v] for v, _ in support) for support in supports]
+    monomials = {frozenset(v for v, _ in support) for support in supports}
     count = 0
-    for perm in permutations(range(n)):
-        if {permute_vector(perm, chi) for chi in chars} == chars:
+    for candidate in _arrangements(moving, fixed):
+        image = candidate.__getitem__
+        for slot in slots:
+            if frozenset(map(image, slot)) not in monomials:
+                break
+        else:
             count += 1
     return count
+
+
+def _arrangements(classes, prefix: tuple[int, ...]):
+    """Yield `prefix` followed by the points of each class in turn, once for
+    every ordering of each class, one tuple at a time."""
+    if not classes:
+        yield prefix
+        return
+    for points in permutations(classes[0]):
+        yield from _arrangements(classes[1:], prefix + points)
 
 
 def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:

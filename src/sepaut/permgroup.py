@@ -10,8 +10,8 @@ identical blocks.  The group is the direct product of those factors, so its
 order has a closed formula and a short generator list.  Each generator is
 held as its cycles (`polyio.Permutation`), in O(points moved) entries, and
 `polyio.permutation` expands it to n images only where the report prints
-one.  The brute-force check over all n! permutations is
-`oracles.brute_force_perm_order`.
+one.  The brute-force check, over the permutations that keep each exponent,
+is `oracles.brute_force_perm_order`.
 """
 
 from __future__ import annotations

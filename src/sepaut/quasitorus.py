@@ -167,23 +167,31 @@ def _coprime_base(values) -> list[int]:
     factor d with a base element b replaces b by d and b/d and is itself
     split into d and value/d, until every piece is coprime to the base.  A
     repeated value is already a product of base elements and would leave the
-    base as it is, so only first occurrences are refined.
+    base as it is, so only first occurrences are refined.  Each piece is
+    first tested against the product of the base, kept exact as elements
+    come and go, so a value coprime to the base costs one gcd, not one per
+    base element.
     """
     base: list[int] = []
+    product = 1
     for value in dict.fromkeys(values):
         pending = [value]
         while pending:
             a = pending.pop()
             if a == 1:
                 continue
+            if math.gcd(a, product) == 1:
+                base.append(a)
+                product *= a
+                continue
+            # a shares a factor with the product, so with some base element
             for j, b in enumerate(base):
                 d = math.gcd(a, b)
                 if d > 1:
                     del base[j]
+                    product //= b
                     pending += [d, a // d, b // d]
                     break
-            else:
-                base.append(a)
     return sorted(base)
 
 

@@ -1,9 +1,11 @@
 """Shared fixtures and generators for the test suite."""
 
+from itertools import permutations
+
 import pytest
 
 from sepaut.intlat import IntMatrix, smith_normal_form
-from sepaut.oracles import NotAnAutomorphismError, permute_vector
+from sepaut.oracles import NotAnAutomorphismError
 from sepaut.permgroup import cycle_notation
 from sepaut.polyio import make_canonical_form, parse_separated
 from sepaut.quasitorus import SingleMonomialError
@@ -62,6 +64,26 @@ def generated_group(generators, n, cap=20000):
                     new.append(composed)
         frontier = new
     return seen
+
+
+def permute_vector(perm, vec) -> tuple[int, ...]:
+    """Move entry v to slot perm[v] (the action of the permutation on
+    exponent vectors and diagonal coordinates)."""
+    out = [0] * len(vec)
+    for v, x in enumerate(vec):
+        out[perm[v]] = x
+    return tuple(out)
+
+
+def perm_order_by_scan(cf) -> int:
+    """|P(F)| by trying all n! permutations on the set of monomial exponent
+    vectors: the referee for `oracles.brute_force_perm_order`, which tries
+    only the permutations that keep each exponent."""
+    chars = set(cf.monomial_vectors)
+    return sum(
+        {permute_vector(perm, chi) for chi in chars} == chars
+        for perm in permutations(range(cf.variable_count))
+    )
 
 
 def random_unimodular(rng, d):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import character_matrix, random_canonical_form
+from conftest import character_matrix, permute_vector, random_canonical_form
 from sepaut.autassembly import (
     IRREDUCIBLE,
     UNDETERMINED,
@@ -16,7 +16,6 @@ from sepaut.autassembly import (
 from sepaut.oracles import (
     NotAnAutomorphismError,
     certify_pipeline_generators,
-    permute_vector,
     verify_diagonal,
     verify_permutation,
 )

@@ -130,6 +130,14 @@ def test_verify_guards_exit_3(capsys):
     assert "guard" in err
 
 
+def test_verify_perms_beyond_eight_variables(capsys):
+    # 11 variables, but only 8640 permutations keep every exponent
+    expr = "a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5"
+    code, out, _ = run_cli(capsys, "verify", expr, "--oracle", "perms")
+    assert code == 0
+    assert out == "perms: brute force 96 == 96 (closed formula) -> pass\n"
+
+
 def test_analyze_verify_reports_guard_as_skipped(capsys):
     code, out, _ = run_cli(capsys, "analyze", BIG, "--json", "--verify")
     assert code == 0

@@ -23,8 +23,9 @@ from sepaut.cli import main
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 
 FLAGSHIP = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
-# all but the last have n <= 8, so every oracle runs under --verify; the last
-# three hold a class of three identical mixed blocks or an inner run of three
+# every oracle runs on each of them under --verify (the last has 11
+# variables, of which 8640 permutations keep every exponent); the last three
+# hold a class of three identical mixed blocks or an inner run of three
 FORMS = (
     FLAGSHIP,
     "x + y",

@@ -9,17 +9,19 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import sepaut.oracles
-from conftest import cycles_of, random_canonical_form, verify_dense
+from conftest import cycles_of, perm_order_by_scan, random_canonical_form, verify_dense
 from sepaut.autassembly import aut_group
 from sepaut.cli import build_report
 from sepaut.oracles import (
     NotAnAutomorphismError,
+    brute_force_perm_order,
     certify_pipeline_generators,
     count_torsion_points_mod,
     torsion_count_formula,
     verify_diagonal,
     verify_permutation,
 )
+from sepaut.permgroup import permutation_group
 from sepaut.polyio import dense, make_canonical_form, parse_separated, permutation
 from sepaut.quasitorus import quasitorus_structure
 
@@ -191,14 +193,18 @@ def _small_forms(max_vars=4, max_exp=6):
 
 def test_every_small_form_passes_every_oracle():
     """Small scope: on every form with n <= 4 and exponents <= 6, where the
-    brute-force oracles are complete, every check of the report passes and
-    the torsion count equals the divisor formula at every N <= 12."""
+    brute-force oracles are complete, every check of the report passes, the
+    permutations keeping each exponent count as many automorphisms as all
+    n! permutations, and the torsion count equals the divisor formula at
+    every N <= 12."""
     forms = list(_small_forms())
     assert len(forms) == len(set(forms)) == 1337
     for cf in forms:
         report = build_report(cf.to_text(), cf, verify=True)
         checks = report["verification"]["checks"]
         assert [c["status"] for c in checks] == ["pass"] * len(checks), checks
+        order = permutation_group(cf).order
+        assert brute_force_perm_order(cf) == perm_order_by_scan(cf) == order
         quasi = quasitorus_structure(cf)
         for modulus in range(1, 13):
             assert count_torsion_points_mod(cf, modulus) == torsion_count_formula(

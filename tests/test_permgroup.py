@@ -1,11 +1,23 @@
 import random
+import time
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import generated_group, random_canonical_form
+from conftest import (
+    generated_group,
+    perm_order_by_scan,
+    permute_vector,
+    random_canonical_form,
+)
 from sepaut.autassembly import fermat_form
-from sepaut.oracles import TooManyVariablesError, brute_force_perm_order, permute_vector
+from sepaut.oracles import (
+    ENUMERATION_LIMIT,
+    EnumerationTooLargeError,
+    brute_force_perm_order,
+)
 from sepaut.permgroup import cycle_notation, permutation_group
 from sepaut.polyio import make_canonical_form, parse_separated, permutation
 
@@ -59,6 +71,14 @@ def test_distinct_exponents_only_identity():
     assert desc.structure == "1"
     assert desc.generators == ()
     assert brute_force_perm_order(cf) == 1
+
+
+def test_exponent_classes_alone_do_not_make_automorphisms():
+    # x <-> z and y <-> w keep every exponent, so all 4 orderings of the two
+    # classes are tried, but only the identity maps x^2*y^3 onto a monomial
+    cf = parse_separated("x^2*y^3 + z^2 + w^3")
+    assert permutation_group(cf).order == 1
+    assert brute_force_perm_order(cf) == perm_order_by_scan(cf) == 1
 
 
 @pytest.mark.parametrize("n,alpha", [(2, 2), (3, 3), (4, 5), (6, 2)])
@@ -138,13 +158,65 @@ def test_brute_force_matches_on_seven_and_eight_variables():
     assert brute_force_perm_order(cf7) == permutation_group(cf7).order
     cf8 = parse_separated("a^3*b^2 + c^3*d^2 + p^4 + q^4 + r^4 + s^4")
     assert brute_force_perm_order(cf8) == permutation_group(cf8).order
+    # 8 pure squares: 8! * 8 = 322560 steps, the most any n <= 8 form takes
+    assert brute_force_perm_order(fermat_form(8, 2)) == factorial(8)
+
+
+@st.composite
+def small_forms(draw, max_vars=7):
+    """Separated forms on at most `max_vars` variables with exponents 1 to 3,
+    so that exponent classes are large and often span several monomials."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_vars))
+    while sum(widths) > max_vars:
+        widths.pop()
+    mixed, pure, k = [], [], 0
+    for width in widths:
+        exps = draw(st.lists(st.integers(1, 3), min_size=width, max_size=width))
+        names = [f"v{k + j}" for j in range(width)]
+        k += width
+        if width == 1:
+            pure.append((exps[0], names))
+        else:
+            mixed.append((names, exps))
+    return make_canonical_form(mixed, pure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_class_enumeration_matches_the_scan_and_the_formula(cf):
+    order = permutation_group(cf).order
+    assert brute_force_perm_order(cf) == perm_order_by_scan(cf) == order
 
 
 def test_brute_force_guard():
+    # 9 pure squares: 9! * 9 = 3265920 steps
     names = [f"a{k}" for k in range(9)]
     cf = make_canonical_form([], [(2, names)])
-    with pytest.raises(TooManyVariablesError):
+    with pytest.raises(EnumerationTooLargeError) as exc:
         brute_force_perm_order(cf)
+    assert str(exc.value) == (
+        "n * (product of k! over the exponent classes of k variables) steps for "
+        f"n = 9 exceed the enumeration guard {ENUMERATION_LIMIT}"
+    )
+
+
+def test_brute_force_guard_at_the_edge():
+    # classes of 8, 2 and 1 variables: 8! * 2 * 11 = 887040 steps run, and
+    # one more class of 2 (8! * 4 * 13 = 2096640 steps) is refused
+    cf = parse_separated("a^2*b^2*c^2*d^2 + e^2*f^2*g^2*h^2 + x*y^3 + z^3")
+    assert brute_force_perm_order(cf) == permutation_group(cf).order == 2 * 24**2
+    with pytest.raises(EnumerationTooLargeError):
+        brute_force_perm_order(parse_separated(cf.to_text() + " + u^5 + w^5"))
+
+
+def test_brute_force_guard_never_builds_the_factorial():
+    # one class of 200000 variables: the product stops at 3!, past
+    # 10^6 / 200000 candidates, and the guard answers at once
+    cf = fermat_form(200_000, 2)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLargeError):
+        brute_force_perm_order(cf)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cycle_notation():

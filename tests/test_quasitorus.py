@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepaut.oracles
+import sepaut.quasitorus
 from conftest import (
     character_matrix,
     d_matrix,
@@ -32,6 +33,7 @@ from sepaut.oracles import (
 )
 from sepaut.quasitorus import (
     SingleMonomialError,
+    _coprime_base,
     cocharacter_coordinates,
     quasitorus_structure,
 )
@@ -394,3 +396,28 @@ def test_wide_block_data_stay_linear():
         assert len(wide.steps) == k - 1
         # the cone's witness applies W^{-1} through the column operations
         assert aut.cone.pointed
+
+
+def test_coprime_base_takes_one_gcd_per_coprime_value(monkeypatch):
+    """Each new value is tested against the product of the base first, so
+    the first 500 primes cost at most 2 gcds each; tested against every
+    base element, they cost about 125 000."""
+    primes = [
+        p for p in range(2, 3572) if all(p % q for q in range(2, math.isqrt(p) + 1))
+    ]
+    assert len(primes) == 500
+    calls = [0]
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *args):
+            calls[0] += 1
+            return math.gcd(*args)
+
+    monkeypatch.setattr(sepaut.quasitorus, "math", CountingMath())
+    assert _coprime_base(primes[::-1] * 2) == primes
+    assert calls[0] <= 2 * len(primes)
+    # values sharing factors still split into the same base
+    assert _coprime_base([6, 10, 15, 4, 9, 1]) == [2, 3, 5]
