@@ -8,7 +8,7 @@ pattern S_n x| ((Z/alpha)^(n-1) x T^1) can be eyeballed in one screen.
 
 from math import factorial
 
-from sepaut.autassembly import fermat_aut, fermat_form
+from sepaut.autassembly import aut_group, fermat_form
 from sepaut.oracles import brute_force_perm_order
 
 
@@ -18,8 +18,8 @@ def main() -> None:
     print("-" * len(header))
     for n in range(2, 7):
         for alpha in range(2, 8):
-            aut = fermat_aut(n, alpha)
             cf = fermat_form(n, alpha)
+            aut = aut_group(cf)
             brute = brute_force_perm_order(cf)
             cert = aut.rigidity
             assert aut.perm.order == brute == factorial(n)

@@ -6,15 +6,14 @@ automorphism group of the hypersurface it cuts out: the semidirect product
 of the permutation group of the polynomial with the diagonal quasitorus,
 together with a rigidity certificate, explicit torus generators and the
 weight cone of the coordinates.  This namespace holds the analysis; the
-brute-force verification oracles are in `sepaut.oracles` and the exact
-integer linear algebra (Smith normal form) in `sepaut.intlat`, which
-neither the analysis nor the oracles import.
+brute-force verification oracles are in `sepaut.oracles`.  The exact
+integer linear algebra (Smith normal form) in `sepaut.intlat` is the
+tests' referee: no module of the package imports it.
 """
 
 from .autassembly import (
     AutGroupDescription,
     aut_group,
-    fermat_aut,
     fermat_form,
     irreducibility_verdict,
     structure_string,

@@ -31,7 +31,6 @@ __all__ = [
     "AutGroupDescription",
     "aut_group",
     "fermat_form",
-    "fermat_aut",
     "irreducibility_verdict",
     "structure_string",
 ]
@@ -96,9 +95,4 @@ def fermat_form(n: int, alpha: int) -> CanonicalForm:
         raise ValueError("need exponent at least 2")
     names = sorted(f"Y{i}" for i in range(1, n + 1))
     return make_canonical_form([], [(alpha, names)])
-
-
-def fermat_aut(n: int, alpha: int) -> AutGroupDescription:
-    """Aut description of the Fermat hypersurface: S_n x| ((Z/alpha)^(n-1) x T^1)."""
-    return aut_group(fermat_form(n, alpha))
 

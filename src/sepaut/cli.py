@@ -1,4 +1,4 @@
-"""Command-line front end: analyze, verify, snf, fermat.
+"""Command-line front end: analyze, verify, fermat.
 
 Exit codes: 0 success, 1 failure or error, 2 input not separated,
 3 oracle guard violation (the oracle would take over 10^6 steps).  JSON
@@ -12,8 +12,10 @@ each permutation generator to its n images (`aut.action`), and refuses
 hold more than `REPORT_LIMIT` entries.  Every integer prints through
 `polyio.decimal`, whatever its length.
 The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
-the analysis emits them, and load only with the commands that run them;
-the Smith normal form (`intlat`) loads only with `snf`.
+the analysis emits them, and load only with the commands that run them.
+Each oracle run is one check record, printed as the same
+`verify <oracle>: <status> (<detail>)` line by `analyze --verify` and
+`verify`.  No command loads the Smith normal form (`intlat`).
 """
 
 from __future__ import annotations
@@ -73,35 +75,34 @@ def _frac(x) -> str | None:
     return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
-def _oracle(oracle: str, cf, claim, modulus):
-    """(status, found, claimed) of one oracle run against `claim`: the
-    permutation group ('perms'), the quasitorus ('torsion', counting mod
-    `modulus`) or the whole analysis ('generators').  The enumeration
-    guard of the perms and torsion oracles gives ('skipped', message, None),
-    a generator failing certification ('fail', message, None).  The oracles
-    load only here, so a plain analysis never imports them."""
+def _check(oracle: str, cf, claim, modulus) -> dict:
+    """The check record of one oracle run against `claim`: the permutation
+    group ('perms'), the quasitorus ('torsion', counting mod `modulus`) or
+    the whole analysis ('generators').  The enumeration guard of the perms
+    and torsion oracles makes it 'skipped', a generator failing
+    certification 'fail'; either way the detail is the oracle's message.
+    The oracles load only here, so a plain analysis never imports them."""
     from . import oracles
 
+    name = oracle if modulus is None else f"torsion mod {decimal(modulus)}"
     try:
         if oracle == "perms":
             found, claimed = oracles.brute_force_perm_order(cf), claim.order
+            detail = f"brute force {decimal(found)}, closed formula {decimal(claimed)}"
         elif oracle == "torsion":
             found = oracles.count_torsion_points_mod(cf, modulus)
             claimed = oracles.torsion_count_formula(claim, modulus)
+            detail = f"enumerated {decimal(found)}, divisor formula {decimal(claimed)}"
         else:
             found = claimed = len(oracles.certify_pipeline_generators(cf, claim))
+            detail = f"{found} generators certified"
     except oracles.EnumerationTooLargeError as exc:
-        return "skipped", str(exc), None
+        status, detail = "skipped", str(exc)
     except oracles.NotAnAutomorphismError as exc:
-        return "fail", str(exc), None
-    return ("pass" if found == claimed else "fail"), found, claimed
-
-
-_CHECK_DETAILS = {
-    "generators": "{} generators certified",
-    "perms": "brute force {}, closed formula {}",
-    "torsion": "enumerated {}, divisor formula {}",
-}
+        status, detail = "fail", str(exc)
+    else:
+        status = "pass" if found == claimed else "fail"
+    return {"oracle": name, "status": status, "detail": detail}
 
 
 def run_verification(cf, aut) -> list[dict]:
@@ -110,19 +111,7 @@ def run_verification(cf, aut) -> list[dict]:
     runs = [("generators", aut, None), ("perms", aut.perm, None)]
     moduli = sorted(set(aut.quasitorus.torsion)) or [2]
     runs += [("torsion", aut.quasitorus, m) for m in moduli]
-    checks = []
-    for oracle, claim, modulus in runs:
-        status, found, claimed = _oracle(oracle, cf, claim, modulus)
-        template = _CHECK_DETAILS[oracle]
-        checks.append({
-            "oracle": f"torsion mod {decimal(modulus)}" if modulus else oracle,
-            "status": status,
-            "detail": (
-                found if claimed is None
-                else template.format(decimal(found), decimal(claimed))
-            ),
-        })
-    return checks
+    return [_check(oracle, cf, claim, modulus) for oracle, claim, modulus in runs]
 
 
 def _report_size(n: int, aut) -> int:
@@ -292,9 +281,12 @@ def render_text(report: dict) -> str:
 
     ver = report["verification"]
     if ver["requested"]:
-        for c in ver["checks"]:
-            lines.append(f"verify {c['oracle']}: {c['status']} ({c['detail']})")
+        lines.extend(map(_check_line, ver["checks"]))
     return "\n".join(lines)
+
+
+def _check_line(check: dict) -> str:
+    return f"verify {check['oracle']}: {check['status']} ({check['detail']})"
 
 
 def _emit(report: dict, as_json: bool) -> int:
@@ -320,56 +312,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     cf = parse_separated(_read_input(args.input))
+    if (args.oracle == "torsion") != (args.mod is not None):
+        need = "needs --mod N" if args.oracle == "torsion" else "takes no --mod"
+        print(f"error: the {args.oracle} oracle {need}", file=sys.stderr)
+        return EXIT_ERROR
     if args.oracle == "perms":
         claim = permutation_group(cf)
     elif args.oracle == "generators":
         claim = aut_group(cf)
-    elif args.mod is None:
-        print("error: the torsion oracle needs --mod N", file=sys.stderr)
-        return EXIT_ERROR
     else:
         claim = quasitorus_structure(cf)
-    status, found, claimed = _oracle(args.oracle, cf, claim, args.mod)
-    if status == "skipped":
-        print(f"guard violation: {found}", file=sys.stderr)
+    check = _check(args.oracle, cf, claim, args.mod)
+    if check["status"] == "skipped":
+        print(f"guard violation: {check['detail']}", file=sys.stderr)
         return EXIT_GUARD
-    ok = status == "pass"
-    rel, verdict = ("==", "pass") if ok else ("!=", "FAIL")
-    if args.oracle == "perms":
-        print(f"perms: brute force {found} {rel} {claimed} (closed formula) "
-              f"-> {verdict}")
-    elif args.oracle == "torsion":
-        print(f"torsion mod {args.mod}: enumerated {decimal(found)} {rel} "
-              f"{decimal(claimed)} (divisor formula) -> {verdict}")
-    elif ok:
-        print(f"generators: {found} certified -> pass")
-    else:
-        print(f"generators: FAIL ({found})")
-    return EXIT_OK if ok else EXIT_ERROR
-
-
-def cmd_snf(args) -> int:
-    from .intlat import parse_matrix_text, smith_normal_form
-
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.matrix).read_text()
-    matrix = parse_matrix_text(text)
-    result = smith_normal_form(matrix)
-    if args.json:
-        out = {
-            "rows": matrix.rows,
-            "cols": matrix.cols,
-            "rank": result.rank,
-            "divisors": [decimal(d) for d in result.divisors],
-        }
-        print(json.dumps(out, indent=2))
-    else:
-        print(f"rows={matrix.rows} cols={matrix.cols} rank={result.rank}")
-        divisors = " ".join(map(decimal, result.divisors))
-        print(f"divisors: {divisors}" if divisors else "divisors: (none)")
-    return EXIT_OK
+    print(_check_line(check))
+    return EXIT_OK if check["status"] == "pass" else EXIT_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,13 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mod", type=int, default=None, help="modulus for 'torsion'")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument(
-        "matrix", help="matrix file: first line 'rows cols', then entries; - for stdin"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("fermat", help="analyze Y1^alpha + ... + Yn^alpha")
     p.add_argument("n", type=int)

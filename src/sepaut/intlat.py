@@ -1,11 +1,11 @@
 """Exact integer linear algebra: Smith normal form, kernel lattices, minors.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere.  The analysis of a polynomial never imports this
-module (quasitorus computes H block by block).  The Smith normal form
-serves `sepaut snf` and the tests, where it and the gcd-of-minors oracle,
-on the difference matrix D as an `IntMatrix`, referee the block-local
-closed form.
+point is used anywhere.  No module of the package imports this one
+(quasitorus computes H block by block): it is the tests' referee, where the
+Smith normal form and the gcd-of-minors oracle, on the difference matrix D
+as an `IntMatrix`, check the block-local closed form.  It stays in the
+package only because the benchmark's tracer (`bench/tracer.py`) wraps it.
 The implementation favours exactness and auditability over asymptotics:
 
 * Smith normal form by elimination with a minimal-|entry| pivot rule, which
@@ -18,7 +18,6 @@ The implementation favours exactness and auditability over asymptotics:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,7 +27,6 @@ __all__ = [
     "smith_normal_form",
     "kernel_basis",
     "gcd_of_minors",
-    "parse_matrix_text",
 ]
 
 
@@ -271,32 +269,3 @@ def gcd_of_minors(a: IntMatrix, k: int) -> int:
                 return 1
     return g
 
-
-def _matrix_int(token: str, what: str) -> int:
-    digits, limit = token.lstrip("+-"), sys.get_int_max_str_digits()
-    if digits.isdecimal() and len(digits) > limit:
-        raise ValueError(f"{what} has {len(digits)} digits, over the limit of {limit}")
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{what} is not an integer") from None
-
-
-def parse_matrix_text(text: str) -> IntMatrix:
-    """Parse the CLI matrix format: 'rows cols' then row-major integers.
-
-    Tokens are whitespace-separated; line breaks are not significant.  A bad
-    token is named by its place: the row or column count, or entry k
-    (counted from 1 in row-major order).
-    """
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text must start with 'rows cols'")
-    rows = _matrix_int(tokens[0], "the row count")
-    cols = _matrix_int(tokens[1], "the column count")
-    entries = [_matrix_int(tok, f"entry {k}") for k, tok in enumerate(tokens[2:], 1)]
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be non-negative")
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    return IntMatrix(rows, cols, tuple(entries))

@@ -18,7 +18,7 @@ from conftest import (
     random_canonical_form,
     times_rows,
 )
-from sepaut.autassembly import aut_group, fermat_aut, fermat_form
+from sepaut.autassembly import aut_group, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, smith_normal_form
 from sepaut.oracles import (
     brute_force_perm_order,
@@ -80,12 +80,13 @@ def test_criterion_2_fermat_family():
     ok = True
     for n in range(2, 7):
         for alpha in range(2, 8):
-            aut = fermat_aut(n, alpha)
+            cf = fermat_form(n, alpha)
+            aut = aut_group(cf)
             expected = f"S{n} {SEMI} ((Z/{alpha})^{n - 1} {TIMES} T^1)"
             ok = ok and aut.structure_string == expected
             ok = ok and aut.quasitorus.torsion == (alpha,) * (n - 1)
             ok = ok and aut.quasitorus.torus_rank == 1
-            ok = ok and brute_force_perm_order(fermat_form(n, alpha)) == factorial(n)
+            ok = ok and brute_force_perm_order(cf) == factorial(n)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     _report(

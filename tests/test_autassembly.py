@@ -8,7 +8,6 @@ from sepaut.autassembly import (
     IRREDUCIBLE,
     UNDETERMINED,
     aut_group,
-    fermat_aut,
     fermat_form,
     irreducibility_verdict,
     structure_string,
@@ -48,12 +47,12 @@ def test_structure_string_grammar():
     ],
 )
 def test_fermat_structures(n, alpha, expected):
-    assert fermat_aut(n, alpha).structure_string == expected
+    assert aut_group(fermat_form(n, alpha)).structure_string == expected
 
 
 def test_fermat_conditional_when_bound_fails():
     # sum of reciprocals 4/5 exceeds the threshold 1/2
-    aut = fermat_aut(4, 5)
+    aut = aut_group(fermat_form(4, 5))
     assert aut.structure_string == f"S4 {SEMI} ((Z/5)^3 {TIMES} T^1)"
     assert aut.conditional
 
@@ -61,7 +60,7 @@ def test_fermat_conditional_when_bound_fails():
 def test_fermat_direct_equals_parsed_pipeline():
     for n in range(2, 6):
         for alpha in range(2, 5):
-            direct = fermat_aut(n, alpha)
+            direct = aut_group(fermat_form(n, alpha))
             text = " + ".join(f"Y{i}^{alpha}" for i in range(1, n + 1))
             parsed = aut_group(parse_separated(text))
             assert direct.structure_string == parsed.structure_string

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import io
 import json
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FLAGSHIP, random_canonical_form
 import sepaut.cli
@@ -94,7 +97,7 @@ def test_analyze_with_verification(capsys):
 def test_verify_perms(capsys):
     code, out, _ = run_cli(capsys, "verify", FLAGSHIP, "--oracle", "perms")
     assert code == 0
-    assert "6 == 6" in out and "pass" in out
+    assert out == "verify perms: pass (brute force 6, closed formula 6)\n"
 
 
 def test_verify_torsion(capsys):
@@ -102,13 +105,39 @@ def test_verify_torsion(capsys):
         capsys, "verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"
     )
     assert code == 0
-    assert "10000 == 10000" in out
+    assert out == (
+        "verify torsion mod 10: pass (enumerated 10000, divisor formula 10000)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("perms", ["--oracle", "perms"]),
+        ("torsion mod 10", ["--oracle", "torsion", "--mod", "10"]),
+        ("generators", ["--oracle", "generators"]),
+    ],
+)
+def test_verify_prints_the_check_line_of_analyze_verify(capsys, name, flags):
+    code, out, err = run_cli(capsys, "verify", FLAGSHIP, *flags)
+    assert (code, err) == (0, "")
+    _, report, _ = run_cli(capsys, "analyze", FLAGSHIP, "--verify")
+    (line,) = [x for x in report.splitlines() if x.startswith(f"verify {name}: ")]
+    assert out == line + "\n"
 
 
 def test_verify_torsion_needs_mod(capsys):
     code, _, err = run_cli(capsys, "verify", FLAGSHIP, "--oracle", "torsion")
     assert code == 1
     assert "--mod" in err
+
+
+@pytest.mark.parametrize("oracle", ["perms", "generators"])
+def test_verify_refuses_mod_without_torsion(capsys, oracle):
+    argv = ["verify", "x^2+y^2", "--oracle", oracle, "--mod", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: the {oracle} oracle takes no --mod\n"
 
 
 def test_verify_generators(capsys):
@@ -135,7 +164,7 @@ def test_verify_perms_beyond_eight_variables(capsys):
     expr = "a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5"
     code, out, _ = run_cli(capsys, "verify", expr, "--oracle", "perms")
     assert code == 0
-    assert out == "perms: brute force 96 == 96 (closed formula) -> pass\n"
+    assert out == "verify perms: pass (brute force 96, closed formula 96)\n"
 
 
 def test_analyze_verify_reports_guard_as_skipped(capsys):
@@ -145,52 +174,6 @@ def test_analyze_verify_reports_guard_as_skipped(capsys):
     by_name = {c["oracle"]: c["status"] for c in checks}
     assert by_name["perms"] == "skipped"
     assert by_name["generators"] == "pass"
-
-
-def test_snf_subcommand(tmp_path, capsys):
-    path = tmp_path / "matrix.txt"
-    path.write_text("3 5\n-11 -10 10 0 0\n-11 -10 0 10 0\n-11 -10 0 0 10\n")
-    code, out, _ = run_cli(capsys, "snf", str(path))
-    assert code == 0
-    assert "divisors: 1 10 10" in out
-    code, out, _ = run_cli(capsys, "snf", str(path), "--json")
-    assert json.loads(out) == {
-        "rows": 3,
-        "cols": 5,
-        "rank": 3,
-        "divisors": ["1", "10", "10"],
-    }
-
-
-def test_snf_prints_divisors_beyond_the_conversion_limit(tmp_path, capsys):
-    # consecutive 3000-digit integers are coprime: the divisors are 1 and
-    # their product, about 6000 digits
-    a = 10**2999 + 1
-    b = a + 1
-    path = tmp_path / "matrix.txt"
-    path.write_text(f"2 2\n{a} 0\n0 {b}\n")
-    code, out, _ = run_cli(capsys, "snf", str(path))
-    assert code == 0
-    first, second = out.splitlines()
-    assert first == "rows=2 cols=2 rank=2"
-    one, product = second.removeprefix("divisors: ").split(" ")
-    assert one == "1" and _long_int(product) == a * b
-    code, out, _ = run_cli(capsys, "snf", str(path), "--json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["divisors"][0] == "1" and _long_int(report["divisors"][1]) == a * b
-    assert len(report["divisors"]) == 2 and report["rank"] == 2
-
-
-def test_snf_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n2 4\n6 8\n"))
-    code, out, _ = run_cli(capsys, "snf", "-")
-    assert code == 0
-    assert "divisors: 2 4" in out
-
-
-def test_snf_missing_file(capsys):
-    assert run_cli(capsys, "snf", "/nonexistent/matrix.txt")[0] == 1
 
 
 def test_fermat_subcommand(capsys):
@@ -224,11 +207,11 @@ def test_json_output_is_byte_identical_across_processes(flags):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_imports_only_the_standard_library(tmp_path):
+def test_cli_imports_only_the_standard_library():
     # modules loaded before the import (site hooks of the interpreter) are
     # not on the CLI path and are left out; the oracles load only with the
-    # commands that run them, and the Smith normal form, with `dataclasses`
-    # and `inspect`, only with `snf`
+    # commands that run them, and no command loads the Smith normal form,
+    # `dataclasses` or `inspect`
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -239,9 +222,7 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         "        status = sepaut.cli.main(argv)\n"
         "print(status, *sorted(set(sys.modules) - before))\n"
     )
-    matrix = tmp_path / "matrix.txt"
-    matrix.write_text("2 2\n2 4\n6 8\n")
-    oracles, intlat = "sepaut.oracles", "sepaut.intlat"
+    oracles = "sepaut.oracles"
     cases = [
         ([], set()),
         (["analyze", FLAGSHIP, "--json"], set()),
@@ -251,7 +232,6 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         (["verify", FLAGSHIP, "--oracle", "perms"], {oracles}),
         (["verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"], {oracles}),
         (["verify", FLAGSHIP, "--oracle", "generators"], {oracles}),
-        (["snf", str(matrix)], {intlat}),
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -263,9 +243,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
         status, *loaded = proc.stdout.split()
         assert status == "0", (argv, proc.stderr)
         assert "sepaut.cli" in loaded
-        assert {oracles, intlat} & set(loaded) == expected, argv
-        if intlat not in expected:
-            assert {"dataclasses", "inspect"} & set(loaded) == set(), argv
+        assert {oracles} & set(loaded) == expected, argv
+        assert {"sepaut.intlat", "dataclasses", "inspect"} & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
             if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}
@@ -353,6 +332,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         (["fermat", "3", "x"], "invalid int value: 'x'"),
         (["analyze"], "the following arguments are required: input"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["snf", "m.txt"], "invalid choice: 'snf'"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
@@ -363,25 +343,37 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert "usage: sepaut" in err and message in err
 
 
+# short text over the characters of the expression grammar, drawn in pieces
+# so that some of it parses
+_TEXT = st.lists(
+    st.sampled_from(["x", "y", "z_1", "2", "10", "^", "*", "/", "+", "-", " "]),
+    max_size=12,
+).map("".join)
+_ARGVS = st.one_of(
+    _TEXT.map(lambda text: ["analyze", text]),
+    _TEXT.map(lambda text: ["analyze", text, "--json", "--verify"]),
+    st.builds(
+        lambda text, oracle, mod: ["verify", text, "--oracle", oracle, *mod],
+        _TEXT,
+        st.sampled_from(["perms", "torsion", "generators"]),
+        st.just([]) | st.integers(-1, 12).map(lambda m: ["--mod", str(m)]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGVS)
+def test_main_exits_with_a_code_on_any_text(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2, 3)
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "usage: sepaut" in out
     assert run_cli(capsys, "fermat", "--help")[0] == 0
-
-
-def test_snf_names_bad_entries(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text("1 1\n" + "7" * 5000 + "\n")
-    code, _, err = run_cli(capsys, "snf", str(path))
-    assert code == 1
-    assert "entry 1 has 5000 digits, over the limit of 4300" in err
-    path.write_text("2 2\n1 2\n3 x\n")
-    code, _, err = run_cli(capsys, "snf", str(path))
-    assert code == 1
-    assert "entry 4 is not an integer" in err
-    path.write_text("2 two\n1 2\n3 4\n")
-    assert "the column count is not an integer" in run_cli(capsys, "snf", str(path))[2]
 
 
 def _invariant_factors(values):
@@ -477,7 +469,9 @@ def test_verify_torsion_counts_a_wide_fermat_form(capsys):
     elapsed = time.perf_counter() - start
     count = decimal(2**20000)
     assert (code, err) == (0, "")
-    assert out == f"torsion mod 2: enumerated {count} == {count} (divisor formula) -> pass\n"
+    assert out == (
+        f"verify torsion mod 2: pass (enumerated {count}, divisor formula {count})\n"
+    )
     assert elapsed < 1.0
 
 

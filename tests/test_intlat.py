@@ -6,7 +6,6 @@ from sepaut.intlat import (
     IntMatrix,
     gcd_of_minors,
     kernel_basis,
-    parse_matrix_text,
     smith_normal_form,
 )
 
@@ -167,19 +166,3 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]).determinant()
 
-
-def test_parse_matrix_text():
-    m = parse_matrix_text("2 3\n1 2 3\n4 5 6\n")
-    assert m.rows == 2 and m.cols == 3
-    assert m.to_rows() == [[1, 2, 3], [4, 5, 6]]
-    # line breaks are insignificant
-    assert parse_matrix_text("2 3 1 2 3 4 5 6").entries == m.entries
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["", "2", "2 3 1 2 3", "2 3 1 2 3 4 5 6 7", "2 x 1 2", "1 1 0.5"],
-)
-def test_parse_matrix_text_rejects(text):
-    with pytest.raises(ValueError):
-        parse_matrix_text(text)
