@@ -9,7 +9,7 @@ the library API as a sanity cross-check.
 from fractions import Fraction
 
 from sepaut.autassembly import aut_group
-from sepaut.cli import build_report, render_text
+from sepaut.cli import render_text, run_verification
 from sepaut.polyio import parse_separated
 
 EXPR = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
@@ -17,10 +17,10 @@ EXPR = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
 
 def main() -> None:
     cf = parse_separated(EXPR)
-    print(render_text(build_report(EXPR, cf, verify=True)))
+    aut = aut_group(cf)
+    print(render_text(EXPR, cf, aut, run_verification(cf, aut)))
     print()
 
-    aut = aut_group(cf)
     cert = aut.rigidity
     assert aut.perm.order == 6
     assert aut.quasitorus.torsion == (10, 10)

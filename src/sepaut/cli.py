@@ -5,12 +5,19 @@ Exit codes: 0 success, 1 failure or error, 2 input not separated,
 output has a fixed key order, escapes non-ASCII characters, and serializes
 unbounded integers and rationals as decimal strings, so identical
 invocations produce byte-identical output.
-The analysis holds its vectors sparse and its permutations as cycles;
-`build_report` expands each vector to its dense list of decimal strings and
-each permutation generator to its n images (`aut.action`), and refuses
-(`ReportTooLargeError`, exit 1) a report whose vectors and actions would
-hold more than `REPORT_LIMIT` entries.  Every integer prints through
-`polyio.decimal`, whatever its length.
+The analysis holds its vectors sparse and its permutations as cycles, and
+each report section is printed once, from that description.  JSON prints
+the cocharacter basis, the torsion generators and the homogeneity
+cocharacter as dense lists of decimal strings (the quasitorus section is
+read densely by downstream checks, and the homogeneity has no zero entry),
+the cone's weights and witness and the pair cocharacters as their nonzero
+`[index, "value"]` pairs, and each permutation generator once, in cycle
+notation; the cocharacter basis is not repeated in the cone, nor the
+generators as dense actions.  The text report is rendered from the
+description too and prints only what it shows.  Either mode refuses
+(`ReportTooLargeError`, exit 1) a report that would print more than
+`REPORT_LIMIT` vector entries and cycle points, counted for that mode.
+Every integer prints through `polyio.decimal`, whatever its length.
 The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
 the analysis emits them, and load only with the commands that run them.
 Each oracle run is one check record, printed as the same
@@ -27,8 +34,7 @@ from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation, permutation_group
-from .polyio import NotSeparatedError, PolynomialError, decimal, dense
-from .polyio import parse_separated, permutation
+from .polyio import NotSeparatedError, PolynomialError, decimal, dense, parse_separated
 from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
@@ -40,7 +46,8 @@ REPORT_LIMIT = 20_000_000
 
 
 class ReportTooLargeError(ValueError):
-    """The report would print more than `REPORT_LIMIT` vector entries."""
+    """The report would print more than `REPORT_LIMIT` vector entries and
+    cycle points."""
 
 _ASCII_FALLBACK = {"⋉": "x|", "×": "x"}
 
@@ -114,38 +121,55 @@ def run_verification(cf, aut) -> list[dict]:
     return [_check(oracle, cf, claim, modulus) for oracle, claim, modulus in runs]
 
 
-def _report_size(n: int, aut) -> int:
-    """Entries of the vectors the dense report prints: the cocharacter basis
-    twice, the torsion generators, the homogeneity and pair cocharacters and
-    the action of each permutation generator (n each), the n weights and the
-    witness (the torus rank each)."""
-    quasi, gens = aut.quasitorus, aut.torus_generators
-    rank = quasi.torus_rank
-    vectors = 2 * rank + len(quasi.torsion_generators) + 1 + len(gens.pair_cocharacters)
-    vectors += len(aut.perm.generators)
-    return vectors * n + (n + 1) * rank
+def _report_size(n: int, aut, as_json: bool) -> int:
+    """Vector entries and cycle points the report prints: n for each
+    cocharacter basis vector and torsion generator, one for each point of a
+    permutation generator, and the witness (the torus rank in text, its
+    nonzeros in JSON); JSON adds the n entries of the homogeneity and one
+    pair for each nonzero of the weights and pair cocharacters."""
+    quasi, cone = aut.quasitorus, aut.cone
+    size = (quasi.torus_rank + len(quasi.torsion_generators)) * n
+    size += sum(len(cycle) for g in aut.perm.generators for cycle in g)
+    if cone.witness is not None:
+        size += len(cone.witness) if as_json else quasi.torus_rank
+    if as_json:
+        size += n + sum(map(len, cone.weights))
+        size += sum(len(p.vector) for p in aut.torus_generators.pair_cocharacters)
+    return size
+
+
+def _analysis(cf, verify: bool, as_json: bool):
+    """`aut_group(cf)` and, when `verify`, its checks (else None).  Raises
+    `ReportTooLargeError` before any oracle runs when the report in the
+    chosen mode would print more than `REPORT_LIMIT` entries."""
+    aut = aut_group(cf)
+    size = _report_size(cf.variable_count, aut, as_json)
+    if size > REPORT_LIMIT:
+        raise ReportTooLargeError(
+            f"the report would print {size} vector entries and cycle points, "
+            f"over the limit of {REPORT_LIMIT}"
+        )
+    return aut, run_verification(cf, aut) if verify else None
+
+
+def _pairs(vec) -> list:
+    """The sparse vector `vec` as the report prints it: [index, "value"]."""
+    return [[i, decimal(x)] for i, x in vec]
 
 
 def build_report(input_text: str, cf, verify: bool = False) -> dict:
     """Ordered, JSON-ready report of the full analysis.
 
     Raises `ReportTooLargeError` before expanding any vector when the
-    report would print more than `REPORT_LIMIT` vector entries."""
-    aut = aut_group(cf)
+    report would print more than `REPORT_LIMIT` entries."""
+    aut, checks = _analysis(cf, verify, as_json=True)
     cert, cone, gens = aut.rigidity, aut.cone, aut.torus_generators
     names = cf.var_order
-    n, rank = len(names), aut.quasitorus.torus_rank
-    size = _report_size(n, aut)
-    if size > REPORT_LIMIT:
-        raise ReportTooLargeError(
-            f"the report would print {size} vector entries, over the limit "
-            f"of {REPORT_LIMIT}"
-        )
+    n = len(names)
 
-    def decimals(vec, dim=n) -> list[str]:
-        return dense(vec, dim, "0", decimal)
+    def decimals(vec) -> list[str]:
+        return dense(vec, n, "0", decimal)
 
-    basis = [decimals(v) for v in aut.quasitorus.cocharacter_basis]
     return {
         "input": input_text,
         "canonical_form": {
@@ -174,7 +198,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "quasitorus": {
             "torus_rank": aut.quasitorus.torus_rank,
             "torsion": [decimal(d) for d in aut.quasitorus.torsion],
-            "cocharacter_basis": basis,
+            "cocharacter_basis": [decimals(v) for v in aut.quasitorus.cocharacter_basis],
             "torsion_generators": [
                 {"order": decimal(t.order), "exponents": decimals(t.exponents)}
                 for t in aut.quasitorus.torsion_generators
@@ -200,104 +224,89 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "aut": {
             "structure": aut.structure_string,
             "conditional_on_rigidity": aut.conditional,
-            # conjugating a diagonal map by a permutation permutes the diagonal
-            # coordinates the same way the permutation moves the variables
-            "action": [permutation(g, n) for g in aut.perm.generators],
         },
         "cone": {
-            "basis": basis,
-            "weights": [decimals(v, rank) for v in cone.weights],
+            "weights": [_pairs(v) for v in cone.weights],
             "pointed": cone.pointed,
-            "witness": decimals(cone.witness, rank) if cone.witness is not None else None,
+            "witness": _pairs(cone.witness) if cone.witness is not None else None,
             "homogeneity_cocharacter": decimals(gens.homogeneity),
             "pair_cocharacters": [
-                {"block": p.block, "position": p.position, "vector": decimals(p.vector)}
+                {"block": p.block, "position": p.position, "vector": _pairs(p.vector)}
                 for p in gens.pair_cocharacters
             ],
         },
         "irreducible": aut.irreducible,
         "verification": {
             "requested": bool(verify),
-            "checks": run_verification(cf, aut) if verify else [],
+            "checks": checks or [],
         },
     }
 
 
-def render_text(report: dict) -> str:
-    lines = []
-    cf_sec = report["canonical_form"]
-    lines.append(f"input: {report['input']}")
-    lines.append(f"canonical form: {cf_sec['rendered']}")
-    lines.append(
-        f"  variables ({cf_sec['variable_count']}): "
-        + " ".join(cf_sec["variables"])
-        + f"   monomials: {cf_sec['monomial_count']}"
-    )
-    if cf_sec["scaling_absorbed"]:
+def _entries(vec, dim: int) -> str:
+    """The `dim` entries of the sparse vector `vec`, as the text prints them."""
+    return "(" + ", ".join(dense(vec, dim, "0", decimal)) + ")"
+
+
+def render_text(input_text: str, cf, aut, checks=None) -> str:
+    """The text report of the analysis `aut` of `cf`, ending in the line of
+    each check when verification ran (`checks` not None)."""
+    quasi, cert, cone = aut.quasitorus, aut.rigidity, aut.cone
+    names, n, rank = cf.var_order, cf.variable_count, quasi.torus_rank
+    lines = [
+        f"input: {input_text}",
+        f"canonical form: {cf.to_text()}",
+        f"  variables ({n}): " + " ".join(names) + f"   monomials: {cf.monomial_count}",
+    ]
+    if cf.scaling_note:
         lines.append("  non-unit coefficients absorbed by a diagonal rescaling")
 
-    rig = report["rigidity"]
-    threshold = rig["threshold"] if rig["threshold"] is not None else "n/a"
-    suffix = " (equality)" if rig["equality"] else ""
+    threshold = _frac(cert.threshold) or "n/a"
+    suffix = " (equality)" if cert.equality else ""
     lines.append(
-        f"rigidity: sum(1/e_v) = {rig['reciprocal_sum']}, "
-        f"threshold = {threshold} -> {rig['verdict']}{suffix}"
+        f"rigidity: sum(1/e_v) = {_frac(cert.reciprocal_sum)}, "
+        f"threshold = {threshold} -> {cert.verdict}{suffix}"
     )
-    lines.append(f"  note: {rig['note']}")
+    lines.append(f"  note: {cert.note}")
 
-    quasi = report["quasitorus"]
-    torsion = ", ".join(f"Z/{d}" for d in quasi["torsion"]) or "none"
-    lines.append(
-        f"diagonal symmetries H: torus rank {quasi['torus_rank']}, torsion {torsion}"
-    )
-    basis = "; ".join("(" + ", ".join(v) + ")" for v in quasi["cocharacter_basis"])
+    torsion = ", ".join(f"Z/{decimal(d)}" for d in quasi.torsion) or "none"
+    lines.append(f"diagonal symmetries H: torus rank {rank}, torsion {torsion}")
+    basis = "; ".join(_entries(v, n) for v in quasi.cocharacter_basis)
     lines.append(f"  cocharacter basis: {basis}")
-    for t in quasi["torsion_generators"]:
+    for t in quasi.torsion_generators:
         lines.append(
-            f"  torsion generator: order {t['order']}, "
-            "exponents (" + ", ".join(t["exponents"]) + ")"
+            f"  torsion generator: order {decimal(t.order)}, "
+            f"exponents {_entries(t.exponents, n)}"
         )
 
-    perm = report["permutation_group"]
+    perm = aut.perm
     lines.append(
-        f"permutation group P(F): order {perm['order']}, structure {perm['structure']}"
+        f"permutation group P(F): order {decimal(perm.order)}, structure {perm.structure}"
     )
-    if perm["generators"]:
-        lines.append("  generators: " + ", ".join(perm["generators"]))
+    if perm.generators:
+        lines.append(
+            "  generators: " + ", ".join(cycle_notation(g, names) for g in perm.generators)
+        )
 
-    lines.append(f"automorphism group: {report['aut']['structure']}")
-    if report["aut"]["conditional_on_rigidity"]:
+    lines.append(f"automorphism group: {aut.structure_string}")
+    if aut.conditional:
         lines.append(
             "  conditional on rigidity: the product is always a subgroup of "
             "Aut; maximality needs a rigid input"
         )
 
-    cone = report["cone"]
-    witness = "(" + ", ".join(cone["witness"]) + ")" if cone["witness"] else "none"
+    witness = _entries(cone.witness, rank) if cone.witness is not None and rank else "none"
     lines.append(
-        f"weight cone: pointed = {'yes' if cone['pointed'] else 'no'}, witness u = {witness}"
+        f"weight cone: pointed = {'yes' if cone.pointed else 'no'}, witness u = {witness}"
     )
-    lines.append(f"irreducibility: {report['irreducible']}")
-
-    ver = report["verification"]
-    if ver["requested"]:
-        lines.extend(map(_check_line, ver["checks"]))
+    lines.append(f"irreducibility: {aut.irreducible}")
+    if checks is not None:
+        lines.extend(map(_check_line, checks))
     return "\n".join(lines)
 
 
 def _check_line(check: dict) -> str:
     return f"verify {check['oracle']}: {check['status']} ({check['detail']})"
-
-
-def _emit(report: dict, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(report, indent=2, ensure_ascii=True))
-    else:
-        print(_printable(render_text(report)))
-    checks = report["verification"]["checks"]
-    if any(c["status"] == "fail" for c in checks):
-        return EXIT_ERROR
-    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -307,7 +316,16 @@ def cmd_analyze(args) -> int:
     else:
         text = _read_input(args.input)
         cf = parse_separated(text)
-    return _emit(build_report(text, cf, verify=args.verify), args.json)
+    if args.json:
+        report = build_report(text, cf, verify=args.verify)
+        print(json.dumps(report, indent=2, ensure_ascii=True))
+        checks = report["verification"]["checks"]
+    else:
+        aut, checks = _analysis(cf, args.verify, as_json=False)
+        print(_printable(render_text(text, cf, aut, checks)))
+    if any(c["status"] == "fail" for c in checks or ()):
+        return EXIT_ERROR
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -17,7 +17,8 @@ code with the one that made it:
 
 The guards live here too, both a number of steps decided before the oracle
 runs and held to `ENUMERATION_LIMIT` = 10^6 (`EnumerationTooLargeError`):
-n per permutation tried, and M*N + (n-M)*N^2 for the count.
+n per permutation tried, and M*N + (n-M)*N^2 for the count, each step
+then weighed by the machine words of the tally it adds to.
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
 on the analysis path imports it.
@@ -115,10 +116,13 @@ def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
     solutions of D e == 0, D with rows chi_i - chi_0): the sum over c of
     prod_i T_i[c], where T_i[c] counts the assignments of monomial i's own
     variables with chi_i . e == c, built from [1, 0, ..., 0] one variable and
-    N values at a time.  No gcd, Smith form or block theory.  The work,
-    M*N + (n-M)*N^2 steps, is checked against `ENUMERATION_LIMIT` before
-    counting; at the limit a count took 0.03-1.2 s on one core, and 5 s on
-    one block of 250 000 variables mod 2, whose tallies reach 250 000 bits."""
+    N values at a time.  No gcd, Smith form or block theory.  The work is
+    checked against `ENUMERATION_LIMIT` before counting: M*N + (n-M)*N^2
+    steps, and those steps weighed by the size of the tally they add to, a
+    monomial of k variables taking N + (k-1)*N^2 steps on entries of up to
+    ceil(k*bits(N)/64) machine words (its count is below N^k).  Without the
+    weight one block of 250 000 variables mod 2 passed and took 5 s; with
+    it a count at the limit took at most 1.2 s on one core."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     supports = cf.monomial_supports
@@ -128,6 +132,20 @@ def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
     if m * modulus + (n - m) * modulus**2 > ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(
             f"M*N + (n-M)*N^2 steps for N = {decimal(modulus)}, n = {n}, M = {m} "
+            f"exceed the enumeration guard {ENUMERATION_LIMIT}"
+        )
+    # the weighted steps are at least the plain ones, so the plain guard
+    # decides alone what it refused before, with its own message
+    bits = modulus.bit_length()
+    widths = Counter(map(len, supports))
+    words = sum(
+        times * (modulus + (k - 1) * modulus**2) * -(-k * bits // 64)
+        for k, times in widths.items()
+    )
+    if words > ENUMERATION_LIMIT:
+        raise EnumerationTooLargeError(
+            f"sum of (N + (k-1)*N^2) * ceil(k*bits(N)/64) word steps over the "
+            f"monomials of k variables for N = {modulus}, n = {n}, M = {m} "
             f"exceed the enumeration guard {ENUMERATION_LIMIT}"
         )
     # monomials with the same exponents mod N have the same tally

@@ -8,10 +8,10 @@ exponent may move, and whole mixed blocks can swap when their exponent
 multisets coincide, which yields a wreath-type factor per class of
 identical blocks.  The group is the direct product of those factors, so its
 order has a closed formula and a short generator list.  Each generator is
-held as its cycles (`polyio.Permutation`), in O(points moved) entries, and
-`polyio.permutation` expands it to n images only where the report prints
-one.  The brute-force check, over the permutations that keep each exponent,
-is `oracles.brute_force_perm_order`.
+held as its cycles (`polyio.Permutation`), in O(points moved) entries,
+and the report prints it in cycle notation.  The brute-force check, over
+the permutations that keep each exponent, is
+`oracles.brute_force_perm_order`.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ __all__ = [
     "dense",
     "decimal",
     "Permutation",
-    "permutation",
     "parse_polynomial",
     "recognize_separated",
     "parse_separated",
@@ -309,15 +308,6 @@ def decimal(x: int) -> str:
 # starting at its least index, ordered by that index: every permutation the
 # analysis emits.  Each cycle maps an entry to the next, the last to the first.
 Permutation = tuple[tuple[int, ...], ...]
-
-
-def permutation(cycles: Permutation, n: int) -> list[int]:
-    """The images of 0, ..., n-1 under the permutation `cycles`."""
-    out = list(range(n))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            out[a] = b
-    return out
 
 
 class MixedBlock(NamedTuple):

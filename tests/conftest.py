@@ -172,6 +172,16 @@ def times_rows(rows, vec) -> tuple[int, ...]:
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
 
 
+def permutation(cycles, n: int) -> list[int]:
+    """The images of 0, ..., n-1 under the permutation `cycles`
+    (`polyio.Permutation`): its dense form, which the referees read."""
+    out = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a] = b
+    return out
+
+
 def cycles_of(perm) -> tuple[tuple[int, ...], ...]:
     """The cycle form (`polyio.Permutation`) of the dense permutation `perm`."""
     seen = [False] * len(perm)

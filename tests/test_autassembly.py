@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import character_matrix, permute_vector, random_canonical_form
+from conftest import character_matrix, permutation, permute_vector, random_canonical_form
 from sepaut.autassembly import (
     IRREDUCIBLE,
     UNDETERMINED,
@@ -18,7 +18,7 @@ from sepaut.oracles import (
     verify_diagonal,
     verify_permutation,
 )
-from sepaut.polyio import dense, parse_separated, permutation
+from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import SingleMonomialError
 
 SEMI = "⋉"

@@ -1,10 +1,12 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -369,6 +371,66 @@ def test_main_exits_with_a_code_on_any_text(argv):
         assert main(argv) in (0, 1, 2, 3)
 
 
+_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+_COEFFICIENTS = ("2*", "3/2*", "5/7*", "12*", "")  # "" only with a minus sign
+
+
+@st.composite
+def _variants(draw):
+    """A separated form over v0, v1, ... and the same form with its terms
+    and factors shuffled, a non-unit coefficient on every term, and its
+    variables renamed in an order-preserving way (so the canonical order is
+    kept), with the renaming."""
+    shapes = draw(
+        st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=2), min_size=2, max_size=4)
+    )
+    names = iter(f"v{k}" for k in range(8))
+    terms = [[(next(names), e) for e in shape] for shape in shapes]
+    old = sorted(v for term in terms for v, _ in term)
+    rename = dict(zip(old, sorted(draw(st.sets(_NAME, min_size=len(old), max_size=len(old))))))
+    text = " + ".join("*".join(f"{v}^{e}" for v, e in term) for term in terms)
+    pieces = []
+    for term in draw(st.permutations(terms)):
+        factors = "*".join(f"{rename[v]}^{e}" for v, e in draw(st.permutations(term)))
+        coefficient = draw(st.sampled_from(_COEFFICIENTS))
+        sign = "-" if not coefficient else draw(st.sampled_from("+-"))
+        pieces.append(f" {sign} {coefficient}{factors}")
+    return text, "".join(pieces).removeprefix(" + "), rename
+
+
+def _names_mapped(report: dict, names: dict) -> dict:
+    """`report` with every variable name mapped through `names` and the
+    fields that may differ between variants (the input, the rendered form
+    and the absorbed scaling) left out."""
+    report = json.loads(json.dumps(report))
+    cf, perm = report["canonical_form"], report["permutation_group"]
+    del report["input"], cf["rendered"], cf["scaling_absorbed"]
+    cf["variables"] = [names[v] for v in cf["variables"]]
+    for block in cf["mixed_blocks"] + cf["pure_blocks"] + perm["pure_factors"]:
+        block["variables"] = [names[v] for v in block["variables"]]
+    perm["generators"] = [
+        re.sub(r"[^() ]+", lambda m: names[m.group()], g) for g in perm["generators"]
+    ]
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(_variants())
+def test_report_is_invariant_under_order_names_and_scaling(variant):
+    """Shuffling terms and factors, renaming the variables in order and
+    scaling every term change only the input, the rendered form, the
+    variable names and the absorbed scaling of the verified report."""
+    text, changed, rename = variant
+    report = build_report(text, parse_separated(text), verify=True)
+    other = build_report(changed, parse_separated(changed), verify=True)
+    assert not report["canonical_form"]["scaling_absorbed"]
+    assert other["canonical_form"]["scaling_absorbed"]
+    assert other["input"] == changed
+    back = {new: old for old, new in rename.items()}
+    same = {v: v for v in rename}
+    assert _names_mapped(other, back) == _names_mapped(report, same)
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -499,33 +561,84 @@ def test_overlong_exponent_exits_1_with_position(capsys):
 
 
 def test_huge_report_exits_1_with_its_size(capsys):
-    # 100000 pure squares: 99999 torsion generators and 2 permutation
-    # generators of 100000 entries each
-    code, out, err = run_cli(capsys, "fermat", "100000", "2")
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: the report would print 10000500001 vector entries, over the "
-        f"limit of {REPORT_LIMIT}\n"
-    )
+    # 100000 pure squares: 99999 torsion generators of 100000 entries each,
+    # and 100002 points in the two permutation generators; JSON adds the
+    # homogeneity and the 100000 nonzero weights
+    for flags, size in (([], 10000100003), (["--json"], 10000300003)):
+        code, out, err = run_cli(capsys, "fermat", "100000", "2", *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the report would print {size} vector entries and cycle "
+            f"points, over the limit of {REPORT_LIMIT}\n"
+        )
+
+
+def _printed_entries(out: str, as_json: bool) -> int:
+    """The vector entries and cycle points in a printed report: each entry
+    of a dense vector, each [index, value] pair of a sparse one, and each
+    variable of a generator in cycle notation."""
+    if as_json:
+        report = json.loads(out)
+        quasi, cone = report["quasitorus"], report["cone"]
+        vectors = [*quasi["cocharacter_basis"], cone["homogeneity_cocharacter"]]
+        vectors += [t["exponents"] for t in quasi["torsion_generators"]]
+        vectors += [*cone["weights"], cone["witness"] or []]
+        vectors += [p["vector"] for p in cone["pair_cocharacters"]]
+        cycles = report["permutation_group"]["generators"]
+        return sum(map(len, vectors)) + sum(len(re.findall(r"[^() ]+", g)) for g in cycles)
+    size = 0
+    for line in out.splitlines():
+        head, _, rest = line.partition(": ")
+        if head in ("  cocharacter basis", "  torsion generator", "weight cone"):
+            size += sum(len(v.split(", ")) for v in re.findall(r"\(([^()]*)\)", rest))
+        elif head == "  generators":
+            size += len(re.findall(r"[^(), ]+", rest))
+    return size
+
+
+REPORT_INPUTS = (
+    FLAGSHIP,
+    "x + y",
+    "x*y + z*w",
+    "x^2*y^3 + z^5",
+    "a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5",
+    fermat_form(5, 3).to_text(),
+)
 
 
 def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
-    for argv in (["analyze", FLAGSHIP, "--json"], ["fermat", "5", "3", "--json"]):
-        report = json.loads(run_cli(capsys, *argv)[1])
-        quasi, cone = report["quasitorus"], report["cone"]
-        vectors = [*quasi["cocharacter_basis"], *cone["basis"], *cone["weights"]]
-        vectors += [t["exponents"] for t in quasi["torsion_generators"]]
-        vectors += [cone["witness"], cone["homogeneity_cocharacter"]]
-        vectors += [p["vector"] for p in cone["pair_cocharacters"]]
-        vectors += report["aut"]["action"]
-        size = sum(map(len, vectors))
+    """In each mode the guard counts exactly what that mode prints, and a
+    report of that many entries is printed while one fewer is refused."""
+    rng = random.Random(49)
+    texts = REPORT_INPUTS + tuple(random_canonical_form(rng).to_text() for _ in range(20))
+    for text, flags in itertools.product(texts, ([], ["--json"])):
+        argv = ["analyze", text, *flags]
+        code, out, _ = run_cli(capsys, *argv)
+        size = _printed_entries(out, bool(flags))
+        cf = parse_separated(text)
+        assert sepaut.cli._report_size(cf.variable_count, aut_group(cf), bool(flags)) == size
         monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size)
-        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv)[:2] == (code, out)
         monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size - 1)
         code, _, err = run_cli(capsys, *argv)
-        assert code == 1 and f"print {size} vector entries" in err
+        assert code == 1 and f"print {size} vector entries and cycle points" in err
+        monkeypatch.undo()
 
 
 def test_fermat_1600_squares_fit_the_report_limit():
     aut = aut_group(fermat_form(1600, 2))
-    assert sepaut.cli._report_size(1600, aut) <= REPORT_LIMIT
+    for as_json in (False, True):
+        assert sepaut.cli._report_size(1600, aut, as_json) <= REPORT_LIMIT
+
+
+def test_1500_mixed_squares_fit_the_report_limit(capsys):
+    # n = 3000, torus rank 1501 and 1499 torsion generators: 9 * 10^6
+    # entries in either mode, where the dense cone and actions of the old
+    # report counted 27016501
+    cf = parse_separated(" + ".join(f"a{i}^2*b{i}^2" for i in range(1500)))
+    aut = aut_group(cf)
+    for as_json in (False, True):
+        assert 9_000_000 < sepaut.cli._report_size(3000, aut, as_json) < 9_020_000
+    code, out, err = run_cli(capsys, "analyze", cf.to_text())
+    assert (code, err) == (0, "")
+    assert out.count("  torsion generator: ") == 1499

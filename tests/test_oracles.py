@@ -8,8 +8,16 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+import pytest
+
 import sepaut.oracles
-from conftest import cycles_of, perm_order_by_scan, random_canonical_form, verify_dense
+from conftest import (
+    cycles_of,
+    perm_order_by_scan,
+    permutation,
+    random_canonical_form,
+    verify_dense,
+)
 from sepaut.autassembly import aut_group
 from sepaut.cli import build_report
 from sepaut.oracles import (
@@ -22,7 +30,7 @@ from sepaut.oracles import (
     verify_permutation,
 )
 from sepaut.permgroup import permutation_group
-from sepaut.polyio import dense, make_canonical_form, parse_separated, permutation
+from sepaut.polyio import dense, make_canonical_form, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 
 # the modules whose claims the oracles check
@@ -191,14 +199,10 @@ def _small_forms(max_vars=4, max_exp=6):
         yield make_canonical_form(mixed, pure)
 
 
-def test_every_small_form_passes_every_oracle():
-    """Small scope: on every form with n <= 4 and exponents <= 6, where the
-    brute-force oracles are complete, every check of the report passes, the
-    permutations keeping each exponent count as many automorphisms as all
-    n! permutations, and the torsion count equals the divisor formula at
-    every N <= 12."""
-    forms = list(_small_forms())
-    assert len(forms) == len(set(forms)) == 1337
+def _check_every_oracle(forms) -> None:
+    """Every check of the report passes, the permutations keeping each
+    exponent count as many automorphisms as all n! permutations, and the
+    torsion count equals the divisor formula at every N <= 12."""
     for cf in forms:
         report = build_report(cf.to_text(), cf, verify=True)
         checks = report["verification"]["checks"]
@@ -210,3 +214,20 @@ def test_every_small_form_passes_every_oracle():
             assert count_torsion_points_mod(cf, modulus) == torsion_count_formula(
                 quasi, modulus
             )
+
+
+def test_every_small_form_passes_every_oracle():
+    """Small scope: every form with n <= 4 and exponents <= 6, where the
+    brute-force oracles are complete, passes every oracle."""
+    forms = list(_small_forms())
+    assert len(forms) == len(set(forms)) == 1337
+    _check_every_oracle(forms)
+
+
+@pytest.mark.slow
+def test_every_form_of_five_variables_passes_every_oracle():
+    """The same on the forms with n = 5 and exponents <= 6: with the test
+    above, all 7259 forms with n <= 5."""
+    forms = [cf for cf in _small_forms(max_vars=5) if cf.variable_count == 5]
+    assert len(forms) == len(set(forms)) == 7259 - 1337
+    _check_every_oracle(forms)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     generated_group,
     perm_order_by_scan,
+    permutation,
     permute_vector,
     random_canonical_form,
 )
@@ -19,7 +20,7 @@ from sepaut.oracles import (
     brute_force_perm_order,
 )
 from sepaut.permgroup import cycle_notation, permutation_group
-from sepaut.polyio import make_canonical_form, parse_separated, permutation
+from sepaut.polyio import make_canonical_form, parse_separated
 
 
 def preserves(cf, cycles):

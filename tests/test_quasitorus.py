@@ -150,6 +150,35 @@ def test_count_just_over_the_guard():
         )
 
 
+def _one_block(k: int):
+    """x0*...*x(k-1) + y: one mixed block of k variables and a pure power."""
+    return make_canonical_form([([f"x{i}" for i in range(k)], [1] * k)], [(1, ["y"])])
+
+
+def test_count_guard_weighs_the_tally_size():
+    # x0*...*x249998 + y mod 2 is 2*2 + 249998*2^2 = 999996 steps, but each
+    # adds to a tally of up to ceil(249999*2/64) = 7813 words; refused before
+    # any tally is built
+    with pytest.raises(EnumerationTooLargeError) as exc:
+        count_torsion_points_mod(_one_block(249_999), 2)
+    assert str(exc.value) == (
+        "sum of (N + (k-1)*N^2) * ceil(k*bits(N)/64) word steps over the "
+        "monomials of k variables for N = 2, n = 250000, M = 2 exceed the "
+        "enumeration guard 1000000"
+    )
+
+
+def test_count_at_the_weighted_guard_edge():
+    # (2 + 4*(k-1)) * ceil(2k/64) word steps mod 2: 991056 at k = 2816,
+    # 1002674 at k = 2817
+    cf = _one_block(2816)
+    assert count_torsion_points_mod(cf, 2) == torsion_count_formula(
+        quasitorus_structure(cf), 2
+    )
+    with pytest.raises(EnumerationTooLargeError):
+        count_torsion_points_mod(_one_block(2817), 2)
+
+
 def test_count_matches_formula_randomized():
     rng = random.Random(11)
     for _ in range(12):
