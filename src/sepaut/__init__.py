@@ -4,11 +4,12 @@ Given a polynomial in which every variable occurs in exactly one monomial,
 this package computes a certified structural description of the
 automorphism group of the hypersurface it cuts out: the semidirect product
 of the permutation group of the polynomial with the diagonal quasitorus,
-together with a rigidity certificate, explicit torus generators and the
-weight cone of the coordinates.  This namespace holds the analysis; the
-brute-force verification oracles are in `sepaut.oracles`.  The exact
-integer linear algebra (Smith normal form) in `sepaut.intlat` is the
-tests' referee: no module of the package imports it.
+together with a rigidity certificate, the homogeneity cocharacter and a
+witness that the weight cone of the coordinates is pointed.  This
+namespace holds the analysis; the brute-force verification oracles are in
+`sepaut.oracles`.  The exact integer linear algebra (Smith normal form) in
+`sepaut.intlat` is the tests' referee: no module of the package imports
+it.
 """
 
 from .autassembly import (
@@ -41,6 +42,6 @@ from .quasitorus import (
     quasitorus_structure,
 )
 from .rigidity import RigidityCertificate, rigidity_certificate
-from .torusgeom import ConeDescription, TorusGenerators, torus_generators, weight_cone
+from .torusgeom import homogeneity_cocharacter, pointedness_witness
 
 __version__ = "0.1.0"

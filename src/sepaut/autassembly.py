@@ -9,9 +9,14 @@ its maximality needs rigidity, so when the rigidity certificate is not
 conclusive the description is still emitted but flagged `conditional`.
 
 `aut_group` is the one analysis: it runs each stage once, and its result
-holds everything the report prints and the oracles check.  The arithmetic
-certificate of every generator it emits, F o g = c * F by integer
-congruences, is `oracles.certify_pipeline_generators`.
+holds everything the report prints and the oracles check: the permutation
+group, the quasitorus, the rigidity certificate, the homogeneity
+cocharacter and the witness that the weight cone is pointed.  It builds
+nothing that can be read off another field (not the weights, the transpose
+of the cocharacter basis, nor the pair cocharacters), and it checks the
+witness exactly on every analysis (`torusgeom.pointedness_witness`).  The
+arithmetic certificate of every generator it emits, F o g = c * F by
+integer congruences, is `oracles.certify_pipeline_generators`.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .permgroup import PermGroupDescription, permutation_group
-from .polyio import CanonicalForm, decimal, make_canonical_form
+from .polyio import CanonicalForm, SparseVector, decimal, make_canonical_form
 from .quasitorus import QuasitorusDescription, quasitorus_structure
 from .rigidity import CERTIFIED_RIGID, RigidityCertificate, rigidity_certificate
-from .torusgeom import ConeDescription, TorusGenerators, torus_generators, weight_cone
+from .torusgeom import homogeneity_cocharacter, pointedness_witness
 
 __all__ = [
     "IRREDUCIBLE",
@@ -46,8 +51,8 @@ class AutGroupDescription(NamedTuple):
     conditional: bool
     irreducible: str
     rigidity: RigidityCertificate
-    torus_generators: TorusGenerators
-    cone: ConeDescription
+    homogeneity: SparseVector
+    witness: SparseVector
 
 
 def structure_string(perm_structure: str, torsion, torus_rank: int) -> str:
@@ -74,7 +79,7 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
     quasi = quasitorus_structure(cf)
     perm = permutation_group(cf)
     cert = rigidity_certificate(cf)
-    gens = torus_generators(cf)
+    homogeneity = homogeneity_cocharacter(cf)
     return AutGroupDescription(
         perm=perm,
         quasitorus=quasi,
@@ -82,8 +87,8 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
         conditional=cert.verdict != CERTIFIED_RIGID,
         irreducible=irreducibility_verdict(cf),
         rigidity=cert,
-        torus_generators=gens,
-        cone=weight_cone(quasi, gens.homogeneity),
+        homogeneity=homogeneity,
+        witness=pointedness_witness(quasi, homogeneity),
     )
 
 

@@ -6,17 +6,21 @@ output has a fixed key order, escapes non-ASCII characters, and serializes
 unbounded integers and rationals as decimal strings, so identical
 invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles, and
-each report section is printed once, from that description.  JSON prints
-the cocharacter basis, the torsion generators and the homogeneity
-cocharacter as dense lists of decimal strings (the quasitorus section is
-read densely by downstream checks, and the homogeneity has no zero entry),
-the cone's weights and witness and the pair cocharacters as their nonzero
-`[index, "value"]` pairs, and each permutation generator once, in cycle
-notation; the cocharacter basis is not repeated in the cone, nor the
-generators as dense actions.  The text report is rendered from the
-description too and prints only what it shows.  Either mode refuses
-(`ReportTooLargeError`, exit 1) a report that would print more than
-`REPORT_LIMIT` vector entries and cycle points, counted for that mode.
+the report prints each fact once, from that description, and nothing that
+can be read off another field.  JSON prints the cocharacter basis, the
+torsion generators and the homogeneity cocharacter as dense lists of
+decimal strings (the quasitorus section is read densely by downstream
+checks, and the homogeneity has no zero entry), the cone's witness as its
+nonzero `[index, "value"]` pairs, and each permutation generator once, in
+cycle notation.  The cone section is the witness and the homogeneity: the
+weights (the transpose of the cocharacter basis), the pair cocharacters
+(read off `mixed_blocks`), the pure factors of the permutation group (the
+`pure_blocks` again) and the pointedness flag (the analysis checks the
+witness exactly, so the cone is always pointed) are not printed.  The text
+report is rendered from the description too and prints only what it shows.
+Either mode refuses (`ReportTooLargeError`, exit 1) a report that would
+print more than `REPORT_LIMIT` vector entries and cycle points, counted for
+that mode.
 Every integer prints through `polyio.decimal`, whatever its length.
 The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
 the analysis emits them, and load only with the commands that run them.
@@ -125,17 +129,13 @@ def _report_size(n: int, aut, as_json: bool) -> int:
     """Vector entries and cycle points the report prints: n for each
     cocharacter basis vector and torsion generator, one for each point of a
     permutation generator, and the witness (the torus rank in text, its
-    nonzeros in JSON); JSON adds the n entries of the homogeneity and one
-    pair for each nonzero of the weights and pair cocharacters."""
-    quasi, cone = aut.quasitorus, aut.cone
+    nonzeros in JSON); JSON adds the n entries of the homogeneity."""
+    quasi = aut.quasitorus
     size = (quasi.torus_rank + len(quasi.torsion_generators)) * n
     size += sum(len(cycle) for g in aut.perm.generators for cycle in g)
-    if cone.witness is not None:
-        size += len(cone.witness) if as_json else quasi.torus_rank
     if as_json:
-        size += n + sum(map(len, cone.weights))
-        size += sum(len(p.vector) for p in aut.torus_generators.pair_cocharacters)
-    return size
+        return size + len(aut.witness) + n
+    return size + quasi.torus_rank
 
 
 def _analysis(cf, verify: bool, as_json: bool):
@@ -152,18 +152,13 @@ def _analysis(cf, verify: bool, as_json: bool):
     return aut, run_verification(cf, aut) if verify else None
 
 
-def _pairs(vec) -> list:
-    """The sparse vector `vec` as the report prints it: [index, "value"]."""
-    return [[i, decimal(x)] for i, x in vec]
-
-
 def build_report(input_text: str, cf, verify: bool = False) -> dict:
     """Ordered, JSON-ready report of the full analysis.
 
     Raises `ReportTooLargeError` before expanding any vector when the
     report would print more than `REPORT_LIMIT` entries."""
     aut, checks = _analysis(cf, verify, as_json=True)
-    cert, cone, gens = aut.rigidity, aut.cone, aut.torus_generators
+    cert = aut.rigidity
     names = cf.var_order
     n = len(names)
 
@@ -207,10 +202,6 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "permutation_group": {
             "order": decimal(aut.perm.order),
             "structure": aut.perm.structure,
-            "pure_factors": [
-                {"exponent": p.exponent, "variables": list(p.variables)}
-                for p in cf.pure_blocks
-            ],
             "mixed_classes": [
                 {
                     "blocks": list(c.block_indices),
@@ -226,14 +217,8 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "conditional_on_rigidity": aut.conditional,
         },
         "cone": {
-            "weights": [_pairs(v) for v in cone.weights],
-            "pointed": cone.pointed,
-            "witness": _pairs(cone.witness) if cone.witness is not None else None,
-            "homogeneity_cocharacter": decimals(gens.homogeneity),
-            "pair_cocharacters": [
-                {"block": p.block, "position": p.position, "vector": _pairs(p.vector)}
-                for p in gens.pair_cocharacters
-            ],
+            "witness": [[k, decimal(u)] for k, u in aut.witness],
+            "homogeneity_cocharacter": decimals(aut.homogeneity),
         },
         "irreducible": aut.irreducible,
         "verification": {
@@ -251,7 +236,7 @@ def _entries(vec, dim: int) -> str:
 def render_text(input_text: str, cf, aut, checks=None) -> str:
     """The text report of the analysis `aut` of `cf`, ending in the line of
     each check when verification ran (`checks` not None)."""
-    quasi, cert, cone = aut.quasitorus, aut.rigidity, aut.cone
+    quasi, cert = aut.quasitorus, aut.rigidity
     names, n, rank = cf.var_order, cf.variable_count, quasi.torus_rank
     lines = [
         f"input: {input_text}",
@@ -295,10 +280,8 @@ def render_text(input_text: str, cf, aut, checks=None) -> str:
             "Aut; maximality needs a rigid input"
         )
 
-    witness = _entries(cone.witness, rank) if cone.witness is not None and rank else "none"
-    lines.append(
-        f"weight cone: pointed = {'yes' if cone.pointed else 'no'}, witness u = {witness}"
-    )
+    # the analysis checked the witness, so the cone is pointed
+    lines.append(f"weight cone: pointed = yes, witness u = {_entries(aut.witness, rank)}")
     lines.append(f"irreducibility: {aut.irreducible}")
     if checks is not None:
         lines.extend(map(_check_line, checks))

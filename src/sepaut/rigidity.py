@@ -16,7 +16,9 @@ several variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .polyio import CanonicalForm
@@ -51,12 +53,13 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     inconclusive     -- M >= 3 but the bound fails (says nothing either way);
     inapplicable     -- M <= 2, where the threshold denominator vanishes.
     """
-    # a pure block of k variables of exponent q adds k/q in one step
-    total = sum(
-        [Fraction(1, e) for b in cf.mixed_blocks for e in b.exponents]
-        + [Fraction(len(b.variables), b.exponent) for b in cf.pure_blocks],
-        Fraction(0),
-    )
+    # k variables of exponent e add k/e, one term per distinct e, over the
+    # common denominator: one Fraction, not one per variable
+    counts = Counter(e for b in cf.mixed_blocks for e in b.exponents)
+    for b in cf.pure_blocks:
+        counts[b.exponent] += len(b.variables)
+    denominator = lcm(*counts)
+    total = Fraction(sum(k * (denominator // e) for e, k in counts.items()), denominator)
     m_count = cf.monomial_count
     blocks = len(cf.mixed_blocks) + len(cf.pure_blocks)
     alt = Fraction(1, blocks - 2) if blocks > 2 else None

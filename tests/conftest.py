@@ -1,6 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
 from itertools import permutations
+from typing import NamedTuple
 
 import pytest
 
@@ -9,6 +10,7 @@ from sepaut.oracles import NotAnAutomorphismError
 from sepaut.permgroup import cycle_notation
 from sepaut.polyio import make_canonical_form, parse_separated
 from sepaut.quasitorus import SingleMonomialError
+from sepaut.torusgeom import homogeneity_cocharacter
 
 # running example used across the suite and in the README
 FLAGSHIP = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
@@ -133,6 +135,54 @@ def express_in_basis(basis, target) -> tuple[int, ...]:
     if any(z[k] for k in range(d, n)):
         raise ValueError("target is not in the lattice spanned by the basis")
     return tuple(sum(y[k] * snf.U.at(k, j) for k in range(d)) for j in range(d))
+
+
+class PairCocharacter(NamedTuple):
+    """Cocharacter rescaling one variable of a mixed block against its first.
+
+    `position` is the 0-based index (>= 1) of the moved variable within the
+    block's canonical variable list."""
+
+    block: int
+    position: int
+    vector: tuple
+
+
+class TorusGenerators(NamedTuple):
+    homogeneity: tuple
+    pair_cocharacters: tuple[PairCocharacter, ...]
+
+
+def torus_generators(cf) -> TorusGenerators:
+    """Explicit generators of a finite-index sublattice of ker(D): the
+    homogeneity cocharacter the analysis emits, and one pair cocharacter per
+    mixed block i and position j >= 1, weighting the block's first variable
+    by l_ij and the j-th by -l_i1 (the block's monomial gets weight zero and
+    nothing else moves).  The analysis does not build the pair
+    cocharacters: they follow from the mixed blocks, and they are the
+    referee for the torus rank (acceptance criterion 6).  Sparse vectors."""
+    pairs = []
+    first = 0
+    for bi, b in enumerate(cf.mixed_blocks):
+        for j in range(1, len(b.variables)):
+            vec = ((first, b.exponents[j]), (first + j, -b.exponents[0]))
+            pairs.append(PairCocharacter(block=bi, position=j, vector=vec))
+        first += len(b.variables)
+    return TorusGenerators(homogeneity_cocharacter(cf), tuple(pairs))
+
+
+def weight_cone(quasi) -> tuple[tuple, ...]:
+    """The weights of the coordinate functions in the cocharacter basis of
+    `quasi`: the basis transposed, one sparse vector per variable listing
+    the basis vectors that move it.  The analysis does not build them; the
+    tests pair them with its witness (acceptance criterion 7)."""
+    columns: list[list[tuple[int, int]]] = [
+        [] for b in quasi.blocks for _ in b.support
+    ]
+    for k, vec in enumerate(quasi.cocharacter_basis):
+        for v, x in vec:
+            columns[v].append((k, x))
+    return tuple(map(tuple, columns))
 
 
 def block_shape(cf):

@@ -3,13 +3,16 @@
 `golden/corpus.json` holds, for each command line below, its exit code and
 either its exact stdout or, for the wide forms, the sha256 of its stdout.
 The JSON entries hold the dense layout in which every vector was printed in
-full: the cone repeated the cocharacter basis (`cone.basis`), the weights,
-witness and pair cocharacters were dense lists, and `aut.action` gave each
-permutation generator as its n images.  The report now prints each section
-once and the cone's vectors sparse, so a JSON output is compared through
-`dense_layout`, a strict referee that rejects any key it does not know,
-expands the output back to that layout and must reproduce the recorded
-bytes; the text and `verify` outputs are compared as they are.
+full and every derived section was printed too: the cone repeated the
+cocharacter basis (`cone.basis`) and its transpose (`cone.weights`), said
+`pointed`, and listed the pair cocharacters of the mixed blocks as dense
+vectors; the permutation group repeated the pure blocks (`pure_factors`);
+and `aut.action` gave each permutation generator as its n images.  The
+report now prints each fact once and the witness sparse, so a JSON output
+is compared through `dense_layout`, a strict referee that rejects any key
+it does not know, rebuilds the derived sections from the printed data and
+must reproduce the recorded bytes; the text and `verify` outputs are
+compared as they are.
 
     PYTHONPATH=src python tests/golden_replay.py            # replay, exit 1 on a mismatch
     PYTHONPATH=src python tests/golden_replay.py --record   # record again
@@ -114,18 +117,12 @@ KEYS = {
     ),
     ("quasitorus",): ("torus_rank", "torsion", "cocharacter_basis", "torsion_generators"),
     ("quasitorus", "torsion_generators", "[]"): ("order", "exponents"),
-    ("permutation_group",): (
-        "order", "structure", "pure_factors", "mixed_classes", "generators",
-    ),
-    ("permutation_group", "pure_factors", "[]"): ("exponent", "variables"),
+    ("permutation_group",): ("order", "structure", "mixed_classes", "generators"),
     ("permutation_group", "mixed_classes", "[]"): (
         "blocks", "exponents", "inner_multiplicities",
     ),
     ("aut",): ("structure", "conditional_on_rigidity"),
-    ("cone",): (
-        "weights", "pointed", "witness", "homogeneity_cocharacter", "pair_cocharacters",
-    ),
-    ("cone", "pair_cocharacters", "[]"): ("block", "position", "vector"),
+    ("cone",): ("witness", "homogeneity_cocharacter"),
     ("verification",): ("requested", "checks"),
     ("verification", "checks", "[]"): ("oracle", "status", "detail"),
 }
@@ -152,6 +149,8 @@ def _check_keys(node, path=()) -> None:
 def _dense(pairs, dim: int) -> list[str]:
     """The `dim` entries of a vector printed as [index, "value"] pairs:
     indices strictly increasing and in range, values nonzero decimals."""
+    if not isinstance(pairs, list):
+        raise RefereeError(f"not a list of [index, value] pairs: {pairs!r}")
     out, last = ["0"] * dim, -1
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -180,31 +179,63 @@ def _images(generator: str, index: dict[str, int]) -> list[int]:
     return out
 
 
+def _pair_cocharacters(blocks, index: dict[str, int]) -> list[dict]:
+    """For each mixed block and position j >= 1, the cocharacter weighting
+    the block's first variable by its j-th exponent and the j-th variable by
+    minus the first exponent, as a dense vector."""
+    out = []
+    for bi, block in enumerate(blocks):
+        names, exponents = block["variables"], block["exponents"]
+        for j in range(1, len(names)):
+            vector = ["0"] * len(index)
+            vector[index[names[0]]] = str(exponents[j])
+            vector[index[names[j]]] = str(-exponents[0])
+            out.append({"block": bi, "position": j, "vector": vector})
+    return out
+
+
 def dense_layout(report: dict) -> dict:
-    """The report in the dense layout the corpus was recorded in: the cone
-    with the cocharacter basis first and its vectors dense, and `aut` ending
-    in the action of each permutation generator."""
+    """The report in the dense layout the corpus was recorded in: the
+    permutation group with its pure factors, `aut` ending in the action of
+    each permutation generator, and the cone with the cocharacter basis and
+    its transpose (the weights), the pointedness the witness shows (it pairs
+    with the weight of each variable to that variable's homogeneity weight,
+    a positive number), the dense witness, and the pair cocharacters."""
     _check_keys(report)
-    names = report["canonical_form"]["variables"]
-    n, rank = len(names), report["quasitorus"]["torus_rank"]
-    if report["canonical_form"]["variable_count"] != n:
+    cf, quasi = report["canonical_form"], report["quasitorus"]
+    names = cf["variables"]
+    n, rank = len(names), quasi["torus_rank"]
+    if cf["variable_count"] != n:
         raise RefereeError("variable count differs from the variables")
+    basis, homogeneity = quasi["cocharacter_basis"], report["cone"]["homogeneity_cocharacter"]
+    if len(basis) != rank or any(len(v) != n for v in [*basis, homogeneity]):
+        raise RefereeError(f"basis or homogeneity not {rank} and 1 dense vectors of {n}")
     index = {v: i for i, v in enumerate(names)}
-    cone = report["cone"]
-    witness = cone["witness"]
-    action = [_images(g, index) for g in report["permutation_group"]["generators"]]
+    witness = _dense(report["cone"]["witness"], rank)
+    weights = [[b[v] for b in basis] for v in range(n)]
+    pointed = all(
+        sum(int(u) * int(x) for u, x in zip(witness, weight)) == int(h) > 0
+        for weight, h in zip(weights, homogeneity)
+    )
+    perm = report["permutation_group"]
+    action = [_images(g, index) for g in perm["generators"]]
     return {
         **report,
+        "permutation_group": {
+            "order": perm["order"],
+            "structure": perm["structure"],
+            "pure_factors": cf["pure_blocks"],
+            "mixed_classes": perm["mixed_classes"],
+            "generators": perm["generators"],
+        },
         "aut": {**report["aut"], "action": action},
         "cone": {
-            "basis": report["quasitorus"]["cocharacter_basis"],
-            "weights": [_dense(w, rank) for w in cone["weights"]],
-            "pointed": cone["pointed"],
-            "witness": None if witness is None else _dense(witness, rank),
-            "homogeneity_cocharacter": cone["homogeneity_cocharacter"],
-            "pair_cocharacters": [
-                {**p, "vector": _dense(p["vector"], n)} for p in cone["pair_cocharacters"]
-            ],
+            "basis": basis,
+            "weights": weights,
+            "pointed": pointed,
+            "witness": witness,
+            "homogeneity_cocharacter": homogeneity,
+            "pair_cocharacters": _pair_cocharacters(cf["mixed_blocks"], index),
         },
     }
 

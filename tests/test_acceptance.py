@@ -17,6 +17,8 @@ from conftest import (
     express_in_basis,
     random_canonical_form,
     times_rows,
+    torus_generators,
+    weight_cone,
 )
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.intlat import IntMatrix, gcd_of_minors, smith_normal_form
@@ -31,7 +33,7 @@ from sepaut.permgroup import permutation_group
 from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 from sepaut.rigidity import CERTIFIED_RIGID, rigidity_certificate
-from sepaut.torusgeom import torus_generators, weight_cone
+from sepaut.torusgeom import homogeneity_cocharacter, pointedness_witness
 
 SEMI = "⋉"
 TIMES = "×"
@@ -223,13 +225,14 @@ def test_criterion_7_pointedness_witness():
     failures = 0
     for cf in _forms_for_torus_checks():
         quasi = quasitorus_structure(cf)
-        homogeneity = torus_generators(cf).homogeneity
-        cone = weight_cone(quasi, homogeneity)
-        good = cone.pointed and cone.witness is not None
+        homogeneity = homogeneity_cocharacter(cf)
+        # raises AssertionError unless the witness gives the homogeneity
+        witness = pointedness_witness(quasi, homogeneity)
         n, rank = cf.variable_count, quasi.torus_rank
         t0 = dense(homogeneity, n)
-        witness = dense(cone.witness, rank)
-        for v, w in enumerate(cone.weights):
+        witness = dense(witness, rank)
+        good = True
+        for v, w in enumerate(weight_cone(quasi)):
             pairing = sum(u * x for u, x in zip(witness, dense(w, rank)))
             good = good and pairing == t0[v] > 0
         # second basis, related by a unimodular change; the referee solves

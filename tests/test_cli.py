@@ -13,10 +13,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FLAGSHIP, random_canonical_form
+from conftest import FLAGSHIP, character_matrix, random_canonical_form, times_rows
 import sepaut.cli
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.cli import REPORT_LIMIT, build_report, main
@@ -275,8 +275,8 @@ STAGES = (
     "permutation_group",
     "quasitorus_structure",
     "rigidity_certificate",
-    "torus_generators",
-    "weight_cone",
+    "homogeneity_cocharacter",
+    "pointedness_witness",
 )
 
 
@@ -406,7 +406,7 @@ def _names_mapped(report: dict, names: dict) -> dict:
     cf, perm = report["canonical_form"], report["permutation_group"]
     del report["input"], cf["rendered"], cf["scaling_absorbed"]
     cf["variables"] = [names[v] for v in cf["variables"]]
-    for block in cf["mixed_blocks"] + cf["pure_blocks"] + perm["pure_factors"]:
+    for block in cf["mixed_blocks"] + cf["pure_blocks"]:
         block["variables"] = [names[v] for v in block["variables"]]
     perm["generators"] = [
         re.sub(r"[^() ]+", lambda m: names[m.group()], g) for g in perm["generators"]
@@ -429,6 +429,60 @@ def test_report_is_invariant_under_order_names_and_scaling(variant):
     back = {new: old for old, new in rename.items()}
     same = {v: v for v in rename}
     assert _names_mapped(other, back) == _names_mapped(report, same)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0))
+def test_report_agrees_after_a_renaming_that_reorders(seed):
+    """Renaming the variables so that the canonical order changes keeps the
+    torus rank, torsion, permutation order, structure and reciprocal sum,
+    and each printed basis vector (torsion generator of order d), read back
+    in the original coordinates, solves D v = 0 (mod d) for the original D;
+    each variable keeps its homogeneity weight."""
+    rng = random.Random(seed)
+    # small exponents give ties, which only the names order
+    cf = random_canonical_form(rng, max_vars=8, max_exp=4)
+    names = cf.var_order
+    fresh = [f"w{k}" for k in range(len(names))]
+    for _ in range(10):
+        rng.shuffle(fresh)
+        rename = dict(zip(names, fresh))
+        text = " + ".join(
+            "*".join(f"{rename[names[v]]}^{e}" for v, e in support)
+            for support in cf.monomial_supports
+        )
+        renamed = parse_separated(text)
+        back = {new: old for old, new in rename.items()}
+        order = [names.index(back[v]) for v in renamed.var_order]
+        if order != sorted(order):
+            break
+    assume(order != sorted(order))
+    report = build_report(cf.to_text(), cf)
+    other = build_report(text, renamed)
+
+    def invariants(r):
+        return (
+            r["quasitorus"]["torus_rank"], r["quasitorus"]["torsion"],
+            r["permutation_group"]["order"], r["aut"]["structure"],
+            r["rigidity"]["reciprocal_sum"],
+        )
+
+    def original(vec):
+        out = [0] * len(names)
+        for i, x in zip(order, vec):
+            out[i] = int(x)
+        return out
+
+    assert invariants(other) == invariants(report)
+    rows = character_matrix(cf)
+    zero = (0,) * len(rows)
+    for vec in other["quasitorus"]["cocharacter_basis"]:
+        assert times_rows(rows, original(vec)) == zero
+    for t in other["quasitorus"]["torsion_generators"]:
+        d = int(t["order"])
+        assert all(x % d == 0 for x in times_rows(rows, original(t["exponents"])))
+    homogeneity = report["cone"]["homogeneity_cocharacter"]
+    assert original(other["cone"]["homogeneity_cocharacter"]) == list(map(int, homogeneity))
 
 
 def test_help_exits_0(capsys):
@@ -481,7 +535,12 @@ def test_four_block_thousand_digit_analysis(capsys):
         exps = [int(x) for x in gen["exponents"]]
         assert len({sum(c * x for c, x in zip(chi, exps)) % d for chi in chars}) == 1
         assert math.gcd(d, *exps) == 1
-    assert report["cone"]["pointed"]
+    # the witness pairs with the weight of each variable (its column of the
+    # basis) to that variable's homogeneity weight, so the cone is pointed
+    witness = {k: int(u) for k, u in report["cone"]["witness"]}
+    basis = [[int(x) for x in vec] for vec in quasi["cocharacter_basis"]]
+    for v, h in enumerate(report["cone"]["homogeneity_cocharacter"]):
+        assert sum(u * basis[k][v] for k, u in witness.items()) == int(h) > 0
 
 
 def _long_int(text: str) -> int:
@@ -562,9 +621,9 @@ def test_overlong_exponent_exits_1_with_position(capsys):
 
 def test_huge_report_exits_1_with_its_size(capsys):
     # 100000 pure squares: 99999 torsion generators of 100000 entries each,
-    # and 100002 points in the two permutation generators; JSON adds the
-    # homogeneity and the 100000 nonzero weights
-    for flags, size in (([], 10000100003), (["--json"], 10000300003)):
+    # the basis vector, 100002 points in the two permutation generators and
+    # the witness; JSON adds the homogeneity
+    for flags, size in (([], 10000100003), (["--json"], 10000200003)):
         code, out, err = run_cli(capsys, "fermat", "100000", "2", *flags)
         assert (code, out) == (1, "")
         assert err == (
@@ -582,8 +641,7 @@ def _printed_entries(out: str, as_json: bool) -> int:
         quasi, cone = report["quasitorus"], report["cone"]
         vectors = [*quasi["cocharacter_basis"], cone["homogeneity_cocharacter"]]
         vectors += [t["exponents"] for t in quasi["torsion_generators"]]
-        vectors += [*cone["weights"], cone["witness"] or []]
-        vectors += [p["vector"] for p in cone["pair_cocharacters"]]
+        vectors.append(cone["witness"])
         cycles = report["permutation_group"]["generators"]
         return sum(map(len, vectors)) + sum(len(re.findall(r"[^() ]+", g)) for g in cycles)
     size = 0

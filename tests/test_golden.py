@@ -10,6 +10,10 @@ replays the corpus without pytest, and records it again.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ from golden_replay import (
     replay,
     run,
 )
+
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_corpus_covers_every_case():
@@ -44,9 +51,11 @@ def test_wide_output_matches_golden_digest(name):
 
 
 def test_referee_rejects_what_it_does_not_know():
-    """The referee refuses an unknown or missing key, a dense vector where
-    pairs belong, pairs out of order or with a zero value, and a generator
-    that is not in cycle notation over the variables."""
+    """The referee refuses an unknown or missing key (each derived section
+    the report no longer prints among them, put back where it was), a dense
+    vector or no vector where pairs belong, pairs out of order or with a
+    zero value, and a generator that is not in cycle notation over the
+    variables."""
     argv = ["analyze", FLAGSHIP, "--json"]
     report = json.loads(run(argv)[1])
     dense_layout(report)
@@ -56,16 +65,32 @@ def test_referee_rejects_what_it_does_not_know():
         change(copy)
         return copy
 
+    def put_back(section, position, key, value):
+        def change(r):
+            items = list(r[section].items())
+            items.insert(position, (key, value))
+            r[section] = dict(items)
+
+        return spoilt(change)
+
+    weights = [[[0, "10"], [1, "-10"]], [[0, "-10"], [1, "11"]]] + [[[0, "1"]]] * 3
+    pairs = [{"block": 0, "position": 1, "vector": [[0, "10"], [1, "-11"]]}]
+    pure = report["canonical_form"]["pure_blocks"]
     bad = [
+        put_back("cone", 0, "weights", weights),
+        put_back("cone", 0, "pointed", True),
+        put_back("cone", 2, "pair_cocharacters", pairs),
+        put_back("permutation_group", 2, "pure_factors", pure),
         spoilt(lambda r: r["aut"].update(action=[])),
         spoilt(lambda r: r["cone"].update(basis=[])),
-        spoilt(lambda r: r["cone"].pop("weights")),
+        spoilt(lambda r: r["cone"].pop("witness")),
         spoilt(lambda r: r.update(extra=1)),
+        spoilt(lambda r: r["cone"].update(witness=None)),
         spoilt(lambda r: r["cone"].update(witness=["21", "20"])),
         spoilt(lambda r: r["cone"].update(witness=[[1, "20"], [0, "21"]])),
         spoilt(lambda r: r["cone"].update(witness=[[0, "21"], [1, "0"]])),
         spoilt(lambda r: r["cone"].update(witness=[[0, "21"], [2, "20"]])),
-        spoilt(lambda r: r["cone"]["pair_cocharacters"][0].update(vector=[[0, 10]])),
+        spoilt(lambda r: r["cone"].update(witness=[[0, 21], [1, "20"]])),
         spoilt(lambda r: r["permutation_group"]["generators"].append("(Y1 Y1)")),
         spoilt(lambda r: r["permutation_group"]["generators"].append("(Y1 Z9)")),
         spoilt(lambda r: r["permutation_group"]["generators"].append("Y1 Y2")),
@@ -75,3 +100,16 @@ def test_referee_rejects_what_it_does_not_know():
             dense_layout(copy)
     with pytest.raises(RefereeError):
         recorded_form(argv, run(argv)[1].replace("\n  ", "\n "))
+
+
+def test_replay_runs_on_the_standard_library_alone():
+    """`python -S` leaves out site-packages, so pytest and hypothesis are
+    out of reach: the replay needs only the standard library and `sepaut`."""
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", str(TESTS / "golden_replay.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"0 of {len(load())} golden entries failed to replay\n"
+    assert len(load()) == 86

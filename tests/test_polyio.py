@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FLAGSHIP, block_shape, random_canonical_form
 from sepaut.polyio import (
@@ -197,13 +199,14 @@ def test_round_trip_flagship(flagship):
     assert flagship.to_text() == "X2^11*X1^10 + Y1^10 + Y2^10 + Y3^10"
 
 
-def test_round_trip_random_forms():
-    rng = random.Random(7)
-    for _ in range(60):
-        cf = random_canonical_form(rng)
-        again = parse_separated(cf.to_text())
-        assert again == cf
-        assert again.to_text() == cf.to_text()
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0), st.sampled_from([6, 12, 10**30]))
+def test_round_trip_random_forms(seed, max_exp):
+    """Printing a canonical form and parsing it gives the form back."""
+    cf = random_canonical_form(random.Random(seed), max_vars=10, max_exp=max_exp)
+    again = parse_separated(cf.to_text())
+    assert again == cf
+    assert again.to_text() == cf.to_text()
 
 
 def test_variable_count_matches_input():

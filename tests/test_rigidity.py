@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import random_canonical_form
 from sepaut.autassembly import fermat_form
 from sepaut.polyio import make_canonical_form, parse_separated
@@ -82,3 +85,16 @@ def test_exponent_one_is_never_certified():
     # and a handcrafted witness with M = 3
     cert = rigidity_certificate(make_canonical_form([], [(1, ["x"]), (9, ["y"]), (8, ["z"])]))
     assert cert.verdict != CERTIFIED_RIGID
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0), st.sampled_from([3, 6, 12, 10**20]))
+def test_sum_over_distinct_exponents_is_the_sum_over_variables(seed, max_exp):
+    """Summing k/e once per distinct exponent e of k variables gives the sum
+    of one Fraction per variable."""
+    cf = random_canonical_form(random.Random(seed), max_vars=10, max_exp=max_exp)
+    per_variable = sum(
+        (Fraction(1, e) for support in cf.monomial_supports for _, e in support),
+        Fraction(0),
+    )
+    assert rigidity_certificate(cf).reciprocal_sum == per_variable

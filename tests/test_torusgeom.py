@@ -8,12 +8,14 @@ from conftest import (
     express_in_basis,
     random_canonical_form,
     times_rows,
+    torus_generators,
+    weight_cone,
 )
 from sepaut.autassembly import fermat_form
 from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.polyio import dense, parse_separated
 from sepaut.quasitorus import quasitorus_structure
-from sepaut.torusgeom import torus_generators, weight_cone
+from sepaut.torusgeom import homogeneity_cocharacter, pointedness_witness
 
 
 def witness_in(basis, t0):
@@ -46,17 +48,16 @@ def test_fermat_generators():
 
 
 def test_two_pure_powers_generators():
-    gens = torus_generators(parse_separated("x^2 + y^3"))
     # canonical variable order (y, x); weights 6/3 and 6/2
-    assert dense(gens.homogeneity, 2) == [2, 3]
+    assert homogeneity_cocharacter(parse_separated("x^2 + y^3")) == ((0, 2), (1, 3))
 
 
 def test_homogeneity_uses_lcm_of_block_degrees():
     # degrees 4 and 6: weights 12/6 and 12/4, not 24/6 and 24/4
-    gens = torus_generators(parse_separated("x^4 + y^6"))
-    assert dense(gens.homogeneity, 2) == [2, 3]
-    gens = torus_generators(parse_separated("a^2*b^2 + c^6 + d^3"))
-    assert dense(gens.homogeneity, 4) == [3, 3, 2, 4]
+    homogeneity = homogeneity_cocharacter(parse_separated("x^4 + y^6"))
+    assert dense(homogeneity, 2) == [2, 3]
+    homogeneity = homogeneity_cocharacter(parse_separated("a^2*b^2 + c^6 + d^3"))
+    assert dense(homogeneity, 4) == [3, 3, 2, 4]
 
 
 def test_generators_lie_in_kernel(flagship):
@@ -87,14 +88,12 @@ def test_generators_span_rank_of_torus(flagship):
 
 def test_flagship_cone_with_explicit_basis(flagship):
     quasi = quasitorus_structure(flagship)
-    homogeneity = torus_generators(flagship).homogeneity
+    homogeneity = homogeneity_cocharacter(flagship)
     t0 = dense(homogeneity, 5)
-    cone = weight_cone(quasi, homogeneity)
-    assert [dense(w, 2) for w in cone.weights] == [
+    assert [dense(w, 2) for w in weight_cone(quasi)] == [
         [10, -10], [-10, 11], [1, 0], [1, 0], [1, 0]
     ]
-    assert cone.pointed
-    assert dense(cone.witness, 2) == [21, 20]
+    assert dense(pointedness_witness(quasi, homogeneity), 2) == [21, 20]
     # a hand-picked basis of the same lattice, and a random one
     assert witness_in([(0, 1, 1, 1, 1), (10, 0, 11, 11, 11)], t0) == (10, 1)
     witness_in(change_basis(random.Random(17), dense_basis(quasi, 5)), t0)
@@ -103,10 +102,9 @@ def test_flagship_cone_with_explicit_basis(flagship):
 def test_fermat_cone():
     cf = fermat_form(3, 4)
     quasi = quasitorus_structure(cf)
-    homogeneity = torus_generators(cf).homogeneity
-    cone = weight_cone(quasi, homogeneity)
-    assert [dense(w, 1) for w in cone.weights] == [[1], [1], [1]]
-    assert cone.pointed and dense(cone.witness, 1) == [1]
+    homogeneity = homogeneity_cocharacter(cf)
+    assert [dense(w, 1) for w in weight_cone(quasi)] == [[1], [1], [1]]
+    assert dense(pointedness_witness(quasi, homogeneity), 1) == [1]
     t0 = dense(homogeneity, 3)
     witness_in(change_basis(random.Random(18), dense_basis(quasi, 3)), t0)
 
@@ -114,10 +112,9 @@ def test_fermat_cone():
 def test_two_pure_powers_cone():
     cf = parse_separated("x^2 + y^3")
     quasi = quasitorus_structure(cf)
-    homogeneity = torus_generators(cf).homogeneity
-    cone = weight_cone(quasi, homogeneity)
-    assert [dense(w, 1) for w in cone.weights] == [[2], [3]]
-    assert cone.pointed and dense(cone.witness, 1) == [1]
+    homogeneity = homogeneity_cocharacter(cf)
+    assert [dense(w, 1) for w in weight_cone(quasi)] == [[2], [3]]
+    assert dense(pointedness_witness(quasi, homogeneity), 1) == [1]
     t0 = dense(homogeneity, 2)
     witness_in(change_basis(random.Random(19), dense_basis(quasi, 2)), t0)
 
@@ -125,12 +122,11 @@ def test_two_pure_powers_cone():
 def test_witness_pairings_equal_homogeneity_weights(flagship):
     rng = random.Random(21)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
-        homogeneity = torus_generators(cf).homogeneity
+        homogeneity = homogeneity_cocharacter(cf)
         quasi = quasitorus_structure(cf)
-        cone = weight_cone(quasi, homogeneity)
         t0 = dense(homogeneity, cf.variable_count)
-        witness = dense(cone.witness, quasi.torus_rank)
-        for v, w in enumerate(cone.weights):
+        witness = dense(pointedness_witness(quasi, homogeneity), quasi.torus_rank)
+        for v, w in enumerate(weight_cone(quasi)):
             pairing = sum(u * x for u, x in zip(witness, dense(w, quasi.torus_rank)))
             assert pairing == t0[v] > 0
 
@@ -149,10 +145,25 @@ def test_pointedness_survives_unimodular_basis_change(flagship):
     rng = random.Random(23)
     for cf in [flagship] + [random_canonical_form(rng) for _ in range(25)]:
         quasi = quasitorus_structure(cf)
-        homogeneity = torus_generators(cf).homogeneity
-        assert weight_cone(quasi, homogeneity).pointed
+        homogeneity = homogeneity_cocharacter(cf)
+        pointedness_witness(quasi, homogeneity)
         n = cf.variable_count
         witness_in(change_basis(rng, dense_basis(quasi, n)), dense(homogeneity, n))
+
+
+def test_witness_check_refuses_a_basis_the_block_data_do_not_give(flagship):
+    """The witness is read off the block data; the identity
+    sum u_k b_k = homogeneity is checked against the basis itself, so a
+    basis vector that disagrees with the blocks is caught."""
+    quasi = quasitorus_structure(flagship)
+    homogeneity = homogeneity_cocharacter(flagship)
+    w, *rest = quasi.cocharacter_basis
+    spoilt = quasi._replace(cocharacter_basis=(w[:-1] + ((w[-1][0], w[-1][1] + 1),), *rest))
+    with pytest.raises(AssertionError, match="does not give the homogeneity"):
+        pointedness_witness(spoilt, homogeneity)
+    # off ker(D) there is no witness at all
+    with pytest.raises(ValueError):
+        pointedness_witness(quasi, ((0, 1),))
 
 
 def test_express_in_basis_solves_exactly():
