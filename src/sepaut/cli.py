@@ -1,10 +1,10 @@
 """Command-line front end: analyze, verify, fermat.
 
-Exit codes: 0 success, 1 failure or error, 2 input not separated,
-3 oracle guard violation (the oracle would take over 10^6 steps).  JSON
-output has a fixed key order, escapes non-ASCII characters, and serializes
-unbounded integers and rationals as decimal strings, so identical
-invocations produce byte-identical output.
+Exit codes: 0 success, 1 failure or error (a closed stdout pipe too,
+silently), 2 input not separated, 3 oracle guard violation (the oracle
+would take over 10^6 steps).  JSON output has a fixed key order, escapes
+non-ASCII characters, and serializes unbounded integers and rationals as
+decimal strings, so identical invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles, and
 the report prints each fact once, from that description, and nothing that
 can be read off another field.  JSON prints the cocharacter basis, the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,7 +66,8 @@ def _printable(s: str) -> str:
     except UnicodeEncodeError:
         for ch, rep in _ASCII_FALLBACK.items():
             s = s.replace(ch, rep)
-        return s
+        # what the input brought (a no-break space, say) prints escaped
+        return s.encode(enc, "backslashreplace").decode(enc)
 
 
 def _read_input(arg: str) -> str:
@@ -371,7 +373,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, the code of "not separated"
         return EXIT_ERROR if exc.code == 2 else exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`): quiet exit 1, and no second error when
+        # the interpreter flushes stdout at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except NotSeparatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARATED

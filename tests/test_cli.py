@@ -700,3 +700,35 @@ def test_1500_mixed_squares_fit_the_report_limit(capsys):
     code, out, err = run_cli(capsys, "analyze", cf.to_text())
     assert (code, err) == (0, "")
     assert out.count("  torsion generator: ") == 1499
+
+
+def _cli_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_text_report_escapes_what_an_ascii_terminal_cannot_print():
+    # the parser takes U+00A0 as whitespace and echoes the input; on an
+    # ASCII stdout it prints as \xa0, and the symbols by their fallbacks
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepaut", "analyze", "x^2 + y^2 + z^3"],
+        capture_output=True, env=_cli_env(PYTHONIOENCODING="ascii"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = proc.stdout.decode("ascii").splitlines()
+    assert lines[0] == "input: x^2 + y^2 +\\xa0z^3"
+    assert "automorphism group: S2 x| ((Z/2)^1 x T^1)" in lines
+
+
+def test_a_closed_pipe_exits_1_quietly():
+    # 2.4 MB of JSON, more than any pipe holds, so the write must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepaut", "fermat", "400", "2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stdout.read(10) == b'{\n  "input'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

@@ -6,9 +6,12 @@ import importlib
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepaut.oracles
 from conftest import (
@@ -18,7 +21,7 @@ from conftest import (
     random_canonical_form,
     verify_dense,
 )
-from sepaut.autassembly import aut_group
+from sepaut.autassembly import aut_group, fermat_form
 from sepaut.cli import build_report
 from sepaut.oracles import (
     NotAnAutomorphismError,
@@ -173,6 +176,63 @@ def test_certification_reads_linearly_many_supports(monkeypatch):
     assert len(certify_pipeline_generators(cf, aut)) == 5004
     assert entries == 14003
     assert 0 < reads[0] <= 5 * entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_brute_force_counts_what_the_scan_counts(seed):
+    """Up to 7 variables with exponents at most 3, so that one-variable and
+    mixed monomials share exponents and a candidate can fail either way."""
+    cf = random_canonical_form(random.Random(seed), max_vars=7, max_exp=3)
+    assert brute_force_perm_order(cf) == perm_order_by_scan(cf)
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [
+        # x^2*y^3 + z^2 + w^3 (order 1) is in test_permgroup
+        # a <-> c, b <-> d sends a^2*b^2 across two one-variable monomials
+        ("a^2*b^2 + c^2 + d^2", 4),
+        # a <-> c alone splits both blocks; e^5 is a class of its own
+        ("a^2*b^3 + c^2*d^3 + e^5", 2),
+        # the 3! orderings of the blocks times 2 within each block
+        ("a^2*b^2 + c^2*d^2 + e^2*f^2", 48),
+        # x, y -> a, b puts x^2*y^2 inside a monomial of three variables
+        ("x^2*y^2 + a^2*b^2*c^2", 12),
+    ],
+)
+def test_brute_force_fails_candidates_on_owner_or_size(text, order):
+    cf = parse_separated(text)
+    assert brute_force_perm_order(cf) == perm_order_by_scan(cf) == order
+
+
+@pytest.mark.parametrize(
+    "cf,tried",
+    [
+        (fermat_form(8, 2), factorial(8)),
+        # 11 variables: classes of 6 squares, 3 linear and 2 fifth powers
+        (parse_separated("a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5"), 8640),
+    ],
+)
+def test_brute_force_tries_every_exponent_keeping_permutation(monkeypatch, cf, tried):
+    """The oracle stays a brute force: it tries the product of k! over its
+    exponent classes of k variables, no candidate pruned."""
+    arrangements = sepaut.oracles._arrangements
+    calls, candidates = [], []
+
+    def counted(classes, prefix):
+        # the recursion calls back through the module name, so only the
+        # first, outermost call yields what the oracle receives
+        outermost = not calls
+        calls.append(classes)
+        for candidate in arrangements(classes, prefix):
+            if outermost:
+                candidates.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(sepaut.oracles, "_arrangements", counted)
+    brute_force_perm_order(cf)
+    assert len(candidates) == len(set(candidates)) == tried
 
 
 def _small_forms(max_vars=4, max_exp=6):
