@@ -26,14 +26,11 @@ from .polyio import (
     MixedBlock,
     NotSeparatedError,
     ParseError,
-    Polynomial,
     PolynomialError,
     PureBlock,
     ZeroPolynomialError,
     make_canonical_form,
-    parse_polynomial,
     parse_separated,
-    recognize_separated,
 )
 from .quasitorus import (
     QuasitorusDescription,

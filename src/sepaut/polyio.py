@@ -10,6 +10,9 @@ such a polynomial is a sum of
 * *pure powers*   w^q, grouped into blocks of equal exponent q.
 
 `CanonicalForm` stores exactly that block data in a deterministic order.
+`parse_separated` reads an expression straight to it in one pass over the
+tokens of the text, combining like terms on the way, then checks that the
+variables are separated.
 
 Expression grammar (ASCII, whitespace insignificant)::
 
@@ -25,7 +28,6 @@ No parentheses, no nested powers.
 from __future__ import annotations
 
 import re
-import string
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,8 +40,6 @@ __all__ = [
     "NonPositiveExponentError",
     "NotSeparatedError",
     "ConstantTermError",
-    "Term",
-    "Polynomial",
     "MixedBlock",
     "PureBlock",
     "CanonicalForm",
@@ -47,8 +47,6 @@ __all__ = [
     "dense",
     "decimal",
     "Permutation",
-    "parse_polynomial",
-    "recognize_separated",
     "parse_separated",
     "make_canonical_form",
 ]
@@ -92,181 +90,9 @@ class ConstantTermError(PolynomialError):
 
 
 # ---------------------------------------------------------------------------
-# parsed polynomials
-
-Monomial = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by var name
-
-
-class Term(NamedTuple):
-    """A coefficient, an `int` unless the input wrote a fraction, times a
-    monomial."""
-
-    coefficient: int | Fraction
-    monomial: Monomial
-
-
-class Polynomial(NamedTuple):
-    """Sum of terms with distinct monomials and nonzero coefficients.
-
-    Terms are kept sorted by monomial, so equal polynomials compare equal
-    regardless of the order they were written in.
-    """
-
-    terms: tuple[Term, ...]
-
-
-_LETTERS = set(string.ascii_letters)
-_DIGITS = set(string.digits)
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# scanners matched at the parser position; \s is exactly str.isspace
-_WS_RE = re.compile(r"\s*")
-_NAME_TAIL_RE = re.compile(r"[A-Za-z0-9_]*")
-_NAT_RE = re.compile(r"[0-9]*")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, message: str, pos: int | None = None):
-        raise ParseError(message, self.pos if pos is None else pos)
-
-    def parse(self) -> Polynomial:
-        self._skip_ws()
-        if not self._peek():
-            self._fail("empty input")
-        acc: dict[Monomial, int | Fraction] = {}
-        sign = 1
-        if self._peek() == "-":
-            self.pos += 1
-            sign = -1
-        while True:
-            coef, mono = self._parse_term()
-            key: Monomial = tuple(sorted(mono.items()))
-            acc[key] = acc.get(key, 0) + sign * coef
-            self._skip_ws()
-            ch = self._peek()
-            if not ch:
-                break
-            if ch == "+":
-                sign = 1
-            elif ch == "-":
-                sign = -1
-            else:
-                self._fail(f"expected '+' or '-', found {ch!r}")
-            self.pos += 1
-        terms = tuple(Term(c, m) for m, c in sorted(acc.items()) if c != 0)
-        if not terms:
-            raise ZeroPolynomialError("all terms cancel: got the zero polynomial")
-        return Polynomial(terms)
-
-    def _parse_term(self) -> tuple[int | Fraction, dict[str, int]]:
-        self._skip_ws()
-        ch = self._peek()
-        coef = 1
-        mono: dict[str, int] = {}
-        if ch in _DIGITS:
-            coef = self._parse_coef()
-            self._skip_ws()
-            if self._peek() != "*":
-                return coef, mono  # bare constant term
-            self.pos += 1
-            self._parse_factor(mono)
-        elif ch in _LETTERS:
-            self._parse_factor(mono)
-        else:
-            found = f", found {ch!r}" if ch else " but input ended"
-            self._fail("expected a term" + found)
-        while True:
-            self._skip_ws()
-            if self._peek() != "*":
-                break
-            self.pos += 1
-            self._parse_factor(mono)
-        return coef, mono
-
-    def _parse_coef(self) -> int | Fraction:
-        num = self._parse_nat("coefficient")
-        self._skip_ws()
-        if self._peek() == "/":
-            self.pos += 1
-            den_pos = self.pos
-            den = self._parse_nat("denominator")
-            if den == 0:
-                self._fail("zero denominator", pos=den_pos)
-            return Fraction(num, den)
-        return num
-
-    def _parse_nat(self, what: str) -> int:
-        self._skip_ws()
-        start = self.pos
-        self.pos = _NAT_RE.match(self.text, start).end()
-        if self.pos == start:
-            found = f", found {self._peek()!r}" if self._peek() else " but input ended"
-            self._fail(f"expected {what}" + found)
-        digits = self.text[start : self.pos]
-        try:
-            return int(digits)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            self._fail(
-                f"{what} has {len(digits)} digits, over the limit of {limit}", pos=start
-            )
-
-    def _parse_var(self) -> str:
-        start = self.pos
-        # the first character is already checked to be a letter
-        self.pos = _NAME_TAIL_RE.match(self.text, start + 1).end()
-        return self.text[start : self.pos]
-
-    def _parse_factor(self, mono: dict[str, int]) -> None:
-        self._skip_ws()
-        if self._peek() not in _LETTERS:
-            found = f", found {self._peek()!r}" if self._peek() else " but input ended"
-            self._fail("expected a variable" + found)
-        name = self._parse_var()
-        exp = 1
-        self._skip_ws()
-        if self._peek() == "^":
-            self.pos += 1
-            exp = self._parse_exponent()
-        # a variable repeated inside one term multiplies out: x*x == x^2
-        mono[name] = mono.get(name, 0) + exp
-
-    def _parse_exponent(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-            value = self._parse_nat("exponent")
-            raise NonPositiveExponentError(f"exponent -{value} is not positive", start)
-        value = self._parse_nat("exponent")
-        if self._peek() in ("." , "/"):
-            raise NonIntegerExponentError("exponents must be integers", self.pos)
-        if value <= 0:
-            raise NonPositiveExponentError(f"exponent {value} is not positive", start)
-        return value
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse an expression; like terms are combined, whitespace is ignored.
-
-    Raises `ParseError` (with position) on syntax problems, the exponent
-    errors on `x^0` / `x^-2` / `x^1.5`, and `ZeroPolynomialError` when all
-    terms cancel.
-    """
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
 # canonical form
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 # A vector over the canonical variables as (index, value) pairs, index
 # strictly increasing, no value zero: a monomial's support with its
@@ -384,12 +210,6 @@ class CanonicalForm(NamedTuple):
         out += [((idx[v], b.exponent),) for b in self.pure_blocks for v in b.variables]
         return tuple(out)
 
-    @property
-    def monomial_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vector of each monomial over `var_order`, canonical order."""
-        n = self.variable_count
-        return tuple(tuple(dense(support, n)) for support in self.monomial_supports)
-
     def to_text(self) -> str:
         """Render with unit coefficients; reparsing yields this form back."""
 
@@ -455,37 +275,145 @@ def _validate_names(names) -> None:
             raise ValueError(f"invalid variable name {v!r}")
 
 
-def recognize_separated(p: Polynomial) -> CanonicalForm:
-    """Canonicalize a polynomial whose variables are separated.
+# ---------------------------------------------------------------------------
+# parsing
 
-    Raises `NotSeparatedError` naming a variable that occurs in two or more
-    monomials, and `ConstantTermError` if a constant term is present.
-    Non-unit coefficients are absorbed (`scaling_note` is set): the variety
-    is unchanged up to a diagonal coordinate rescaling, which conjugates the
-    automorphism group but does not alter its structure.
-    """
-    seen: dict[str, int] = {}
-    for t in p.terms:
-        if not t.monomial:
-            raise ConstantTermError("constant terms are not allowed in separated form")
-        for v, _ in t.monomial:
-            seen[v] = seen.get(v, 0) + 1
-    repeated = sorted(v for v, c in seen.items() if c > 1)
-    if repeated:
-        raise NotSeparatedError(repeated[0], seen[repeated[0]])
+# one token per match: a variable name, a natural number or any other single
+# character, after skipping whitespace (\s is exactly str.isspace)
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
 
-    mixed, pure = [], []
-    for t in p.terms:
-        if len(t.monomial) == 1:
-            ((v, e),) = t.monomial
-            pure.append((e, [v]))
-        else:
-            vars_, exps = zip(*t.monomial)
-            mixed.append((list(vars_), list(exps)))
-    scaling = any(t.coefficient != 1 for t in p.terms)
-    return make_canonical_form(mixed, pure, scaling_note=scaling)
+
+def _expected(what: str, tok: re.Match | None, text: str) -> ParseError:
+    """The error for `tok` (None: the end of the input) where `what` was
+    expected, placed at the token's first character."""
+    if tok is None:
+        return ParseError(f"expected {what} but input ended", len(text))
+    pos = tok.start(tok.lastindex)
+    return ParseError(f"expected {what}, found {text[pos]!r}", pos)
+
+
+def _nat(tok: re.Match | None, what: str, text: str) -> int:
+    """The value of `tok`, which must be a number."""
+    if tok is None or tok[2] is None:
+        raise _expected(what, tok, text)
+    digits = tok[2]
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{what} has {len(digits)} digits, over the limit of {limit}", tok.start(2)
+        ) from None
+
+
+def _coefficient(tok: re.Match, tokens, text: str) -> tuple[int | Fraction, re.Match | None]:
+    """coef := nat ['/' nat] from the number `tok` on, and the token after it."""
+    num = _nat(tok, "coefficient", text)
+    tok = next(tokens, None)
+    if not (tok and tok[3] == "/"):
+        return num, tok
+    slash_end = tok.end()
+    tok = next(tokens, None)
+    den = _nat(tok, "denominator", text)
+    if den == 0:
+        raise ParseError("zero denominator", slash_end)
+    return Fraction(num, den), next(tokens, None)
+
+
+def _factor(tok: re.Match | None, tokens, text: str, mono: dict[str, int]) -> re.Match | None:
+    """Multiply `mono` by the factor var ['^' nat] that starts at `tok`, and
+    return the token after it."""
+    if not (tok and tok[1] is not None):
+        raise _expected("a variable", tok, text)
+    exp = 1
+    after = next(tokens, None)
+    if after and after[3] == "^":
+        exp, after = _exponent(next(tokens, None), tokens, text)
+    # a variable repeated inside one term multiplies out: x*x == x^2
+    mono[tok[1]] = mono.get(tok[1], 0) + exp
+    return after
+
+
+def _exponent(tok: re.Match | None, tokens, text: str) -> tuple[int, re.Match | None]:
+    """The exponent that starts at `tok`, just after a '^', and the token
+    after it."""
+    if tok and tok[3] == "-":
+        value = _nat(next(tokens, None), "exponent", text)
+        raise NonPositiveExponentError(f"exponent -{value} is not positive", tok.start(3))
+    value = _nat(tok, "exponent", text)
+    # only a '.' or '/' right after the digits makes the exponent a fraction
+    if text.startswith((".", "/"), tok.end()):
+        raise NonIntegerExponentError("exponents must be integers", tok.end())
+    if value <= 0:
+        raise NonPositiveExponentError(f"exponent {value} is not positive", tok.start(2))
+    return value, next(tokens, None)
 
 
 def parse_separated(text: str) -> CanonicalForm:
-    """Parse and canonicalize in one step."""
-    return recognize_separated(parse_polynomial(text))
+    """Parse an expression whose variables are separated into its canonical form.
+
+    The tokens are read one at a time, with one token of lookahead; like
+    terms are combined and whitespace is ignored.  Raises `ParseError` (with
+    position) on syntax problems, the exponent errors on `x^0` / `x^-2` /
+    `x^1.5`; then `ZeroPolynomialError` when all terms cancel,
+    `ConstantTermError` if a constant term is left, and `NotSeparatedError`
+    naming the alphabetically first variable that occurs in two or more
+    monomials.  Non-unit coefficients are absorbed (`scaling_note` is set):
+    the variety is unchanged up to a diagonal coordinate rescaling, which
+    conjugates the automorphism group but does not alter its structure.
+    """
+    tokens = _TOKEN_RE.finditer(text)
+    tok = next(tokens, None)
+    if tok is None:
+        raise ParseError("empty input", len(text))
+    # coefficient of each monomial, keyed by its (var, exp) pairs sorted by var
+    terms: dict[tuple[tuple[str, int], ...], int | Fraction] = {}
+    sign = 1
+    if tok[3] == "-":
+        sign = -1
+        tok = next(tokens, None)
+    while True:
+        coef, mono = 1, {}
+        if tok and tok[2] is not None:
+            coef, tok = _coefficient(tok, tokens, text)
+        elif tok and tok[1] is not None:
+            tok = _factor(tok, tokens, text, mono)
+        else:
+            raise _expected("a term", tok, text)
+        while tok and tok[3] == "*":
+            tok = _factor(next(tokens, None), tokens, text, mono)
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + sign * coef
+        if tok is None:
+            break
+        if tok[3] == "+":
+            sign = 1
+        elif tok[3] == "-":
+            sign = -1
+        else:
+            raise _expected("'+' or '-'", tok, text)
+        tok = next(tokens, None)
+
+    if not any(terms.values()):
+        raise ZeroPolynomialError("all terms cancel: got the zero polynomial")
+    if terms.get(()):
+        raise ConstantTermError("constant terms are not allowed in separated form")
+    seen: dict[str, int] = {}
+    mixed, pure = [], {}
+    scaling = False
+    for mono, coef in terms.items():
+        if not coef:
+            continue
+        scaling = scaling or coef != 1
+        for v, _ in mono:
+            seen[v] = seen.get(v, 0) + 1
+        if len(mono) == 1:
+            ((v, e),) = mono
+            pure.setdefault(e, []).append(v)
+        else:
+            names, exps = zip(*mono)
+            mixed.append((names, exps))
+    repeated = min((v for v, c in seen.items() if c > 1), default=None)
+    if repeated is not None:
+        raise NotSeparatedError(repeated, seen[repeated])
+    return make_canonical_form(mixed, pure.items(), scaling_note=scaling)

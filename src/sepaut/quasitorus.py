@@ -98,14 +98,18 @@ class QuasitorusDescription(NamedTuple):
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for positive a and b.
+
+    The triple is the one the extended Euclidean algorithm returns: x is the
+    inverse of a/g modulo m = b/g taken in (-m/2, m/2] (0 when m = 1), and y
+    follows from it.
+    """
+    g = math.gcd(a, b)
+    m = b // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m:
+        x -= m
+    return g, x, (g - a * x) // b
 
 
 def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...], tuple]:

@@ -8,7 +8,7 @@ import pytest
 from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.oracles import NotAnAutomorphismError
 from sepaut.permgroup import cycle_notation
-from sepaut.polyio import make_canonical_form, parse_separated
+from sepaut.polyio import dense, make_canonical_form, parse_separated
 from sepaut.quasitorus import SingleMonomialError
 from sepaut.torusgeom import homogeneity_cocharacter
 
@@ -49,6 +49,12 @@ def random_canonical_form(rng, max_vars=6, max_exp=6):
             return make_canonical_form(mixed, pure)
 
 
+def monomial_vectors(cf) -> tuple[tuple[int, ...], ...]:
+    """Exponent vector of each monomial over `cf.var_order`, canonical order."""
+    n = cf.variable_count
+    return tuple(tuple(dense(support, n)) for support in cf.monomial_supports)
+
+
 def generated_group(generators, n, cap=20000):
     """BFS closure of a permutation generator set inside S_n."""
     identity = tuple(range(n))
@@ -81,7 +87,7 @@ def perm_order_by_scan(cf) -> int:
     """|P(F)| by trying all n! permutations on the set of monomial exponent
     vectors: the referee for `oracles.brute_force_perm_order`, which tries
     only the permutations that keep each exponent."""
-    chars = set(cf.monomial_vectors)
+    chars = set(monomial_vectors(cf))
     return sum(
         {permute_vector(perm, chi) for chi in chars} == chars
         for perm in permutations(range(cf.variable_count))
@@ -196,7 +202,7 @@ def block_shape(cf):
 def character_matrix(cf) -> list[list[int]]:
     """The rows of the difference matrix D of the monomial characters.
 
-    Rows are chi_i - chi_0 for the characters `cf.monomial_vectors` (mixed
+    Rows are chi_i - chi_0 for the characters `monomial_vectors(cf)` (mixed
     blocks first, then pure powers).  Because monomial supports are pairwise
     disjoint, the rows are linearly independent: D always has full row rank
     M - 1, and H's character group is Z^n modulo its row lattice.  The Smith
@@ -207,7 +213,7 @@ def character_matrix(cf) -> list[list[int]]:
             "need at least two monomials to cut out a hypersurface with "
             "diagonal symmetry structure"
         )
-    chars = cf.monomial_vectors
+    chars = monomial_vectors(cf)
     return [[x - b for x, b in zip(chi, chars[0])] for chi in chars[1:]]
 
 
@@ -270,7 +276,7 @@ def verify_dense(cf, perm, order, exponents) -> int:
     residue = None
     for i, support in enumerate(supports):
         if frozenset((perm[v], e) for v, e in support) not in monomials:
-            image = permute_vector(perm, cf.monomial_vectors[i])
+            image = permute_vector(perm, monomial_vectors(cf)[i])
             raise NotAnAutomorphismError(
                 f"monomial {i} maps to exponent vector {image}, which is not a "
                 "monomial of the polynomial "

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     generated_group,
+    monomial_vectors,
     perm_order_by_scan,
     permutation,
     permute_vector,
@@ -25,7 +26,7 @@ from sepaut.polyio import make_canonical_form, parse_separated
 
 def preserves(cf, cycles):
     perm = permutation(cycles, cf.variable_count)
-    chars = set(cf.monomial_vectors)
+    chars = set(monomial_vectors(cf))
     return {permute_vector(perm, chi) for chi in chars} == chars
 
 

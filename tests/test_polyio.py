@@ -1,5 +1,6 @@
 import random
-from fractions import Fraction
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,8 @@ from sepaut.polyio import (
     NonPositiveExponentError,
     NotSeparatedError,
     ParseError,
-    Term,
     ZeroPolynomialError,
     make_canonical_form,
-    parse_polynomial,
     parse_separated,
 )
 
@@ -25,60 +24,61 @@ from sepaut.polyio import (
 
 
 def test_parse_flagship():
-    p = parse_polynomial(FLAGSHIP)
-    assert len(p.terms) == 4
-    degrees = [sum(e for _, e in t.monomial) for t in p.terms]
+    cf = parse_separated(FLAGSHIP)
+    assert cf.monomial_count == 4
+    degrees = [b.degree for b in cf.mixed_blocks]
+    degrees += [b.exponent for b in cf.pure_blocks for _ in b.variables]
     assert sorted(degrees, reverse=True) == [21, 10, 10, 10]
-    assert all(t.coefficient == 1 for t in p.terms)
+    assert not cf.scaling_note
 
 
 def test_parse_single_variable():
-    p = parse_polynomial("x")
-    assert p.terms == (Term(Fraction(1), (("x", 1),)),)
+    cf = parse_separated("x")
+    assert cf.mixed_blocks == ()
+    assert [(b.exponent, b.variables) for b in cf.pure_blocks] == [(1, ("x",))]
 
 
 def test_like_terms_combine():
-    p = parse_polynomial("2*x^2 + 3*x^2")
-    assert len(p.terms) == 1
-    assert p.terms[0].coefficient == 5
-    assert p.terms[0].monomial == (("x", 2),)
+    cf = parse_separated("2*x^2 + 3*x^2 + y^2")
+    assert [(b.exponent, b.variables) for b in cf.pure_blocks] == [(2, ("x", "y"))]
+    assert cf.scaling_note
 
 
 def test_parse_is_whitespace_insensitive():
-    assert parse_polynomial("x^2*y + z") == parse_polynomial("  x ^ 2 * y+z\t")
+    assert parse_separated("x^2*y + z") == parse_separated("  x ^ 2 * y+z\t")
 
 
 def test_parse_is_term_order_insensitive():
-    assert parse_polynomial("y + x") == parse_polynomial("x + y")
+    assert parse_separated("y + x^2*z") == parse_separated("x^2*z + y")
 
 
 def test_signs_and_fractions():
-    p = parse_polynomial("-x + 2/3*y - z")
-    coeffs = {t.monomial[0][0]: t.coefficient for t in p.terms}
-    assert coeffs == {"x": -1, "y": Fraction(2, 3), "z": -1}
+    cf = parse_separated("-x + 2/3*y - z")
+    assert [(b.exponent, b.variables) for b in cf.pure_blocks] == [(1, ("x", "y", "z"))]
+    assert cf.scaling_note
 
 
 def test_fraction_coefficients_combine_to_one():
-    p = parse_polynomial("2/3*x + 1/3*x")
-    assert p.terms[0].coefficient == 1
+    # the note is set only by coefficients left after like terms combine
+    assert not parse_separated("2/3*x + 1/3*x").scaling_note
+    assert not parse_separated("2/3*x^2 + 1/3*x^2 + y^2").scaling_note
 
 
 def test_repeated_variable_in_one_term_multiplies():
-    assert parse_polynomial("x*x") == parse_polynomial("x^2")
-    assert parse_polynomial("x*x^2") == parse_polynomial("x^3")
+    assert parse_separated("x*x") == parse_separated("x^2")
+    assert parse_separated("x*x^2 + y^3") == parse_separated("x^3 + y^3")
 
 
 def test_constant_terms_parse():
-    p = parse_polynomial("x^2 + 1")
-    assert len(p.terms) == 2
-    assert () in {t.monomial for t in p.terms}
+    # a constant is a term: it combines with other constants and may cancel
+    assert parse_separated("x^2 + 1 - 1") == parse_separated("x^2")
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
-        parse_polynomial("x - x")
+        parse_separated("x - x")
     with pytest.raises(ZeroPolynomialError):
-        parse_polynomial("0")
+        parse_separated("0")
 
 
 @pytest.mark.parametrize(
@@ -87,24 +87,24 @@ def test_zero_polynomial_rejected():
 )
 def test_syntax_errors(text):
     with pytest.raises(ParseError) as info:
-        parse_polynomial(text)
+        parse_separated(text)
     assert isinstance(info.value.position, int)
 
 
 def test_exponent_errors():
     with pytest.raises(NonPositiveExponentError):
-        parse_polynomial("x^0")
+        parse_separated("x^0")
     with pytest.raises(NonPositiveExponentError):
-        parse_polynomial("x^-2")
+        parse_separated("x^-2")
     with pytest.raises(NonIntegerExponentError):
-        parse_polynomial("x^1.5")
+        parse_separated("x^1.5")
     with pytest.raises(NonIntegerExponentError):
-        parse_polynomial("x^3/2")
+        parse_separated("x^3/2")
 
 
 def test_zero_denominator():
     with pytest.raises(ParseError):
-        parse_polynomial("1/0*x")
+        parse_separated("1/0*x")
 
 
 @pytest.mark.parametrize(
@@ -117,8 +117,105 @@ def test_zero_denominator():
 )
 def test_overlong_numbers_are_positioned_parse_errors(text, position):
     with pytest.raises(ParseError, match="5000 digits") as info:
-        parse_polynomial(text)
+        parse_separated(text)
     assert info.value.position == position
+
+
+LONG = "7" * 5000
+OVER_LIMIT = f"has 5000 digits, over the limit of {sys.get_int_max_str_digits()}"
+
+# (input, exception class, message, position or None), one row or more for
+# every place the parser raises; the three checks after parsing run in the
+# order of the rows: zero polynomial, constant term, separation
+ERRORS = [
+    ("", ParseError, "empty input", 0),
+    ("   ", ParseError, "empty input", 3),
+    ("+ x", ParseError, "expected a term, found '+'", 0),
+    ("x +", ParseError, "expected a term but input ended", 3),
+    ("x ++ y", ParseError, "expected a term, found '+'", 3),
+    ("(x)", ParseError, "expected a term, found '('", 0),
+    ("x + \u00e9", ParseError, "expected a term, found '\u00e9'", 4),
+    ("x +\u3000", ParseError, "expected a term but input ended", 4),
+    ("2x", ParseError, "expected '+' or '-', found 'x'", 1),
+    ("x^2y", ParseError, "expected '+' or '-', found 'y'", 3),
+    ("x y", ParseError, "expected '+' or '-', found 'y'", 2),
+    ("2 3", ParseError, "expected '+' or '-', found '3'", 2),
+    # a '.' or '/' after a space is not part of the exponent
+    ("x^1 .5", ParseError, "expected '+' or '-', found '.'", 4),
+    ("x^2 /3", ParseError, "expected '+' or '-', found '/'", 4),
+    ("x * ", ParseError, "expected a variable but input ended", 4),
+    ("x*2", ParseError, "expected a variable, found '2'", 2),
+    ("2*3", ParseError, "expected a variable, found '3'", 2),
+    ("x*^2", ParseError, "expected a variable, found '^'", 2),
+    ("1/x", ParseError, "expected denominator, found 'x'", 2),
+    ("1/", ParseError, "expected denominator but input ended", 2),
+    # placed just after the '/', not at the digit
+    ("1/0*x", ParseError, "zero denominator", 2),
+    ("1/ 0*x", ParseError, "zero denominator", 2),
+    ("x^", ParseError, "expected exponent but input ended", 2),
+    ("x^y", ParseError, "expected exponent, found 'y'", 2),
+    ("x^-", ParseError, "expected exponent but input ended", 3),
+    ("x^- y", ParseError, "expected exponent, found 'y'", 4),
+    ("x^0", NonPositiveExponentError, "exponent 0 is not positive", 2),
+    ("x^-2", NonPositiveExponentError, "exponent -2 is not positive", 2),
+    ("x^ -2", NonPositiveExponentError, "exponent -2 is not positive", 3),
+    ("x^-0", NonPositiveExponentError, "exponent -0 is not positive", 2),
+    ("x^1.5", NonIntegerExponentError, "exponents must be integers", 3),
+    ("x^3/2", NonIntegerExponentError, "exponents must be integers", 3),
+    ("x^0.5", NonIntegerExponentError, "exponents must be integers", 3),
+    ("x^2 + y^" + LONG, ParseError, "exponent " + OVER_LIMIT, 8),
+    ("x^-" + LONG, ParseError, "exponent " + OVER_LIMIT, 3),
+    ("x + " + LONG + "*y", ParseError, "coefficient " + OVER_LIMIT, 4),
+    ("x + 1/" + LONG + "*y", ParseError, "denominator " + OVER_LIMIT, 6),
+    ("x - x +", ParseError, "expected a term but input ended", 7),
+    ("x - x", ZeroPolynomialError, "all terms cancel: got the zero polynomial", None),
+    ("0", ZeroPolynomialError, "all terms cancel: got the zero polynomial", None),
+    ("1 - 1", ZeroPolynomialError, "all terms cancel: got the zero polynomial", None),
+    ("2/3*x - 2/3*x + 0*y", ZeroPolynomialError, "all terms cancel: got the zero polynomial", None),
+    ("x^2 + 1", ConstantTermError, "constant terms are not allowed in separated form", None),
+    ("x - x + 1", ConstantTermError, "constant terms are not allowed in separated form", None),
+    ("x^2 + 1 + x", ConstantTermError, "constant terms are not allowed in separated form", None),
+    ("x^2*y + x", NotSeparatedError, "variable 'x' appears in 2 monomials", None),
+    ("a*b + b*c + a", NotSeparatedError, "variable 'a' appears in 2 monomials", None),
+    ("z + z^2 + z^3 + y*z", NotSeparatedError, "variable 'z' appears in 4 monomials", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    ERRORS,
+    ids=[t if len(t) < 40 else t[:20] + "..." for t, *_ in ERRORS],
+)
+def test_error_class_message_and_position(text, error, message, position):
+    with pytest.raises(error) as info:
+        parse_separated(text)
+    assert type(info.value) is error
+    assert getattr(info.value, "position", None) == position
+    suffix = "" if position is None else f" (at position {position})"
+    assert str(info.value) == message + suffix
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0), st.data())
+def test_whitespace_between_tokens_is_ignored(seed, data):
+    """Runs of any characters with `str.isspace`, U+00A0 and U+3000 among
+    them, between the tokens of a printed form leave the form unchanged."""
+    assert "\u00a0" in WHITESPACE and "\u3000" in WHITESPACE
+    cf = random_canonical_form(random.Random(seed), max_vars=10, max_exp=10**30)
+    tokens = re.findall(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|\S", cf.to_text())
+    runs = data.draw(
+        st.lists(
+            st.text(st.sampled_from(WHITESPACE), max_size=3),
+            min_size=len(tokens) + 1,
+            max_size=len(tokens) + 1,
+        )
+    )
+    text = runs[0] + "".join(t + r for t, r in zip(tokens, runs[1:]))
+    again = parse_separated(text)
+    assert again == cf and again.to_text() == cf.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +310,9 @@ def test_variable_count_matches_input():
     rng = random.Random(8)
     for _ in range(40):
         cf = random_canonical_form(rng)
-        parsed = parse_polynomial(cf.to_text())
-        assert set(cf.var_order) == {v for t in parsed.terms for v, _ in t.monomial}
+        parsed = parse_separated(cf.to_text())
+        assert parsed.variable_count == cf.variable_count
+        assert set(parsed.var_order) == set(cf.var_order)
 
 
 def test_canonicalization_insensitive_to_term_order():

@@ -13,6 +13,7 @@ from conftest import (
     character_matrix,
     d_matrix,
     express_in_basis,
+    monomial_vectors,
     random_canonical_form,
     times_rows,
 )
@@ -34,13 +35,14 @@ from sepaut.oracles import (
 from sepaut.quasitorus import (
     SingleMonomialError,
     _coprime_base,
+    _xgcd,
     cocharacter_coordinates,
     quasitorus_structure,
 )
 
 
 def test_flagship_characters_and_differences(flagship):
-    assert flagship.monomial_vectors == (
+    assert monomial_vectors(flagship) == (
         (11, 10, 0, 0, 0),
         (0, 0, 10, 0, 0),
         (0, 0, 0, 10, 0),
@@ -447,3 +449,30 @@ def test_coprime_base_takes_one_gcd_per_coprime_value(monkeypatch):
     assert calls[0] <= 2 * len(primes)
     # values sharing factors still split into the same base
     assert _coprime_base([6, 10, 15, 4, 9, 1]) == [2, 3, 5]
+
+
+def xgcd_by_euclid(a, b):
+    """The extended Euclidean algorithm: the referee for `_xgcd`."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
+
+
+def test_xgcd_is_extended_euclid_on_small_pairs():
+    assert all(
+        _xgcd(a, b) == xgcd_by_euclid(a, b) for a in range(1, 300) for b in range(1, 300)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**1000), st.integers(1, 2**1000), st.integers(1, 2**200))
+def test_xgcd_is_extended_euclid_on_big_pairs(a, b, common):
+    # a common factor makes gcds other than 1 frequent
+    for a, b in ((a, b), (a * common, b * common)):
+        g, x, y = _xgcd(a, b)
+        assert (g, x, y) == xgcd_by_euclid(a, b)
+        assert x * a + y * b == g == math.gcd(a, b)
