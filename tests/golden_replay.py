@@ -2,6 +2,8 @@
 
 `golden/corpus.json` holds, for each command line below, its exit code and
 either its exact stdout or, for the wide forms, the sha256 of its stdout.
+The wide forms include the inputs of the benchmark's lattice-wide and
+verify-oracles workloads at its default seed (`bench_ladder`).
 The JSON entries hold the dense layout in which every vector was printed in
 full and every derived section was printed too: the cone repeated the
 cocharacter basis (`cone.basis`) and its transpose (`cone.weights`), said
@@ -87,7 +89,28 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-# stored as the sha256 of stdout: each dense report is 70 to 180 kB
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_ladder() -> dict[str, list[str]]:
+    """The inputs of the benchmark's in-process workloads at its default
+    seed, each analysed as the benchmark analyses it (`--verify` where the
+    workload verifies).  The corpus keeps each argv, so a later change to
+    the generator leaves the recorded entries as they are."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    out = {}
+    for workload in ("lattice-wide", "verify-oracles"):
+        flags = ["--json"] + ["--verify"] * workloads.VERIFY[workload]
+        for inp in workloads.WORKLOADS[workload](workloads.DEFAULT_SEED):
+            out[f"bench {workload} {inp.name} {' '.join(flags)}"] = ["analyze", inp.expr, *flags]
+    return out
+
+
+# stored as the sha256 of stdout: each dense report is 70 to 180 kB, and the
+# bench ladder's up to about 1 MB
 WIDE = {
     "fermat 100 3 --json": ["fermat", "100", "3", "--json"],
     "analyze 16 mixed blocks, 20-digit exponents --json": [
@@ -96,6 +119,7 @@ WIDE = {
     "analyze 4 pure powers, 1000-digit exponents --json --verify": [
         "analyze", PURE_1000_DIGITS, "--json", "--verify"
     ],
+    **bench_ladder(),
 }
 
 # the keys of every object of a JSON report, in order, by path ("[]" for

@@ -112,4 +112,5 @@ def test_replay_runs_on_the_standard_library_alone():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"0 of {len(load())} golden entries failed to replay\n"
-    assert len(load()) == 86
+    # 86 entries, and the 20 inputs of the benchmark's in-process workloads
+    assert len(load()) == 106
