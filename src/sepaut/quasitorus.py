@@ -11,10 +11,11 @@ pure power), and its character factors as chi_i = g_i * p_i, with g_i the
 gcd of its exponents and p_i primitive.  Extended Euclid on p_i gives a
 unimodular W_i with p_i W_i = e_1; its first column s_i pairs to 1 with p_i
 and its other columns span p_i's orthogonal lattice.  W_i is held as sparse
-columns with O(k_i log p_i) entries, its inverse only as the column
-operations that built W_i (see `_completion`).  `quasitorus_structure`
-reads these block data off the canonical form in one pass and holds them in
-its `blocks` field, which `cocharacter_coordinates` reads; from them:
+columns with O(k_i log p_i) entries and no inverse: column j ends at a
+pivot on the j-th variable of S_i (see `_completion`), so
+`cocharacter_coordinates` solves on the printed basis by back substitution.
+`quasitorus_structure` reads these block data off the canonical form in one
+pass and holds them in its `blocks` field; from them:
 
 * the cocharacter lattice ker(D) has the basis w (equal to (L/g_i) s_i on
   every S_i, with L = lcm(g)) followed by columns 2..k of every W_i, so the
@@ -76,9 +77,8 @@ class _Block(NamedTuple):
     `support` is the monomial's variable indices and `exponents` its
     character on them.  A unimodular W with p W = e_1 is held as its first
     column `section` (s, the vector pairing to 1 with p) and its other
-    columns `kernel`, all sparse over the variable indices; `steps` are the
-    column operations that built W, which `cocharacter_coordinates` undoes
-    to apply W^{-1}.
+    columns `kernel`, all sparse over the variable indices; kernel column
+    j - 1 ends at its pivot, a nonzero entry on `support[j]`.
     """
 
     support: tuple[int, ...]
@@ -86,7 +86,6 @@ class _Block(NamedTuple):
     gcd: int
     section: SparseVector
     kernel: tuple[SparseVector, ...]
-    steps: tuple[tuple[int, int, int, int, int], ...]
 
 
 class QuasitorusDescription(NamedTuple):
@@ -112,19 +111,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - a * x) // b
 
 
-def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...], tuple]:
-    """(section, kernel, steps) of a unimodular W with p W = e_1, for primitive p.
+def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...]]:
+    """(section, kernel) of a unimodular W with p W = e_1, for primitive p.
 
     Step j folds entry j into entry 0 by a 2x2 column operation of
     determinant 1 built from extended Euclid on the running gcd a and p_j:
     column j becomes (a/g) e_j - (p_j/g) s and s becomes x s + y e_j.
-    Column j is final from then on.  When a divides p_j, s stays as it is
+    Column j is final from then on, and ends at its pivot a/g != 0 on entry
+    j, as s has entries only before j.  When a divides p_j, s stays as it is
     (x = 1, y = 0) or becomes e_j (a = p_j); it gains an entry only when the
     gcd drops, at most log2(p_0) times, so W has O(k log p_0) entries.
     """
     section = {0: 1}
     kernel = []
-    steps = []
     a = p[0]
     for j in range(1, len(p)):
         g, x, y = _xgcd(a, p[j])
@@ -134,7 +133,6 @@ def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...], tup
             section = {i: x * u for i, u in section.items() if x * u}
             if y:
                 section[j] = y
-        steps.append((j, x, y, ag, bg))
         a = g
     if a != 1:
         raise AssertionError(f"character part {tuple(p)} is not primitive")
@@ -142,7 +140,7 @@ def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...], tup
     def sparse(column) -> SparseVector:
         return tuple((support[i], u) for i, u in column.items())
 
-    return sparse(section), tuple(map(sparse, kernel)), tuple(steps)
+    return sparse(section), tuple(map(sparse, kernel))
 
 
 def _blocks(cf: CanonicalForm) -> list[_Block]:
@@ -279,37 +277,39 @@ def cocharacter_coordinates(
     quasi: QuasitorusDescription, vector: SparseVector
 ) -> SparseVector:
     """Coordinates of a sparse kernel vector in `quasi.cocharacter_basis`,
-    as a sparse vector of dimension `quasi.torus_rank`.
+    as a sparse vector of dimension `quasi.torus_rank`, solved on the basis
+    vectors in O(their nonzero entries).
 
-    With P the common pairing of `vector` with every character, the
-    coordinate on w is P / lcm(g); on block i the others are entries 2..k of
-    W_i^{-1} (vector|S_i - (P / g_i) s_i), whose entry 1 is zero, from the
-    block data `quasi.blocks`, in O(k_i) steps per block.  Raises ValueError
-    off ker(D).
+    With P the common pairing of `vector` with every character (ValueError
+    off ker(D)), the coordinate on w is P / lcm(g).  From the last back, a
+    kernel column ends at its pivot, which no column before it but w
+    touches, so its coordinate is the residual there (`vector` less the
+    parts of w and the later columns) over the pivot.  The residual must end
+    at zero, which is the identity sum over k of u_k * b_k = vector; a basis
+    that does not give `vector` back raises AssertionError.
     """
     blocks = quasi.blocks
-    values = dict(vector)
+    residual = dict(vector)
     n = sum(len(b.support) for b in blocks)
-    if not all(0 <= v < n for v in values):
+    if not all(0 <= v < n for v in residual):
         raise ValueError("dimension mismatch between vector and characters")
     pairings = {
-        sum(x * values.get(v, 0) for v, x in zip(b.support, b.exponents))
+        sum(x * residual.get(v, 0) for v, x in zip(b.support, b.exponents))
         for b in blocks
     }
     if len(pairings) != 1:
         raise ValueError("vector is not in the cocharacter lattice ker(D)")
     (pairing,) = pairings
-    coords = [pairing // math.lcm(*(b.gcd for b in blocks))]
-    # a one-variable block has no coordinate but the section's, which is zero
-    for b in (b for b in blocks if len(b.support) > 1):
-        offset = pairing // b.gcd
-        section = dict(b.section)
-        y = [values.get(v, 0) - offset * section.get(v, 0) for v in b.support]
-        # W^{-1} undoes the column operations of W in the order they were made
-        for j, x, c, ag, bg in b.steps:
-            y[0], y[j] = ag * y[0] + bg * y[j], x * y[j] - c * y[0]
-        if y[0]:
-            raise AssertionError("block coordinate on the section is not zero")
-        coords += y[1:]
+    basis = quasi.cocharacter_basis
+    coords = [pairing // math.lcm(*(b.gcd for b in blocks))] + [0] * (len(basis) - 1)
+    # w first, then the kernel columns from the last back; a remainder stays
+    # at a column's pivot, where the check below finds it
+    for k in (0, *range(len(basis) - 1, 0, -1)):
+        if k:
+            pivot, x = basis[k][-1]
+            coords[k] = residual.get(pivot, 0) // x
+        for v, x in basis[k]:
+            residual[v] = residual.get(v, 0) - coords[k] * x
+    if any(residual.values()):
+        raise AssertionError("the basis does not give the vector back")
     return tuple((k, c) for k, c in enumerate(coords) if c)
-

@@ -11,17 +11,18 @@ The coordinate functions get weight vectors w_v in the block-local basis of
 ker(D) that the quasitorus description holds (w_v lists the basis vectors
 that move v).  The cone they span is pointed because t0 pairs strictly
 positively with every w_v: the witness is t0 written in that basis, its
-coordinate vector u, and the certificate is the identity
-sum over k of u_k * b_k = t0 over the basis vectors b_k, since its entry at
-v is the pairing of u with w_v.  Any other basis of the same lattice gives
+coordinate vector u, solved on the printed basis vectors b_k, and the
+certificate is that solve's zero residual, the identity
+sum over k of u_k * b_k = t0, since its entry at v is the pairing of u
+with w_v.  Any other basis of the same lattice gives
 the same verdict; the tests check that with their own solver after a
 unimodular change of basis.  The weights themselves follow from the basis
 (they are its transpose) and are not built here.
 
 Both vectors are `polyio.SparseVector`s ((index, value) pairs, index
-increasing, no zero value), and the certificate touches only the nonzero
-entries of the basis vectors the witness uses, so both functions are
-linear in the size of the quasitorus description.
+increasing, no zero value), and the solve touches each nonzero entry of
+the basis once, so both functions are linear in the size of the
+quasitorus description.
 """
 
 from __future__ import annotations
@@ -52,20 +53,18 @@ def pointedness_witness(
     quasi: QuasitorusDescription, homogeneity: SparseVector
 ) -> SparseVector:
     """The witness u that the weight cone is pointed: `homogeneity` in the
-    coordinates of `quasi.cocharacter_basis`, read off the block data by
-    `cocharacter_coordinates` (which raises ValueError off ker(D)).
+    coordinates of `quasi.cocharacter_basis`, solved on the printed basis
+    vectors by `cocharacter_coordinates` (which raises ValueError off
+    ker(D)).
 
-    The identity sum_k u_k * b_k = homogeneity is checked exactly, in
-    O(nnz of the basis); as every homogeneity entry is positive, it gives
-    the pairing u . w_v = homogeneity[v] > 0 with every weight.  A mismatch
-    raises AssertionError.
+    Its zero residual is the certificate: sum_k u_k * b_k = homogeneity
+    holds exactly, and as every homogeneity entry is positive, it gives the
+    pairing u . w_v = homogeneity[v] > 0 with every weight.  A basis that
+    does not give the homogeneity back raises AssertionError.
     """
-    witness = cocharacter_coordinates(quasi, homogeneity)
-    basis = quasi.cocharacter_basis
-    total: dict[int, int] = {}
-    for k, u in witness:
-        for v, x in basis[k]:
-            total[v] = total.get(v, 0) + u * x
-    if {v: x for v, x in total.items() if x} != dict(homogeneity):
-        raise AssertionError("the witness does not give the homogeneity cocharacter")
-    return witness
+    try:
+        return cocharacter_coordinates(quasi, homogeneity)
+    except AssertionError as exc:
+        raise AssertionError(
+            "the witness does not give the homogeneity cocharacter"
+        ) from exc

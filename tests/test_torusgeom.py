@@ -153,15 +153,27 @@ def test_pointedness_survives_unimodular_basis_change(flagship):
 
 
 def test_witness_check_refuses_a_basis_the_block_data_do_not_give(flagship):
-    """The witness is read off the block data; the identity
-    sum u_k b_k = homogeneity is checked against the basis itself, so a
-    basis vector that disagrees with the blocks is caught."""
-    quasi = quasitorus_structure(flagship)
-    homogeneity = homogeneity_cocharacter(flagship)
-    w, *rest = quasi.cocharacter_basis
-    spoilt = quasi._replace(cocharacter_basis=(w[:-1] + ((w[-1][0], w[-1][1] + 1),), *rest))
-    with pytest.raises(AssertionError, match="does not give the homogeneity"):
-        pointedness_witness(spoilt, homogeneity)
+    """The witness is solved on the basis itself and must leave no residual,
+    so a basis vector that disagrees with the blocks is caught: w with one
+    entry changed, or a kernel column whose pivot (its last entry: 11 on the
+    flagship, 3 and 5 on the block a, b, c) is."""
+    cf = parse_separated("a^6*b^10*c^15 + d^2*e^3 + z^5")
+    for form in (flagship, cf):
+        quasi = quasitorus_structure(form)
+        homogeneity = homogeneity_cocharacter(form)
+        witness = dict(pointedness_witness(quasi, homogeneity))
+        w, *kernel = quasi.cocharacter_basis
+        spoilt = [(w[:-1] + ((w[-1][0], w[-1][1] + 1),), *kernel)]
+        for k, column in enumerate(kernel, 1):
+            assert k in witness
+            pivot, x = column[-1]
+            for y in (x + 1, 2 * x, -x):
+                basis = list(quasi.cocharacter_basis)
+                basis[k] = column[:-1] + ((pivot, y),)
+                spoilt.append(basis)
+        for basis in spoilt:
+            with pytest.raises(AssertionError, match="does not give the homogeneity"):
+                pointedness_witness(quasi._replace(cocharacter_basis=tuple(basis)), homogeneity)
     # off ker(D) there is no witness at all
     with pytest.raises(ValueError):
         pointedness_witness(quasi, ((0, 1),))
