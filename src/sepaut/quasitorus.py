@@ -162,8 +162,9 @@ def _blocks(cf: CanonicalForm) -> list[_Block]:
     return blocks
 
 
-def _coprime_base(values) -> list[int]:
-    """Pairwise coprime integers > 1 of which every value is a product.
+def _coprime_base(values) -> dict[int, dict[int, int]]:
+    """Pairwise coprime integers q > 1 of which every value is a product,
+    each with the values it divides and its valuation in each.
 
     Refines by pairwise gcds only (no factorization): a value sharing a
     factor d with a base element b replaces b by d and b/d and is itself
@@ -172,37 +173,31 @@ def _coprime_base(values) -> list[int]:
     base as it is, so only first occurrences are refined.  Each piece is
     first tested against the product of the base, kept exact as elements
     come and go, so a value coprime to the base costs one gcd, not one per
-    base element.
+    base element.  Each piece carries the values it divides, with
+    multiplicities, such that every value is the product of the pieces that
+    carry it raised to those multiplicities; d carries what both of its
+    sources carried.  Once the base is pairwise coprime, the multiplicity of
+    q in a value is q's valuation in it, and no value is divided again.
     """
-    base: list[int] = []
+    base: dict[int, dict[int, int]] = {}
     product = 1
     for value in dict.fromkeys(values):
-        pending = [value]
+        pending = [(value, {value: 1})]
         while pending:
-            a = pending.pop()
+            a, carried = pending.pop()
             if a == 1:
                 continue
             if math.gcd(a, product) == 1:
-                base.append(a)
+                base[a] = carried
                 product *= a
                 continue
             # a shares a factor with the product, so with some base element
-            for j, b in enumerate(base):
-                d = math.gcd(a, b)
-                if d > 1:
-                    del base[j]
-                    product //= b
-                    pending += [d, a // d, b // d]
-                    break
-    return sorted(base)
-
-
-def _valuation(value: int, q: int) -> int:
-    v = 0
-    while value % q == 0:
-        value //= q
-        v += 1
-    return v
+            b = next(b for b in base if math.gcd(a, b) > 1)
+            d, shared = math.gcd(a, b), base.pop(b)
+            product //= b
+            both = {u: carried.get(u, 0) + shared.get(u, 0) for u in {**carried, **shared}}
+            pending += [(d, both), (a // d, carried), (b // d, shared)]
+    return base
 
 
 def _torsion(blocks: list[_Block]) -> tuple[TorsionGenerator, ...]:
@@ -211,26 +206,29 @@ def _torsion(blocks: list[_Block]) -> tuple[TorsionGenerator, ...]:
     For each base element q the monomial with the largest valuation of q in
     g_i drops out (the diagonal element generates its summand); the others,
     sorted ascending and right-aligned across the base, make up d_1 | ... | d_r.
+    The base carries each q's valuations, so a block is touched once per
+    base element dividing its g_i, not once per base element.
     """
+    base = _coprime_base(b.gcd for b in blocks)
+    by_gcd: dict[int, list[int]] = {}
+    for i, b in enumerate(blocks):
+        by_gcd.setdefault(b.gcd, []).append(i)
+    # blocks with q not dividing g_i have valuation 0 and hold nothing
     chains = []
-    for q in _coprime_base(b.gcd for b in blocks):
-        # blocks with q not dividing g_i have valuation 0 and hold nothing
-        held = sorted(
-            (_valuation(b.gcd, q), i) for i, b in enumerate(blocks) if b.gcd % q == 0
-        )
+    for q in sorted(base):
+        held = sorted((v, i) for g, v in base[q].items() for i in by_gcd[g])
         chains.append((q, held[:-1]))
-    r = max((len(held) for _, held in chains), default=0)
+    r = max((len(chain) for _, chain in chains), default=0)
+    # right-aligned: a chain fills the last len(chain) of the r positions
+    parts: list[list[tuple[int, int, int]]] = [[] for _ in range(r)]
+    for q, chain in chains:
+        for k, (v, i) in enumerate(chain, r - len(chain)):
+            parts[k].append((q, v, i))
     generators = []
-    for k in range(r):
-        # right-aligned: chain `held` fills the last len(held) positions
-        parts = [
-            (q, *held[k - r + len(held)])
-            for q, held in chains
-            if k - r + len(held) >= 0
-        ]
-        d = math.prod(q**v for q, v, _ in parts)
+    for part in parts:
+        d = math.prod(q**v for q, v, _ in part)
         exponents: dict[int, int] = {}
-        for q, v, i in parts:
+        for q, v, i in part:
             c = d // q**v
             for var, s in blocks[i].section:
                 exponents[var] = exponents.get(var, 0) + c * s

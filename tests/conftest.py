@@ -9,7 +9,7 @@ from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.oracles import NotAnAutomorphismError
 from sepaut.permgroup import cycle_notation
 from sepaut.polyio import dense, make_canonical_form, parse_separated
-from sepaut.quasitorus import SingleMonomialError
+from sepaut.quasitorus import SingleMonomialError, TorsionGenerator, _coprime_base
 from sepaut.torusgeom import homogeneity_cocharacter
 
 # running example used across the suite and in the README
@@ -291,3 +291,42 @@ def verify_dense(cf, perm, order, exponents) -> int:
                 f"zeta^{residue} (mod {order})"
             )
     return residue
+
+
+def torsion_by_scan(blocks) -> tuple[TorsionGenerator, ...]:
+    """The torsion generators with each chain found by scanning every block
+    for each element of the coprime base (valuation by repeated division),
+    chains right-aligned position by position: the referee for
+    `quasitorus._torsion`, which reads each q's valuations off the base."""
+
+    def valuation(value, q):
+        v = 0
+        while value % q == 0:
+            value //= q
+            v += 1
+        return v
+
+    chains = []
+    for q in sorted(_coprime_base(b.gcd for b in blocks)):
+        held = sorted(
+            (valuation(b.gcd, q), i) for i, b in enumerate(blocks) if b.gcd % q == 0
+        )
+        chains.append((q, held[:-1]))
+    r = max((len(held) for _, held in chains), default=0)
+    generators = []
+    for k in range(r):
+        parts = [
+            (q, *held[k - r + len(held)])
+            for q, held in chains
+            if k - r + len(held) >= 0
+        ]
+        d = 1
+        for q, v, _ in parts:
+            d *= q**v
+        exponents = {}
+        for q, v, i in parts:
+            for var, s in blocks[i].section:
+                exponents[var] = exponents.get(var, 0) + d // q**v * s
+        reduced = ((var, x % d) for var, x in sorted(exponents.items()))
+        generators.append(TorsionGenerator(d, tuple((v, x) for v, x in reduced if x)))
+    return tuple(generators)
