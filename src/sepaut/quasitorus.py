@@ -177,7 +177,7 @@ def _coprime_base(values) -> dict[int, dict[int, int]]:
     multiplicities, such that every value is the product of the pieces that
     carry it raised to those multiplicities; d carries what both of its
     sources carried.  Once the base is pairwise coprime, the multiplicity of
-    q in a value is q's valuation in it, and no value is divided again.
+    q in a value is q's valuation in it, found without dividing the value.
     """
     base: dict[int, dict[int, int]] = {}
     product = 1
@@ -195,7 +195,10 @@ def _coprime_base(values) -> dict[int, dict[int, int]]:
             b = next(b for b in base if math.gcd(a, b) > 1)
             d, shared = math.gcd(a, b), base.pop(b)
             product //= b
-            both = {u: carried.get(u, 0) + shared.get(u, 0) for u in {**carried, **shared}}
+            both = {
+                u: carried.get(u, 0) + shared.get(u, 0)
+                for u in carried.keys() | shared.keys()
+            }
             pending += [(d, both), (a // d, carried), (b // d, shared)]
     return base
 
