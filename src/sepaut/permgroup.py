@@ -2,12 +2,13 @@
 
 For a separated polynomial with unit coefficients a permutation preserves F
 exactly when it maps each monomial onto a monomial with the same exponent
-data.  Pure powers of equal exponent can be permuted freely (a symmetric
-factor per pure block); within a mixed block only variables of equal
-exponent may move, and whole mixed blocks can swap when their exponent
-multisets coincide, which yields a wreath-type factor per class of
-identical blocks.  The group is the direct product of those factors, so its
-order has a closed formula and a short generator list.  Each generator is
+data.  Within a monomial only variables of equal exponent may move, and
+whole monomials can swap when their exponent tuples coincide, which yields
+a wreath-type factor per class of identical blocks: one class per shape of
+`CanonicalForm.shapes`.  A pure block of k variables is a class of k
+one-variable blocks, so its factor is S_k.  The group is the direct product
+of those factors, so its order has a closed formula and a short generator
+list.  Each generator is
 held as its cycles (`polyio.Permutation`), in O(points moved) entries,
 and the report prints it in cycle notation.  The brute-force check, over
 the permutations that keep each exponent, is
@@ -20,7 +21,7 @@ from itertools import groupby
 from math import factorial, prod
 from typing import NamedTuple
 
-from .polyio import CanonicalForm, Permutation, PureBlock
+from .polyio import CanonicalForm, Permutation
 
 __all__ = [
     "MixedClassFactor",
@@ -49,18 +50,13 @@ class MixedClassFactor(NamedTuple):
     exponents: tuple[int, ...]
     inner_multiplicities: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.block_indices)
-
-    @property
-    def inner_order(self) -> int:
-        return prod(factorial(m) for m in self.inner_multiplicities)
-
 
 class PermGroupDescription(NamedTuple):
-    """Mixed classes, order, generators in cycle form, structure; each pure
-    block of `cf.pure_blocks` adds a factor S_k on its k variables."""
+    """Mixed classes, order, generators in cycle form, structure.
+
+    A pure block of k variables is a class of k one-variable blocks: its
+    factor is S_k, built by the same rule as the mixed classes, and it is
+    not listed in `mixed_classes`."""
 
     mixed_classes: tuple[MixedClassFactor, ...]
     order: int
@@ -68,76 +64,54 @@ class PermGroupDescription(NamedTuple):
     structure: str
 
 
-def _symmetric_generators(points: tuple[int, ...]) -> list[Permutation]:
-    # transposition plus full cycle generate the symmetric group on `points`
-    if len(points) < 2:
-        return []
-    gens = [((points[0], points[1]),)]
-    if len(points) >= 3:
-        gens.append((points,))
-    return gens
-
-
 def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     """Factor structure, exact order, and generators of the group."""
-    idx = cf.variable_index
-    gens: list[Permutation] = []
-
-    # canonical sorting puts identically shaped mixed blocks next to each
-    # other and numbers the variables block by block, so every run of points
-    # and every column (position i of each block in the class) ascends: the
-    # generators are built directly in canonical cycle form
     classes: list[MixedClassFactor] = []
-    blocks = enumerate(cf.mixed_blocks)
-    for exponents, members in groupby(blocks, key=lambda ib: ib[1].exponents):
-        members = list(members)
-        mults = tuple(len(list(g)) for _, g in groupby(exponents))
-        classes.append(MixedClassFactor(tuple(i for i, _ in members), exponents, mults))
-        rows = [tuple(idx[v] for v in b.variables) for _, b in members]
-        for row in rows:
-            start = 0
-            for m in mults:
-                gens.extend(_symmetric_generators(row[start : start + m]))
-                start += m
-        # block k position i maps to block k+1 position i, cyclically
-        if len(rows) >= 2:
-            gens.append(tuple(zip(*rows[:2])))
-            if len(rows) >= 3:
-                gens.append(tuple(zip(*rows)))
-
-    for b in cf.pure_blocks:
-        gens.extend(_symmetric_generators(tuple(idx[v] for v in b.variables)))
-
+    gens: list[Permutation] = []
     order = 1
-    for cls in classes:
-        order *= factorial(cls.size) * cls.inner_order**cls.size
-    for p in cf.pure_blocks:
-        order *= factorial(len(p.variables))
+    parts = []
+    mixed = 0
+    # one class per shape of `cf.shapes`: its blocks start at `starts` and
+    # are numbered in turn, so every run of points and every column (offset
+    # i of each block in the class) ascends, and the generators are built
+    # directly in canonical cycle form
+    for exponents, starts in cf.shapes:
+        k, size = len(exponents), len(starts)
+        mults = tuple(len(list(g)) for _, g in groupby(exponents))
+        if k > 1:
+            indices = tuple(range(mixed, mixed + size))
+            classes.append(MixedClassFactor(indices, exponents, mults))
+            mixed += size
+        for start in starts:
+            # a transposition and a full cycle generate S_m on each run
+            for m in mults:
+                if m >= 2:
+                    gens.append(((start, start + 1),))
+                if m >= 3:
+                    gens.append((tuple(range(start, start + m)),))
+                start += m
+        # block j offset i maps to block j+1 offset i, cyclically
+        if size >= 2:
+            gens.append(tuple(zip(*(range(s, s + k) for s in starts[:2]))))
+        if size >= 3:
+            gens.append(tuple(zip(*(range(s, s + k) for s in starts))))
+        order *= factorial(size) * prod(map(factorial, mults)) ** size
+        parts.append(_factor(mults, size))
 
     return PermGroupDescription(
         mixed_classes=tuple(classes),
         order=order,
         generators=tuple(gens),
-        structure=_structure(classes, cf.pure_blocks),
+        structure=" × ".join(filter(None, parts)) or "1",
     )
 
 
-def _structure(classes: list[MixedClassFactor], pure_blocks: tuple[PureBlock, ...]) -> str:
-    parts = []
-    for cls in classes:
-        inner = [f"S{m}" for m in cls.inner_multiplicities if m >= 2]
-        if not inner:
-            if cls.size >= 2:
-                parts.append(f"S{cls.size}")
-        elif cls.size == 1:
-            parts.extend(inner)
-        else:
-            core = " × ".join(inner)
-            if len(inner) > 1:
-                core = f"({core})"
-            parts.append(f"{core} wr S{cls.size}")
-    for p in pure_blocks:
-        if len(p.variables) >= 2:
-            parts.append(f"S{len(p.variables)}")
-    return " × ".join(parts) if parts else "1"
-
+def _factor(mults: tuple[int, ...], size: int) -> str:
+    """The structure of one class, '' when it is trivial."""
+    inner = [f"S{m}" for m in mults if m >= 2]
+    core = " × ".join(inner)
+    if not inner:
+        return f"S{size}" if size >= 2 else ""
+    if size == 1:
+        return core
+    return f"({core}) wr S{size}" if len(inner) > 1 else f"{core} wr S{size}"

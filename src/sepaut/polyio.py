@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple
 
 __all__ = [
@@ -161,7 +162,9 @@ class CanonicalForm(NamedTuple):
     ties broken by first variable name; pure blocks follow with strictly
     decreasing exponents.  `scaling_note` records that non-unit coefficients
     were absorbed (equality and the hash ignore it: the block shape is the
-    canonical identity).  The views below are recomputed on every read.
+    canonical identity).  The views below are recomputed on every read;
+    `shapes` is the one the analysis reads, `monomial_supports` the one the
+    oracles read.
     """
 
     mixed_blocks: tuple[MixedBlock, ...]
@@ -187,10 +190,6 @@ class CanonicalForm(NamedTuple):
         return tuple(out)
 
     @property
-    def variable_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.var_order)}
-
-    @property
     def variable_count(self) -> int:
         return len(self.var_order)
 
@@ -200,14 +199,36 @@ class CanonicalForm(NamedTuple):
         return len(self.mixed_blocks) + sum(len(b.variables) for b in self.pure_blocks)
 
     @property
+    def shapes(self) -> tuple[tuple[tuple[int, ...], range], ...]:
+        """Each distinct exponent tuple in canonical order, with the range of
+        the first variable index of every monomial that has it.
+
+        Variables are numbered block by block and equal tuples sit next to
+        each other, so the monomial of a k-tuple starting at s has support
+        s..s+k-1, and a pure block of exponent q is the shape (q,)."""
+        out = []
+        start = 0
+        for exponents, run in groupby(b.exponents for b in self.mixed_blocks):
+            end = start + len(exponents) * len(list(run))
+            out.append((exponents, range(start, end, len(exponents))))
+            start = end
+        for b in self.pure_blocks:
+            out.append(((b.exponent,), range(start, start + len(b.variables))))
+            start += len(b.variables)
+        return tuple(out)
+
+    @property
     def monomial_supports(self) -> tuple[SparseVector, ...]:
         """Each monomial's character as a sparse vector of (variable index,
         exponent) pairs, in canonical order."""
-        idx = self.variable_index
-        out = [
-            tuple(zip(map(idx.get, b.variables), b.exponents)) for b in self.mixed_blocks
-        ]
-        out += [((idx[v], b.exponent),) for b in self.pure_blocks for v in b.variables]
+        out = []
+        start = 0
+        for b in self.mixed_blocks:
+            out.append(tuple(enumerate(b.exponents, start)))
+            start += len(b.exponents)
+        for b in self.pure_blocks:
+            out += [((v, b.exponent),) for v in range(start, start + len(b.variables))]
+            start += len(b.variables)
         return tuple(out)
 
     def to_text(self) -> str:

@@ -14,8 +14,10 @@ and its other columns span p_i's orthogonal lattice.  W_i is held as sparse
 columns with O(k_i log p_i) entries and no inverse: column j ends at a
 pivot on the j-th variable of S_i (see `_completion`), so
 `cocharacter_coordinates` solves on the printed basis by back substitution.
-`quasitorus_structure` reads these block data off the canonical form in one
-pass and holds them in its `blocks` field; from them:
+All of this depends only on the exponent tuple and where S_i starts, so
+`quasitorus_structure` reads `CanonicalForm.shapes`, solves g and W once per
+distinct tuple over the local offsets 0..k-1, and holds them in its `shapes`
+field with L = lcm(g); from them:
 
 * the cocharacter lattice ker(D) has the basis w (equal to (L/g_i) s_i on
   every S_i, with L = lcm(g)) followed by columns 2..k of every W_i, so the
@@ -71,18 +73,18 @@ class TorsionGenerator(NamedTuple):
     exponents: SparseVector
 
 
-class _Block(NamedTuple):
-    """Per-monomial data chi = gcd * p on the monomial's support.
+class _Shape(NamedTuple):
+    """An exponent tuple chi = gcd * p and the monomials that have it.
 
-    `support` is the monomial's variable indices and `exponents` its
-    character on them.  A unimodular W with p W = e_1 is held as its first
-    column `section` (s, the vector pairing to 1 with p) and its other
-    columns `kernel`, all sparse over the variable indices; kernel column
-    j - 1 ends at its pivot, a nonzero entry on `support[j]`.
+    The monomial starting at each of `starts` has support start..start+k-1.
+    A unimodular W with p W = e_1 is held once, as its first column
+    `section` (s, the vector pairing to 1 with p) and its other columns
+    `kernel`, all sparse over the local offsets 0..k-1; kernel column j - 1
+    ends at its pivot, a nonzero entry on offset j.
     """
 
-    support: tuple[int, ...]
     exponents: tuple[int, ...]
+    starts: range
     gcd: int
     section: SparseVector
     kernel: tuple[SparseVector, ...]
@@ -93,7 +95,8 @@ class QuasitorusDescription(NamedTuple):
     torsion: tuple[int, ...]
     cocharacter_basis: tuple[SparseVector, ...]
     torsion_generators: tuple[TorsionGenerator, ...]
-    blocks: tuple[_Block, ...]
+    shapes: tuple[_Shape, ...]
+    lcm: int
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -111,7 +114,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - a * x) // b
 
 
-def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...]]:
+def _completion(p) -> tuple[SparseVector, tuple[SparseVector, ...]]:
     """(section, kernel) of a unimodular W with p W = e_1, for primitive p.
 
     Step j folds entry j into entry 0 by a 2x2 column operation of
@@ -136,30 +139,7 @@ def _completion(p, support) -> tuple[SparseVector, tuple[SparseVector, ...]]:
         a = g
     if a != 1:
         raise AssertionError(f"character part {tuple(p)} is not primitive")
-
-    def sparse(column) -> SparseVector:
-        return tuple((support[i], u) for i, u in column.items())
-
-    return sparse(section), tuple(map(sparse, kernel))
-
-
-def _blocks(cf: CanonicalForm) -> list[_Block]:
-    """Per-monomial block data, read off the canonical blocks in O(n); fails
-    loudly if a variable repeats, as the supports must partition the variables."""
-    names = cf.var_order
-    if len(set(names)) != len(names):
-        shared = next(v for i, v in enumerate(names) if v in names[i + 1 :])
-        raise AssertionError(
-            f"two monomials share variable {shared!r}; "
-            "the block-local structure needs disjoint supports"
-        )
-    blocks = []
-    for pairs in cf.monomial_supports:
-        support, exponents = zip(*pairs)
-        g = math.gcd(*exponents)
-        p = [e // g for e in exponents]
-        blocks.append(_Block(support, exponents, g, *_completion(p, support)))
-    return blocks
+    return tuple(section.items()), tuple(tuple(column.items()) for column in kernel)
 
 
 def _coprime_base(values) -> dict[int, dict[int, int]]:
@@ -203,38 +183,39 @@ def _coprime_base(values) -> dict[int, dict[int, int]]:
     return base
 
 
-def _torsion(blocks: list[_Block]) -> tuple[TorsionGenerator, ...]:
+def _torsion(shapes: list[_Shape]) -> tuple[TorsionGenerator, ...]:
     """Invariants and generators of (sum of Z/g_i) / <(1, ..., 1)>.
 
     For each base element q the monomial with the largest valuation of q in
     g_i drops out (the diagonal element generates its summand); the others,
     sorted ascending and right-aligned across the base, make up d_1 | ... | d_r.
-    The base carries each q's valuations, so a block is touched once per
+    A monomial is named by its start, which orders the monomials canonically.
+    The base carries each q's valuations, so a monomial is touched once per
     base element dividing its g_i, not once per base element.
     """
-    base = _coprime_base(b.gcd for b in blocks)
-    by_gcd: dict[int, list[int]] = {}
-    for i, b in enumerate(blocks):
-        by_gcd.setdefault(b.gcd, []).append(i)
-    # blocks with q not dividing g_i have valuation 0 and hold nothing
+    base = _coprime_base(s.gcd for s in shapes)
+    by_gcd: dict[int, list[tuple[int, SparseVector]]] = {}
+    for s in shapes:
+        by_gcd.setdefault(s.gcd, []).extend((start, s.section) for start in s.starts)
+    # monomials with q not dividing g_i have valuation 0 and hold nothing
     chains = []
     for q in sorted(base):
-        held = sorted((v, i) for g, v in base[q].items() for i in by_gcd[g])
+        held = sorted((v, *monomial) for g, v in base[q].items() for monomial in by_gcd[g])
         chains.append((q, held[:-1]))
     r = max((len(chain) for _, chain in chains), default=0)
     # right-aligned: a chain fills the last len(chain) of the r positions
-    parts: list[list[tuple[int, int, int]]] = [[] for _ in range(r)]
+    parts: list[list[tuple[int, int, int, SparseVector]]] = [[] for _ in range(r)]
     for q, chain in chains:
-        for k, (v, i) in enumerate(chain, r - len(chain)):
-            parts[k].append((q, v, i))
+        for k, held in enumerate(chain, r - len(chain)):
+            parts[k].append((q, *held))
     generators = []
     for part in parts:
-        d = math.prod(q**v for q, v, _ in part)
+        d = math.prod(q**v for q, v, _, _ in part)
         exponents: dict[int, int] = {}
-        for q, v, i in part:
+        for q, v, start, section in part:
             c = d // q**v
-            for var, s in blocks[i].section:
-                exponents[var] = exponents.get(var, 0) + c * s
+            for i, s in section:
+                exponents[start + i] = exponents.get(start + i, 0) + c * s
         reduced = ((var, x % d) for var, x in sorted(exponents.items()))
         generators.append(
             TorsionGenerator(order=d, exponents=tuple((v, x) for v, x in reduced if x))
@@ -257,20 +238,34 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
             "need at least two monomials to cut out a hypersurface with "
             "diagonal symmetry structure"
         )
-    blocks = _blocks(cf)
-    lcm = math.lcm(*(b.gcd for b in blocks))
+    names = cf.var_order
+    if len(set(names)) != len(names):
+        shared = next(v for i, v in enumerate(names) if v in names[i + 1 :])
+        raise AssertionError(
+            f"two monomials share variable {shared!r}; "
+            "the block-local structure needs disjoint supports"
+        )
+    shapes = []
+    for exponents, starts in cf.shapes:
+        g = math.gcd(*exponents)
+        p = [e // g for e in exponents]
+        shapes.append(_Shape(exponents, starts, g, *_completion(p)))
+    lcm = math.lcm(*(s.gcd for s in shapes))
     w = []
     basis = []
-    for b in blocks:
-        w += [(var, lcm // b.gcd * s) for var, s in b.section]
-        basis += b.kernel
-    generators = _torsion(blocks)
+    for s in shapes:
+        scaled = [(i, lcm // s.gcd * x) for i, x in s.section]
+        for start in s.starts:
+            w += [(start + i, x) for i, x in scaled]
+            basis += [tuple((start + i, u) for i, u in col) for col in s.kernel]
+    generators = _torsion(shapes)
     return QuasitorusDescription(
         torus_rank=len(basis) + 1,
         torsion=tuple(t.order for t in generators),
         cocharacter_basis=(tuple(w), *basis),
         torsion_generators=generators,
-        blocks=tuple(blocks),
+        shapes=tuple(shapes),
+        lcm=lcm,
     )
 
 
@@ -282,27 +277,27 @@ def cocharacter_coordinates(
     vectors in O(their nonzero entries).
 
     With P the common pairing of `vector` with every character (ValueError
-    off ker(D)), the coordinate on w is P / lcm(g).  From the last back, a
+    off ker(D)), the coordinate on w is P / L, with L = `quasi.lcm`.  From the last back, a
     kernel column ends at its pivot, which no column before it but w
     touches, so its coordinate is the residual there (`vector` less the
     parts of w and the later columns) over the pivot.  The residual must end
     at zero, which is the identity sum over k of u_k * b_k = vector; a basis
     that does not give `vector` back raises AssertionError.
     """
-    blocks = quasi.blocks
     residual = dict(vector)
-    n = sum(len(b.support) for b in blocks)
+    n = sum(len(s.exponents) * len(s.starts) for s in quasi.shapes)
     if not all(0 <= v < n for v in residual):
         raise ValueError("dimension mismatch between vector and characters")
     pairings = {
-        sum(x * residual.get(v, 0) for v, x in zip(b.support, b.exponents))
-        for b in blocks
+        sum(x * residual.get(v, 0) for v, x in enumerate(s.exponents, start))
+        for s in quasi.shapes
+        for start in s.starts
     }
     if len(pairings) != 1:
         raise ValueError("vector is not in the cocharacter lattice ker(D)")
     (pairing,) = pairings
     basis = quasi.cocharacter_basis
-    coords = [pairing // math.lcm(*(b.gcd for b in blocks))] + [0] * (len(basis) - 1)
+    coords = [pairing // quasi.lcm] + [0] * (len(basis) - 1)
     # w first, then the kernel columns from the last back; a remainder stays
     # at a column's pivot, where the check below finds it
     for k in (0, *range(len(basis) - 1, 0, -1)):

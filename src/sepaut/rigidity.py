@@ -55,13 +55,16 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     """
     # k variables of exponent e add k/e, one term per distinct e, over the
     # common denominator: one Fraction, not one per variable
-    counts = Counter(e for b in cf.mixed_blocks for e in b.exponents)
-    for b in cf.pure_blocks:
-        counts[b.exponent] += len(b.variables)
+    counts: Counter[int] = Counter()
+    blocks = 0
+    for exponents, starts in cf.shapes:
+        for e in exponents:
+            counts[e] += len(starts)
+        # each mixed block counts, and a pure block once for all its powers
+        blocks += len(starts) if len(exponents) > 1 else 1
     denominator = lcm(*counts)
     total = Fraction(sum(k * (denominator // e) for e, k in counts.items()), denominator)
     m_count = cf.monomial_count
-    blocks = len(cf.mixed_blocks) + len(cf.pure_blocks)
     alt = Fraction(1, blocks - 2) if blocks > 2 else None
 
     if m_count <= 2:

@@ -38,14 +38,13 @@ __all__ = ["homogeneity_cocharacter", "pointedness_witness"]
 def homogeneity_cocharacter(cf: CanonicalForm) -> SparseVector:
     """The homogeneity cocharacter t0 of the module docstring: one positive
     entry per variable, in the canonical variable order."""
-    # each block's degree is summed once, not once per variable
-    blocks = [(b.degree, b.variables) for b in cf.mixed_blocks]
-    blocks += [(b.exponent, b.variables) for b in cf.pure_blocks]
-    total = lcm(*(degree for degree, _ in blocks))
-    # the blocks hold the canonical variable order in turn
+    # each shape's degree is summed once, not once per block or variable
+    shapes = [(sum(exps), len(exps) * len(starts)) for exps, starts in cf.shapes]
+    total = lcm(*(degree for degree, _ in shapes))
+    # the shapes hold the canonical variable order in turn
     scales = []
-    for degree, names in blocks:
-        scales += [total // degree] * len(names)
+    for degree, width in shapes:
+        scales += [total // degree] * width
     return tuple(enumerate(scales))
 
 

@@ -182,9 +182,8 @@ def weight_cone(quasi) -> tuple[tuple, ...]:
     `quasi`: the basis transposed, one sparse vector per variable listing
     the basis vectors that move it.  The analysis does not build them; the
     tests pair them with its witness (acceptance criterion 7)."""
-    columns: list[list[tuple[int, int]]] = [
-        [] for b in quasi.blocks for _ in b.support
-    ]
+    n = sum(len(s.exponents) * len(s.starts) for s in quasi.shapes)
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, vec in enumerate(quasi.cocharacter_basis):
         for v, x in vec:
             columns[v].append((k, x))
@@ -293,11 +292,18 @@ def verify_dense(cf, perm, order, exponents) -> int:
     return residue
 
 
-def torsion_by_scan(blocks) -> tuple[TorsionGenerator, ...]:
+def torsion_by_scan(shapes) -> tuple[TorsionGenerator, ...]:
     """The torsion generators with each chain found by scanning every block
     for each element of the coprime base (valuation by repeated division),
     chains right-aligned position by position: the referee for
-    `quasitorus._torsion`, which reads each q's valuations off the base."""
+    `quasitorus._torsion`, which reads each q's valuations off the base.
+    Each shape is first expanded to its blocks, each with its gcd and its
+    section at its start."""
+    blocks = [
+        (s.gcd, tuple((start + i, x) for i, x in s.section))
+        for s in shapes
+        for start in s.starts
+    ]
 
     def valuation(value, q):
         v = 0
@@ -307,9 +313,9 @@ def torsion_by_scan(blocks) -> tuple[TorsionGenerator, ...]:
         return v
 
     chains = []
-    for q in sorted(_coprime_base(b.gcd for b in blocks)):
+    for q in sorted(_coprime_base(g for g, _ in blocks)):
         held = sorted(
-            (valuation(b.gcd, q), i) for i, b in enumerate(blocks) if b.gcd % q == 0
+            (valuation(g, q), i) for i, (g, _) in enumerate(blocks) if g % q == 0
         )
         chains.append((q, held[:-1]))
     r = max((len(held) for _, held in chains), default=0)
@@ -325,7 +331,7 @@ def torsion_by_scan(blocks) -> tuple[TorsionGenerator, ...]:
             d *= q**v
         exponents = {}
         for q, v, i in parts:
-            for var, s in blocks[i].section:
+            for var, s in blocks[i][1]:
                 exponents[var] = exponents.get(var, 0) + d // q**v * s
         reduced = ((var, x % d) for var, x in sorted(exponents.items()))
         generators.append(TorsionGenerator(d, tuple((v, x) for v, x in reduced if x)))

@@ -33,12 +33,26 @@ from sepaut.oracles import (
     verify_permutation,
 )
 from sepaut.permgroup import permutation_group
-from sepaut.polyio import dense, make_canonical_form, parse_separated
+from sepaut.polyio import CanonicalForm, dense, make_canonical_form, parse_separated
 from sepaut.quasitorus import quasitorus_structure
 
 # the modules whose claims the oracles check
 CHECKED = {"quasitorus", "permgroup", "torusgeom", "rigidity", "autassembly"}
 ALLOWED = {("permgroup", "cycle_notation")}
+
+
+def test_oracles_do_not_read_the_shapes(monkeypatch, flagship):
+    """The analysis reads `CanonicalForm.shapes`; the oracles check it
+    through `monomial_supports`, their own walk over the blocks."""
+    aut = aut_group(flagship)
+
+    def refuse(cf):
+        raise AssertionError("an oracle read CanonicalForm.shapes")
+
+    monkeypatch.setattr(CanonicalForm, "shapes", property(refuse))
+    assert certify_pipeline_generators(flagship, aut)
+    assert brute_force_perm_order(flagship) == 6
+    assert count_torsion_points_mod(flagship, 10) == torsion_count_formula(aut.quasitorus, 10)
 
 
 def test_oracles_import_only_exceptions_from_the_checked_modules():

@@ -54,7 +54,7 @@ def test_two_identical_mixed_blocks():
     # within each block is (x2, x1) and (x4, x3)
     (cycles,) = desc.generators
     gen = permutation(cycles, cf.variable_count)
-    idx = cf.variable_index
+    idx = {v: i for i, v in enumerate(cf.var_order)}
     assert gen[idx["x1"]] == idx["x3"] and gen[idx["x3"]] == idx["x1"]
     assert gen[idx["x2"]] == idx["x4"] and gen[idx["x4"]] == idx["x2"]
     assert gen[idx["y"]] == idx["y"]

@@ -35,7 +35,7 @@ from sepaut.oracles import (
 )
 from sepaut.quasitorus import (
     SingleMonomialError,
-    _Block,
+    _Shape,
     _coprime_base,
     _xgcd,
     cocharacter_coordinates,
@@ -298,6 +298,42 @@ def test_closed_form_matches_smith_referee(cf):
     assert q.torsion == tuple(d for d in snf.divisors if d > 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(separated_forms(max_monomials=8), separated_forms(10, 2, 2)))
+def test_shapes_expand_to_the_monomial_supports(cf):
+    """Each start of each shape is a monomial whose support runs from it;
+    expanded in turn, the shapes are the monomials in canonical order.  The
+    second strategy draws few distinct tuples, so shapes with several
+    starts are frequent."""
+    expanded = tuple(
+        tuple(enumerate(exponents, start))
+        for exponents, starts in cf.shapes
+        for start in starts
+    )
+    assert expanded == cf.monomial_supports
+    tuples = [exponents for exponents, _ in cf.shapes]
+    assert all(a != b for a, b in zip(tuples, tuples[1:]))
+
+
+@pytest.mark.parametrize("count", [1000, 4000])
+def test_completion_runs_once_per_shape(monkeypatch, count):
+    """W is solved once per distinct exponent tuple: 1000 or 4000 identical
+    blocks a_i^2*b_i^3 with x^3 + y^3 have two shapes, (3, 2) and (3,)."""
+    calls = [0]
+    completion = sepaut.quasitorus._completion
+
+    def counted(p):
+        calls[0] += 1
+        return completion(p)
+
+    monkeypatch.setattr(sepaut.quasitorus, "_completion", counted)
+    blocks = " + ".join(f"a{i}^2*b{i}^3" for i in range(count))
+    cf = parse_separated(blocks + " + x^3 + y^3")
+    aut = aut_group(cf)
+    assert calls[0] == len(cf.shapes) == len(aut.quasitorus.shapes) == 2
+    assert aut.quasitorus.lcm == 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(separated_forms(max_monomials=4, max_width=2))
 def test_closed_form_matches_minor_quotients(cf):
@@ -432,10 +468,10 @@ def test_wide_block_data_stay_linear():
     )
     for chain in chains:
         aut = aut_group(parse_separated(chain + " + y^3 + z^5"))
-        wide = aut.quasitorus.blocks[0]
-        assert len(wide.support) == k
+        wide = aut.quasitorus.shapes[0]
+        assert len(wide.exponents) == k and wide.starts == range(1)
         assert len(wide.section) + sum(map(len, wide.kernel)) <= 3 * k
-        assert [column[-1][0] for column in wide.kernel] == list(wide.support[1:])
+        assert [column[-1][0] for column in wide.kernel] == list(range(1, k))
         # the cone's witness is solved on these columns, and aut_group
         # checked that it gives the homogeneity cocharacter
         assert aut.witness
@@ -481,10 +517,12 @@ def _primes(count: int) -> list[int]:
     return [p for p, prime in enumerate(sieve) if prime][:count]
 
 
-def _pure_blocks(gcds, wrap=int) -> list[_Block]:
-    """The block data of pure powers x_i^g_i, as `_blocks` builds them, with
-    each gcd passed through `wrap`."""
-    return [_Block((i,), (g,), wrap(g), ((i, 1),), ()) for i, g in enumerate(gcds)]
+def _pure_shapes(gcds, wrap=int) -> list[_Shape]:
+    """The shape data of pure powers x_i^g_i of distinct g_i, as
+    `quasitorus_structure` builds them, with each gcd passed through `wrap`."""
+    return [
+        _Shape((g,), range(i, i + 1), wrap(g), ((0, 1),), ()) for i, g in enumerate(gcds)
+    ]
 
 
 def test_torsion_chains_divide_each_block_gcd_a_bounded_number_of_times():
@@ -512,16 +550,16 @@ def test_torsion_chains_divide_each_block_gcd_a_bounded_number_of_times():
     }
     for family, gcds in families.items():
         ops[0] = 0
-        generators = sepaut.quasitorus._torsion(_pure_blocks(gcds, Counted))
+        generators = sepaut.quasitorus._torsion(_pure_shapes(gcds, Counted))
         assert ops[0] <= 2 * len(gcds), family
-        assert generators == torsion_by_scan(_pure_blocks(gcds)), family
+        assert generators == torsion_by_scan(_pure_shapes(gcds)), family
 
 
 @settings(max_examples=200, deadline=None)
 @given(separated_forms(max_monomials=8))
 def test_torsion_matches_the_scan(cf):
-    blocks = sepaut.quasitorus._blocks(cf)
-    assert sepaut.quasitorus._torsion(blocks) == torsion_by_scan(blocks)
+    shapes = quasitorus_structure(cf).shapes
+    assert sepaut.quasitorus._torsion(shapes) == torsion_by_scan(shapes)
 
 
 def xgcd_by_euclid(a, b):
