@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation, permutation_group
-from .polyio import NotSeparatedError, PolynomialError, decimal, dense, parse_separated
+from .polyio import NotSeparatedError, PolynomialError, decimal, decimals, parse_separated
 from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
@@ -160,12 +160,10 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
     Raises `ReportTooLargeError` before expanding any vector when the
     report would print more than `REPORT_LIMIT` entries."""
     aut, checks = _analysis(cf, verify, as_json=True)
-    cert = aut.rigidity
+    cert, quasi = aut.rigidity, aut.quasitorus
+    torsion = [decimal(d) for d in quasi.torsion]
     names = cf.var_order
     n = len(names)
-
-    def decimals(vec) -> list[str]:
-        return dense(vec, n, "0", decimal)
 
     return {
         "input": input_text,
@@ -193,12 +191,12 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
             "note": cert.note,
         },
         "quasitorus": {
-            "torus_rank": aut.quasitorus.torus_rank,
-            "torsion": [decimal(d) for d in aut.quasitorus.torsion],
-            "cocharacter_basis": [decimals(v) for v in aut.quasitorus.cocharacter_basis],
+            "torus_rank": quasi.torus_rank,
+            "torsion": torsion,
+            "cocharacter_basis": [decimals(v, n) for v in quasi.cocharacter_basis],
             "torsion_generators": [
-                {"order": decimal(t.order), "exponents": decimals(t.exponents)}
-                for t in aut.quasitorus.torsion_generators
+                {"order": order, "exponents": decimals(t.exponents, n)}
+                for order, t in zip(torsion, quasi.torsion_generators)
             ],
         },
         "permutation_group": {
@@ -220,7 +218,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         },
         "cone": {
             "witness": [[k, decimal(u)] for k, u in aut.witness],
-            "homogeneity_cocharacter": decimals(aut.homogeneity),
+            "homogeneity_cocharacter": decimals(aut.homogeneity, n),
         },
         "irreducible": aut.irreducible,
         "verification": {
@@ -232,7 +230,7 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
 
 def _entries(vec, dim: int) -> str:
     """The `dim` entries of the sparse vector `vec`, as the text prints them."""
-    return "(" + ", ".join(dense(vec, dim, "0", decimal)) + ")"
+    return "(" + ", ".join(decimals(vec, dim)) + ")"
 
 
 def render_text(input_text: str, cf, aut, checks=None) -> str:

@@ -34,7 +34,7 @@ __all__ = [
 def cycle_notation(cycles: Permutation, names) -> str:
     """Render a permutation, given as its cycles, over variable names."""
     return "".join(
-        "(" + " ".join(names[v] for v in cycle) + ")" for cycle in cycles
+        ["(" + " ".join(map(names.__getitem__, cycle)) + ")" for cycle in cycles]
     ) or "()"
 
 
@@ -68,9 +68,8 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     """Factor structure, exact order, and generators of the group."""
     classes: list[MixedClassFactor] = []
     gens: list[Permutation] = []
-    order = 1
+    order, mixed = 1, 0
     parts = []
-    mixed = 0
     # one class per shape of `cf.shapes`: its blocks start at `starts` and
     # are numbered in turn, so every run of points and every column (offset
     # i of each block in the class) ascends, and the generators are built
@@ -79,11 +78,12 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
         k, size = len(exponents), len(starts)
         mults = tuple(len(list(g)) for _, g in groupby(exponents))
         if k > 1:
-            indices = tuple(range(mixed, mixed + size))
-            classes.append(MixedClassFactor(indices, exponents, mults))
+            classes.append(MixedClassFactor(tuple(range(mixed, mixed + size)), exponents, mults))
             mixed += size
-        for start in starts:
-            # a transposition and a full cycle generate S_m on each run
+        if size == 1 and k == len(mults):
+            continue  # one block with distinct exponents: a trivial factor
+        # a transposition and a full cycle generate S_m on each run
+        for start in starts if k > len(mults) else ():
             for m in mults:
                 if m >= 2:
                     gens.append(((start, start + 1),))

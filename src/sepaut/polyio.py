@@ -12,7 +12,9 @@ such a polynomial is a sum of
 `CanonicalForm` stores exactly that block data in a deterministic order.
 `parse_separated` reads an expression straight to it in one pass over the
 tokens of the text, combining like terms on the way, then checks that the
-variables are separated.
+variables are separated.  A run of factors written without whitespace,
+such as `x^2*y^3`, is one token; the form is built without the checks
+`make_canonical_form` makes on block data from callers.
 
 Expression grammar (ASCII, whitespace insignificant)::
 
@@ -30,7 +32,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "SparseVector",
     "dense",
     "decimal",
+    "decimals",
     "Permutation",
     "parse_separated",
     "make_canonical_form",
@@ -101,12 +106,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 SparseVector = tuple[tuple[int, int], ...]
 
 
-def dense(vec: SparseVector, n: int, zero=0, entry=int) -> list:
-    """The n entries of the sparse vector `vec`: `zero` off its support and
-    `entry(value)` on it."""
-    out = [zero] * n
+def dense(vec: SparseVector, n: int) -> list[int]:
+    """The n entries of the sparse vector `vec`."""
+    out = [0] * n
     for i, x in vec:
-        out[i] = entry(x)
+        out[i] = x
     return out
 
 
@@ -131,6 +135,14 @@ def decimal(x: int) -> str:
     return decimal(high) + decimal(low).zfill(digits)
 
 
+def decimals(vec: SparseVector, n: int) -> list[str]:
+    """`dense(vec, n)` as decimal strings; `str` itself below 10^600."""
+    out = ["0"] * n
+    for i, x in vec:
+        out[i] = str(x) if -_PIECE < x < _PIECE else decimal(x)
+    return out
+
+
 # A permutation of the variable indices as its nontrivial cycles, each
 # starting at its least index, ordered by that index: every permutation the
 # analysis emits.  Each cycle maps an entry to the next, the last to the first.
@@ -143,10 +155,6 @@ class MixedBlock(NamedTuple):
     variables: tuple[str, ...]
     exponents: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
 
 class PureBlock(NamedTuple):
     """All pure-power monomials w^q sharing the exponent q."""
@@ -155,21 +163,23 @@ class PureBlock(NamedTuple):
     variables: tuple[str, ...]
 
 
-class CanonicalForm(NamedTuple):
+class _Blocks(NamedTuple):  # the fields; the subclass can keep its views
+    mixed_blocks: tuple[MixedBlock, ...]
+    pure_blocks: tuple[PureBlock, ...]
+    scaling_note: bool = False
+
+
+class CanonicalForm(_Blocks):
     """Block decomposition of a separated polynomial, deterministically ordered.
 
     Mixed blocks come first, sorted by (length, exponent list) descending with
     ties broken by first variable name; pure blocks follow with strictly
     decreasing exponents.  `scaling_note` records that non-unit coefficients
     were absorbed (equality and the hash ignore it: the block shape is the
-    canonical identity).  The views below are recomputed on every read;
-    `shapes` is the one the analysis reads, `monomial_supports` the one the
-    oracles read.
+    canonical identity).  The form is immutable, so `var_order` and `shapes`
+    (the view the analysis reads) are built once, on first read; the others,
+    `monomial_supports` (the oracles' view) among them, on every read.
     """
-
-    mixed_blocks: tuple[MixedBlock, ...]
-    pure_blocks: tuple[PureBlock, ...]
-    scaling_note: bool = False
 
     def __eq__(self, other):
         return isinstance(other, CanonicalForm) and self[:2] == other[:2]
@@ -180,7 +190,7 @@ class CanonicalForm(NamedTuple):
     def __hash__(self):
         return hash(self[:2])
 
-    @property
+    @cached_property
     def var_order(self) -> tuple[str, ...]:
         out: list[str] = []
         for b in self.mixed_blocks:
@@ -198,7 +208,7 @@ class CanonicalForm(NamedTuple):
         """Total number of monomials: mixed blocks plus all pure powers."""
         return len(self.mixed_blocks) + sum(len(b.variables) for b in self.pure_blocks)
 
-    @property
+    @cached_property
     def shapes(self) -> tuple[tuple[tuple[int, ...], range], ...]:
         """Each distinct exponent tuple in canonical order, with the range of
         the first variable index of every monomial that has it.
@@ -233,15 +243,13 @@ class CanonicalForm(NamedTuple):
 
     def to_text(self) -> str:
         """Render with unit coefficients; reparsing yields this form back."""
-
-        def power(v: str, e: int) -> str:
-            return v if e == 1 else f"{v}^{e}"
-
         parts = [
-            "*".join(power(v, e) for v, e in zip(b.variables, b.exponents))
+            "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(*b)])
             for b in self.mixed_blocks
         ]
-        parts += [power(v, b.exponent) for b in self.pure_blocks for v in b.variables]
+        for q, variables in self.pure_blocks:
+            power = "" if q == 1 else f"^{q}"
+            parts += [v + power for v in variables]
         return " + ".join(parts)
 
 
@@ -251,57 +259,62 @@ def make_canonical_form(mixed_blocks, pure_blocks, scaling_note: bool = False) -
     `mixed_blocks` is an iterable of (variables, exponents) pairs with at
     least two variables each; `pure_blocks` of (exponent, variables) pairs.
     Pure blocks with equal exponents merge.  Every variable must occur in
-    exactly one block.
+    exactly one block.  This public entry validates what callers hand in;
+    `parse_separated` goes straight to the unchecked builder they share, as
+    its blocks are valid by construction: `_TOKEN_RE` matches the names,
+    exponents are checked to be positive integers as they are read, and
+    `seen` checks separation.
     """
-    mixed_out = []
+    mixed = []
     for vars_, exps in mixed_blocks:
         vars_, exps = list(vars_), [int(e) for e in exps]
         if len(vars_) < 2:
             raise ValueError("mixed blocks need at least two variables")
         if len(vars_) != len(exps):
             raise ValueError("mixed block variables and exponents differ in length")
-        _validate_names(vars_)
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be positive integers")
-        pairs = sorted(zip(vars_, exps), key=lambda p: (-p[1], p[0]))
-        mixed_out.append(
-            MixedBlock(tuple(v for v, _ in pairs), tuple(e for _, e in pairs))
-        )
-    mixed_out.sort(
-        key=lambda b: (-len(b.variables), tuple(-e for e in b.exponents), b.variables[0])
-    )
+        mixed.append(sorted(zip(vars_, exps)))
 
     merged: dict[int, list[str]] = {}
     for q, vars_ in pure_blocks:
         q = int(q)
         if q < 1:
             raise ValueError("exponents must be positive integers")
-        vars_ = list(vars_)
-        _validate_names(vars_)
         merged.setdefault(q, []).extend(vars_)
-    pure_out = tuple(
-        PureBlock(q, tuple(sorted(merged[q]))) for q in sorted(merged, reverse=True)
-    )
 
-    cf = CanonicalForm(tuple(mixed_out), pure_out, scaling_note)
+    cf = _canonical_form(mixed, merged, scaling_note)
     names = cf.var_order
+    invalid = [v for v in names if not _NAME_RE.match(v)]
+    if invalid:
+        raise ValueError(f"invalid variable name {invalid[0]!r}")
     if len(set(names)) != len(names):
         raise ValueError("a variable occurs in more than one block")
     return cf
 
 
-def _validate_names(names) -> None:
-    for v in names:
-        if not _NAME_RE.match(v):
-            raise ValueError(f"invalid variable name {v!r}")
+def _canonical_form(mixed, pure: dict[int, list[str]], scaling_note: bool) -> CanonicalForm:
+    """The `CanonicalForm` of valid block data, unchecked: mixed blocks as
+    (variable, exponent) pairs sorted by variable, pure variables by exponent."""
+    # a stable sort keeps equal exponents in variable order
+    blocks = [MixedBlock(*zip(*sorted(pairs, key=itemgetter(1), reverse=True))) for pairs in mixed]
+    # (length, exponents) descending, ties by first variable ascending
+    blocks.sort(key=lambda b: b.variables[0])
+    blocks.sort(key=lambda b: (len(b.exponents), b.exponents), reverse=True)
+    pure_out = tuple(PureBlock(q, tuple(sorted(pure[q]))) for q in sorted(pure, reverse=True))
+    return CanonicalForm(tuple(blocks), pure_out, scaling_note)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-# one token per match: a variable name, a natural number or any other single
-# character, after skipping whitespace (\s is exactly str.isspace)
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
+# one token per match after skipping whitespace (\s is exactly str.isspace):
+# a run of factors var ['^' nat] joined by '*' without whitespace (group 1),
+# a natural number (group 2) or any other character (group 3).  A run takes
+# an exponent of 1 to 640 digits (int() takes 640 under any limit), positive
+# and followed by no digit, '.' or '/'; any other '^' is read by `_exponent`.
+_FACTOR = r"[A-Za-z][A-Za-z0-9_]*(?:\^(?=0*[1-9])[0-9]{1,640}(?![0-9./]))?"
+_TOKEN_RE = re.compile(rf"\s*(?:({_FACTOR}(?:\*{_FACTOR})*)|([0-9]+)|(\S))")
 
 
 def _expected(what: str, tok: re.Match | None, text: str) -> ParseError:
@@ -341,17 +354,18 @@ def _coefficient(tok: re.Match, tokens, text: str) -> tuple[int | Fraction, re.M
     return Fraction(num, den), next(tokens, None)
 
 
-def _factor(tok: re.Match | None, tokens, text: str, mono: dict[str, int]) -> re.Match | None:
-    """Multiply `mono` by the factor var ['^' nat] that starts at `tok`, and
-    return the token after it."""
+def _factors(tok: re.Match | None, tokens, text: str, factors: list) -> re.Match | None:
+    """Append the (var, exponent) pairs of the run `tok` to `factors`; return
+    the token after the run and after a '^' exponent of its last factor."""
     if not (tok and tok[1] is not None):
         raise _expected("a variable", tok, text)
-    exp = 1
+    for factor in tok[1].split("*"):
+        name, _, digits = factor.partition("^")
+        factors.append((name, int(digits) if digits else 1))
     after = next(tokens, None)
-    if after and after[3] == "^":
+    if not digits and after and after[3] == "^":
         exp, after = _exponent(next(tokens, None), tokens, text)
-    # a variable repeated inside one term multiplies out: x*x == x^2
-    mono[tok[1]] = mono.get(tok[1], 0) + exp
+        factors[-1] = (name, exp)
     return after
 
 
@@ -373,7 +387,7 @@ def _exponent(tok: re.Match | None, tokens, text: str) -> tuple[int, re.Match | 
 def parse_separated(text: str) -> CanonicalForm:
     """Parse an expression whose variables are separated into its canonical form.
 
-    The tokens are read one at a time, with one token of lookahead; like
+    Tokens, a run of factors one token, are read with one of lookahead; like
     terms are combined and whitespace is ignored.  Raises `ParseError` (with
     position) on syntax problems, the exponent errors on `x^0` / `x^-2` /
     `x^1.5`; then `ZeroPolynomialError` when all terms cancel,
@@ -394,16 +408,22 @@ def parse_separated(text: str) -> CanonicalForm:
         sign = -1
         tok = next(tokens, None)
     while True:
-        coef, mono = 1, {}
-        if tok and tok[2] is not None:
+        coef, factors = 1, []
+        if tok and tok[1] is not None:
+            tok = _factors(tok, tokens, text, factors)
+        elif tok and tok[2] is not None:
             coef, tok = _coefficient(tok, tokens, text)
-        elif tok and tok[1] is not None:
-            tok = _factor(tok, tokens, text, mono)
         else:
             raise _expected("a term", tok, text)
         while tok and tok[3] == "*":
-            tok = _factor(next(tokens, None), tokens, text, mono)
-        key = tuple(sorted(mono.items()))
+            tok = _factors(next(tokens, None), tokens, text, factors)
+        if len(factors) > 1:
+            # a variable repeated inside one term multiplies out: x*x == x^2
+            mono: dict[str, int] = {}
+            for v, e in factors:
+                mono[v] = mono.get(v, 0) + e
+            factors = sorted(mono.items())
+        key = tuple(factors)
         terms[key] = terms.get(key, 0) + sign * coef
         if tok is None:
             break
@@ -432,9 +452,8 @@ def parse_separated(text: str) -> CanonicalForm:
             ((v, e),) = mono
             pure.setdefault(e, []).append(v)
         else:
-            names, exps = zip(*mono)
-            mixed.append((names, exps))
+            mixed.append(mono)
     repeated = min((v for v, c in seen.items() if c > 1), default=None)
     if repeated is not None:
         raise NotSeparatedError(repeated, seen[repeated])
-    return make_canonical_form(mixed, pure.items(), scaling_note=scaling)
+    return _canonical_form(mixed, pure, scaling)

@@ -43,9 +43,10 @@ normal form and gcd of minors referee H; the independent cross-check in
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
 
-from .polyio import CanonicalForm, SparseVector
+from .polyio import CanonicalForm, SparseVector, dense
 
 __all__ = [
     "SingleMonomialError",
@@ -121,25 +122,23 @@ def _completion(p) -> tuple[SparseVector, tuple[SparseVector, ...]]:
     determinant 1 built from extended Euclid on the running gcd a and p_j:
     column j becomes (a/g) e_j - (p_j/g) s and s becomes x s + y e_j.
     Column j is final from then on, and ends at its pivot a/g != 0 on entry
-    j, as s has entries only before j.  When a divides p_j, s stays as it is
-    (x = 1, y = 0) or becomes e_j (a = p_j); it gains an entry only when the
-    gcd drops, at most log2(p_0) times, so W has O(k log p_0) entries.
+    j, as s has entries only before j.  When a divides p_j, s stays (x = 1,
+    y = 0, with no call to Euclid) or becomes e_j (a = p_j); it gains an entry
+    only when the gcd drops, at most log2(p_0) times: O(k log p_0) entries.
     """
-    section = {0: 1}
-    kernel = []
-    a = p[0]
-    for j in range(1, len(p)):
-        g, x, y = _xgcd(a, p[j])
-        ag, bg = a // g, p[j] // g
-        kernel.append({**{i: -bg * u for i, u in section.items()}, j: ag})
+    section, kernel, a = [(0, 1)], [], p[0]
+    for j, b in enumerate(p[1:], 1):
+        g, x, y = (a, 1, 0) if b % a == 0 and b > a else _xgcd(a, b)
+        bg = b // g
+        kernel.append((*[(i, -bg * u) for i, u in section], (j, a // g)))
         if (x, y) != (1, 0):
-            section = {i: x * u for i, u in section.items() if x * u}
+            section = [(i, x * u) for i, u in section if x * u]
             if y:
-                section[j] = y
+                section.append((j, y))
         a = g
     if a != 1:
         raise AssertionError(f"character part {tuple(p)} is not primitive")
-    return tuple(section.items()), tuple(tuple(column.items()) for column in kernel)
+    return tuple(section), tuple(kernel)
 
 
 def _coprime_base(values) -> dict[int, dict[int, int]]:
@@ -194,32 +193,36 @@ def _torsion(shapes: list[_Shape]) -> tuple[TorsionGenerator, ...]:
     base element dividing its g_i, not once per base element.
     """
     base = _coprime_base(s.gcd for s in shapes)
-    by_gcd: dict[int, list[tuple[int, SparseVector]]] = {}
+    by_gcd: dict[int, list[_Shape]] = {}
     for s in shapes:
-        by_gcd.setdefault(s.gcd, []).extend((start, s.section) for start in s.starts)
-    # monomials with q not dividing g_i have valuation 0 and hold nothing
-    chains = []
-    for q in sorted(base):
-        held = sorted((v, *monomial) for g, v in base[q].items() for monomial in by_gcd[g])
-        chains.append((q, held[:-1]))
-    r = max((len(chain) for _, chain in chains), default=0)
-    # right-aligned: a chain fills the last len(chain) of the r positions
-    parts: list[list[tuple[int, int, int, SparseVector]]] = [[] for _ in range(r)]
-    for q, chain in chains:
-        for k, held in enumerate(chain, r - len(chain)):
-            parts[k].append((q, *held))
-    generators = []
+        by_gcd.setdefault(s.gcd, []).append(s)
+    # monomials with q not dividing g_i have valuation 0 and hold nothing;
+    # the others hold q^v, and their starts order equal powers
+    chains = [
+        sorted([(q ** vs[g], a, s.section) for g in vs for s in by_gcd[g] for a in s.starts])[:-1]
+        for q, vs in base.items()
+    ]
+    # right-aligned: a chain fills the last len(chain) of the positions, so
+    # the first ones the longest chain holds alone, each one prime power d
+    *others, longest = sorted(chains, key=len) or [[]]
+    alone = len(longest) - max(map(len, others), default=0)
+    generators = [
+        TorsionGenerator(d, tuple([(start + i, x) for i, s in section if (x := s % d)]))
+        for d, start, section in longest[:alone]
+    ]
+    parts = [[held] for held in longest[alone:]]
+    for chain in others:
+        for k, held in enumerate(chain, len(parts) - len(chain)):
+            parts[k].append(held)
     for part in parts:
-        d = math.prod(q**v for q, v, _, _ in part)
-        exponents: dict[int, int] = {}
-        for q, v, start, section in part:
-            c = d // q**v
+        d = math.prod(power for power, _, _ in part)
+        merged: dict[int, int] = {}
+        for power, start, section in part:
+            c = d // power
             for i, s in section:
-                exponents[start + i] = exponents.get(start + i, 0) + c * s
-        reduced = ((var, x % d) for var, x in sorted(exponents.items()))
-        generators.append(
-            TorsionGenerator(order=d, exponents=tuple((v, x) for v, x in reduced if x))
-        )
+                merged[start + i] = merged.get(start + i, 0) + c * s
+        exponents = ((v, x) for v, y in sorted(merged.items()) if (x := y % d))
+        generators.append(TorsionGenerator(d, tuple(exponents)))
     return tuple(generators)
 
 
@@ -248,16 +251,14 @@ def quasitorus_structure(cf: CanonicalForm) -> QuasitorusDescription:
     shapes = []
     for exponents, starts in cf.shapes:
         g = math.gcd(*exponents)
-        p = [e // g for e in exponents]
-        shapes.append(_Shape(exponents, starts, g, *_completion(p)))
+        shapes.append(_Shape(exponents, starts, g, *_completion([e // g for e in exponents])))
     lcm = math.lcm(*(s.gcd for s in shapes))
     w = []
     basis = []
     for s in shapes:
         scaled = [(i, lcm // s.gcd * x) for i, x in s.section]
-        for start in s.starts:
-            w += [(start + i, x) for i, x in scaled]
-            basis += [tuple((start + i, u) for i, u in col) for col in s.kernel]
+        w += [(a + i, x) for a in s.starts for i, x in scaled]
+        basis += [tuple([(a + i, u) for i, u in col]) for a in s.starts for col in s.kernel]
     generators = _torsion(shapes)
     return QuasitorusDescription(
         torus_rank=len(basis) + 1,
@@ -284,15 +285,17 @@ def cocharacter_coordinates(
     at zero, which is the identity sum over k of u_k * b_k = vector; a basis
     that does not give `vector` back raises AssertionError.
     """
-    residual = dict(vector)
     n = sum(len(s.exponents) * len(s.starts) for s in quasi.shapes)
-    if not all(0 <= v < n for v in residual):
+    if vector and not (0 <= vector[0][0] and vector[-1][0] < n):
         raise ValueError("dimension mismatch between vector and characters")
-    pairings = {
-        sum(x * residual.get(v, 0) for v, x in enumerate(s.exponents, start))
-        for s in quasi.shapes
-        for start in s.starts
-    }
+    residual = dense(vector, n)
+    pairings = set()
+    for s in quasi.shapes:
+        k = len(s.exponents)
+        if k == 1:  # pure powers: one slice of the residual
+            pairings.update(map(s.exponents[0].__mul__, residual[s.starts.start : s.starts.stop]))
+        else:
+            pairings.update(sum(map(mul, s.exponents, residual[a : a + k])) for a in s.starts)
     if len(pairings) != 1:
         raise ValueError("vector is not in the cocharacter lattice ker(D)")
     (pairing,) = pairings
@@ -303,9 +306,10 @@ def cocharacter_coordinates(
     for k in (0, *range(len(basis) - 1, 0, -1)):
         if k:
             pivot, x = basis[k][-1]
-            coords[k] = residual.get(pivot, 0) // x
-        for v, x in basis[k]:
-            residual[v] = residual.get(v, 0) - coords[k] * x
-    if any(residual.values()):
+            coords[k] = residual[pivot] // x
+        if c := coords[k]:
+            for v, x in basis[k]:
+                residual[v] -= c * x
+    if any(residual):
         raise AssertionError("the basis does not give the vector back")
     return tuple((k, c) for k, c in enumerate(coords) if c)

@@ -16,7 +16,6 @@ several variables.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -55,11 +54,11 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     """
     # k variables of exponent e add k/e, one term per distinct e, over the
     # common denominator: one Fraction, not one per variable
-    counts: Counter[int] = Counter()
+    counts: dict[int, int] = {}
     blocks = 0
     for exponents, starts in cf.shapes:
         for e in exponents:
-            counts[e] += len(starts)
+            counts[e] = counts.get(e, 0) + len(starts)
         # each mixed block counts, and a pure block once for all its powers
         blocks += len(starts) if len(exponents) > 1 else 1
     denominator = lcm(*counts)

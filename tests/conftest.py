@@ -1,5 +1,8 @@
 """Shared fixtures and generators for the test suite."""
 
+import re
+import sys
+from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
@@ -8,7 +11,17 @@ import pytest
 from sepaut.intlat import IntMatrix, smith_normal_form
 from sepaut.oracles import NotAnAutomorphismError
 from sepaut.permgroup import cycle_notation
-from sepaut.polyio import dense, make_canonical_form, parse_separated
+from sepaut.polyio import (
+    ConstantTermError,
+    NonIntegerExponentError,
+    NonPositiveExponentError,
+    NotSeparatedError,
+    ParseError,
+    ZeroPolynomialError,
+    dense,
+    make_canonical_form,
+    parse_separated,
+)
 from sepaut.quasitorus import SingleMonomialError, TorsionGenerator, _coprime_base
 from sepaut.torusgeom import homogeneity_cocharacter
 
@@ -336,3 +349,114 @@ def torsion_by_scan(shapes) -> tuple[TorsionGenerator, ...]:
         reduced = ((var, x % d) for var, x in sorted(exponents.items()))
         generators.append(TorsionGenerator(d, tuple((v, x) for v, x in reduced if x)))
     return tuple(generators)
+
+
+# one token per match: a variable name, a natural number or any other single
+# character, after skipping whitespace (\s is exactly str.isspace)
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([0-9]+)|(\S))")
+
+
+def parse_by_tokens(text: str):
+    """`parse_separated` as it read the text one name, number or other
+    character at a time, with one token of lookahead and one call per
+    grammar rule, and built the form through the validating
+    `make_canonical_form`: the referee for the parser, which reads a run of
+    factors as one token and builds the form unchecked.  Same errors, same
+    messages, same positions, same form."""
+    tokens = _TOKEN_RE.finditer(text)
+
+    def expected(what, tok):
+        if tok is None:
+            return ParseError(f"expected {what} but input ended", len(text))
+        pos = tok.start(tok.lastindex)
+        return ParseError(f"expected {what}, found {text[pos]!r}", pos)
+
+    def nat(tok, what):
+        if tok is None or tok[2] is None:
+            raise expected(what, tok)
+        try:
+            return int(tok[2])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                f"{what} has {len(tok[2])} digits, over the limit of {limit}", tok.start(2)
+            ) from None
+
+    def coefficient(tok):
+        num = nat(tok, "coefficient")
+        tok = next(tokens, None)
+        if not (tok and tok[3] == "/"):
+            return num, tok
+        slash_end = tok.end()
+        den = nat(next(tokens, None), "denominator")
+        if den == 0:
+            raise ParseError("zero denominator", slash_end)
+        return Fraction(num, den), next(tokens, None)
+
+    def exponent(tok):
+        if tok and tok[3] == "-":
+            value = nat(next(tokens, None), "exponent")
+            raise NonPositiveExponentError(f"exponent -{value} is not positive", tok.start(3))
+        value = nat(tok, "exponent")
+        if text.startswith((".", "/"), tok.end()):
+            raise NonIntegerExponentError("exponents must be integers", tok.end())
+        if value <= 0:
+            raise NonPositiveExponentError(f"exponent {value} is not positive", tok.start(2))
+        return value, next(tokens, None)
+
+    def factor(tok, mono):
+        if not (tok and tok[1] is not None):
+            raise expected("a variable", tok)
+        exp = 1
+        after = next(tokens, None)
+        if after and after[3] == "^":
+            exp, after = exponent(next(tokens, None))
+        mono[tok[1]] = mono.get(tok[1], 0) + exp
+        return after
+
+    tok = next(tokens, None)
+    if tok is None:
+        raise ParseError("empty input", len(text))
+    terms = {}
+    sign = 1
+    if tok[3] == "-":
+        sign = -1
+        tok = next(tokens, None)
+    while True:
+        coef, mono = 1, {}
+        if tok and tok[2] is not None:
+            coef, tok = coefficient(tok)
+        elif tok and tok[1] is not None:
+            tok = factor(tok, mono)
+        else:
+            raise expected("a term", tok)
+        while tok and tok[3] == "*":
+            tok = factor(next(tokens, None), mono)
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + sign * coef
+        if tok is None:
+            break
+        if tok[3] not in ("+", "-"):
+            raise expected("'+' or '-'", tok)
+        sign = 1 if tok[3] == "+" else -1
+        tok = next(tokens, None)
+
+    if not any(terms.values()):
+        raise ZeroPolynomialError("all terms cancel: got the zero polynomial")
+    if terms.get(()):
+        raise ConstantTermError("constant terms are not allowed in separated form")
+    seen = {}
+    mixed, pure = [], {}
+    for mono, coef in terms.items():
+        if coef:
+            for v, _ in mono:
+                seen[v] = seen.get(v, 0) + 1
+            if len(mono) == 1:
+                pure.setdefault(mono[0][1], []).append(mono[0][0])
+            else:
+                mixed.append(tuple(zip(*mono)))
+    repeated = min((v for v, c in seen.items() if c > 1), default=None)
+    if repeated is not None:
+        raise NotSeparatedError(repeated, seen[repeated])
+    scaling = any(coef not in (0, 1) for coef in terms.values())
+    return make_canonical_form(mixed, pure.items(), scaling_note=scaling)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FLAGSHIP, block_shape, random_canonical_form
+from conftest import FLAGSHIP, block_shape, parse_by_tokens, random_canonical_form
 from sepaut.polyio import (
     ConstantTermError,
     NonIntegerExponentError,
     NonPositiveExponentError,
     NotSeparatedError,
     ParseError,
+    PolynomialError,
     ZeroPolynomialError,
     make_canonical_form,
     parse_separated,
@@ -26,7 +27,7 @@ from sepaut.polyio import (
 def test_parse_flagship():
     cf = parse_separated(FLAGSHIP)
     assert cf.monomial_count == 4
-    degrees = [b.degree for b in cf.mixed_blocks]
+    degrees = [sum(b.exponents) for b in cf.mixed_blocks]
     degrees += [b.exponent for b in cf.pure_blocks for _ in b.variables]
     assert sorted(degrees, reverse=True) == [21, 10, 10, 10]
     assert not cf.scaling_note
@@ -218,6 +219,50 @@ def test_whitespace_between_tokens_is_ignored(seed, data):
     assert again == cf and again.to_text() == cf.to_text()
 
 
+# pieces of text the parser reads differently from one token at a time: a
+# '^' with what may follow it, digit runs about the 640 digits a factor
+# token takes and about the int() digit limit, operators, other characters
+PIECES = [
+    "x", "y", "z1", "a_b", "Q", "^", "^-", "^0", "^-0", "^2.5", "^ 3", "^12^3", "^007",
+    "y^4/", "x^2", "^2 ", "00", "0", "3", "*", "+", "-", "/", ".", "(", "\u00e9",
+]
+LIMIT = sys.get_int_max_str_digits()
+DIGIT_RUNS = st.builds(
+    lambda lead, digit, k: lead + digit * k,
+    st.sampled_from(["", "0", "^", "x^", "^0"]),
+    st.sampled_from("079"),
+    st.sampled_from([639, 640, 641, LIMIT - 1, LIMIT, LIMIT + 1]),
+)
+RENDERED = st.integers(min_value=0).map(
+    lambda seed: random_canonical_form(random.Random(seed), max_vars=10, max_exp=10**30).to_text()
+)
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: the exception's class, message and
+    position, or the form with its rendering and scaling note."""
+    try:
+        cf = parse(text)
+    except PolynomialError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return tuple(cf), cf.to_text(), cf.scaling_note
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(PIECES), st.sampled_from(WHITESPACE), DIGIT_RUNS, RENDERED),
+        max_size=10,
+    )
+)
+def test_parser_matches_the_token_referee(pieces):
+    """The parser reads a run of factors as one token and builds the form
+    unchecked; on any text it raises what the token-at-a-time referee
+    raises, with the same message and position, or gives the same form."""
+    text = "".join(pieces)
+    assert outcome(parse_separated, text) == outcome(parse_by_tokens, text)
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -228,7 +273,7 @@ def test_flagship_canonical_form(flagship):
     block = cf.mixed_blocks[0]
     assert block.exponents == (11, 10)
     assert block.variables == ("X2", "X1")
-    assert block.degree == 21
+    assert sum(block.exponents) == 21
     assert len(cf.pure_blocks) == 1
     assert cf.pure_blocks[0].exponent == 10
     assert cf.pure_blocks[0].variables == ("Y1", "Y2", "Y3")
@@ -350,3 +395,40 @@ def test_make_canonical_form_validation():
         make_canonical_form([(["x", "y"], [2, 1])], [(2, ["x"])])  # reused var
     with pytest.raises(ValueError):
         make_canonical_form([], [(2, ["2bad"])])  # bad name
+
+
+def _calls_to_parse(text: str) -> int:
+    """The Python and C calls made inside `parse_separated(text)`, counted
+    under `sys.setprofile`: deterministic work, unlike a timing."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        parse_separated(text)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+PARSE_FAMILIES = {
+    "identical blocks": lambda k: " + ".join(f"a{i}^2*b{i}^3" for i in range(k)),
+    "distinct small exponents": lambda k: " + ".join(
+        f"a{i}^{i % 11 + 1}*b{i}^{i % 13 + 2}*c{i}^{i % 3 + 1}" for i in range(k)
+    ),
+    "pure Fermat": lambda k: " + ".join(f"x{i}^3" for i in range(k)),
+}
+
+
+@pytest.mark.parametrize("family", PARSE_FAMILIES)
+def test_parse_work_is_linear_in_the_blocks(family):
+    """Four times the blocks cost at most 4 * 1.05 times the calls.  At 250
+    and 1000 blocks the ratios were 3.991 (identical blocks), 3.992
+    (distinct small exponents) and 3.978 (pure Fermat) when this bound was
+    set, with 24, 28 and 12 calls per block."""
+    k = 250
+    small, large = (_calls_to_parse(PARSE_FAMILIES[family](m)) for m in (k, 4 * k))
+    assert large <= 4 * 1.05 * small, (family, small, large)
