@@ -52,6 +52,8 @@ FORMS = (
     "x^2*y^2*z^2*u^5 + v^7 + w^7",
     "a^2*b^2*c + d^2*e^2*f + g^2*h^2*i + j^5 + k^5",
 )
+# non-unit coefficients, absorbed by a diagonal rescaling
+SCALED = "2*x^2 + 3*y^3 - z^5"
 
 # 16 mixed blocks of 3 variables; each block gcd is 2, 6, 10 or 30, so the
 # torsion is not trivial, and every exponent has 20 digits
@@ -81,6 +83,11 @@ def cases() -> dict[str, list[str]]:
             out[" ".join(argv) + " --verify"] = argv + ["--verify"]
     out["analyze flagship text"] = ["analyze", FLAGSHIP]
     out["analyze flagship text --verify"] = ["analyze", FLAGSHIP, "--verify"]
+    # every branch of the text renderer: no threshold, no torsion, no
+    # generators, equality, the conditional line and the scaling note
+    for expr in (*FORMS[1:], SCALED):
+        out[f"analyze {expr} text"] = ["analyze", expr]
+        out[f"analyze {expr} text --verify"] = ["analyze", expr, "--verify"]
     out["verify flagship perms"] = ["verify", FLAGSHIP, "--oracle", "perms"]
     out["verify flagship torsion mod 10"] = [
         "verify", FLAGSHIP, "--oracle", "torsion", "--mod", "10"

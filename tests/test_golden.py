@@ -112,5 +112,6 @@ def test_replay_runs_on_the_standard_library_alone():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"0 of {len(load())} golden entries failed to replay\n"
-    # 86 entries, and the 20 inputs of the benchmark's in-process workloads
-    assert len(load()) == 106
+    # 86 entries, the 20 inputs of the benchmark's in-process workloads, and
+    # the text reports of the other forms and the scaled one
+    assert len(load()) == 124
