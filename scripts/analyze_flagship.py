@@ -9,7 +9,7 @@ the library API as a sanity cross-check.
 from fractions import Fraction
 
 from sepaut.autassembly import aut_group
-from sepaut.cli import render_text, run_verification
+from sepaut.cli import build_report, render_text
 from sepaut.polyio import parse_separated
 
 EXPR = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
@@ -18,7 +18,7 @@ EXPR = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
 def main() -> None:
     cf = parse_separated(EXPR)
     aut = aut_group(cf)
-    print(render_text(EXPR, cf, aut, run_verification(cf, aut)))
+    print(render_text(build_report(EXPR, cf, verify=True)))
     print()
 
     cert = aut.rigidity

@@ -14,14 +14,15 @@ checks, and the homogeneity has no zero entry), the cone's witness as its
 nonzero `[index, "value"]` pairs, and each permutation generator once, in
 cycle notation.  The cone section is the witness and the homogeneity: the
 weights (the transpose of the cocharacter basis), the pair cocharacters
-(read off `mixed_blocks`), the pure factors of the permutation group (the
-`pure_blocks` again) and the pointedness flag (the analysis checks the
-witness exactly, so the cone is always pointed) are not printed.  The text
-report is rendered from the description too and prints only what it shows.
-Either mode refuses (`ReportTooLargeError`, exit 1) a report that would
-print more than `REPORT_LIMIT` vector entries and cycle points, counted for
-that mode.
-Every integer prints through `polyio.decimal`, whatever its length.
+(read off `mixed_blocks`), the pure factors and the mixed classes of the
+permutation group (the `pure_blocks` again, and the runs of equal exponent
+tuples in `mixed_blocks`) and the pointedness flag (the analysis checks the
+witness exactly, so the cone is always pointed) are not printed.  The report
+dict is the one place a value is formatted, every integer through
+`polyio.decimal` whatever its length; the text report only joins its
+strings, with the witness dense over the torus rank.  Either mode refuses
+(`ReportTooLargeError`, exit 1) a report that would print more than
+`REPORT_LIMIT` vector entries and cycle points, counted for that mode.
 The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
 the analysis emits them, and load only with the commands that run them.
 Each oracle run is one check record, printed as the same
@@ -140,10 +141,12 @@ def _report_size(n: int, aut, as_json: bool) -> int:
     return size + quasi.torus_rank
 
 
-def _analysis(cf, verify: bool, as_json: bool):
-    """`aut_group(cf)` and, when `verify`, its checks (else None).  Raises
-    `ReportTooLargeError` before any oracle runs when the report in the
-    chosen mode would print more than `REPORT_LIMIT` entries."""
+def _report(input_text: str | None, cf, verify: bool, as_json: bool) -> dict:
+    """The report of the analysis of `cf`, its checks included when
+    `verify`; `input_text` None takes the rendered form as the input (the
+    `fermat` command).  Raises `ReportTooLargeError` before expanding any
+    vector or running any oracle when the report would print more than
+    `REPORT_LIMIT` entries in the mode `as_json` picks."""
     aut = aut_group(cf)
     size = _report_size(cf.variable_count, aut, as_json)
     if size > REPORT_LIMIT:
@@ -151,24 +154,17 @@ def _analysis(cf, verify: bool, as_json: bool):
             f"the report would print {size} vector entries and cycle points, "
             f"over the limit of {REPORT_LIMIT}"
         )
-    return aut, run_verification(cf, aut) if verify else None
-
-
-def build_report(input_text: str, cf, verify: bool = False) -> dict:
-    """Ordered, JSON-ready report of the full analysis.
-
-    Raises `ReportTooLargeError` before expanding any vector when the
-    report would print more than `REPORT_LIMIT` entries."""
-    aut, checks = _analysis(cf, verify, as_json=True)
+    checks = run_verification(cf, aut) if verify else []
     cert, quasi = aut.rigidity, aut.quasitorus
     torsion = [decimal(d) for d in quasi.torsion]
     names = cf.var_order
     n = len(names)
+    rendered = cf.to_text()
 
     return {
-        "input": input_text,
+        "input": rendered if input_text is None else input_text,
         "canonical_form": {
-            "rendered": cf.to_text(),
+            "rendered": rendered,
             "variables": list(names),
             "mixed_blocks": [
                 {"variables": list(b.variables), "exponents": list(b.exponents)}
@@ -202,14 +198,6 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "permutation_group": {
             "order": decimal(aut.perm.order),
             "structure": aut.perm.structure,
-            "mixed_classes": [
-                {
-                    "blocks": list(c.block_indices),
-                    "exponents": list(c.exponents),
-                    "inner_multiplicities": list(c.inner_multiplicities),
-                }
-                for c in aut.perm.mixed_classes
-            ],
             "generators": [cycle_notation(g, names) for g in aut.perm.generators],
         },
         "aut": {
@@ -223,68 +211,76 @@ def build_report(input_text: str, cf, verify: bool = False) -> dict:
         "irreducible": aut.irreducible,
         "verification": {
             "requested": bool(verify),
-            "checks": checks or [],
+            "checks": checks,
         },
     }
 
 
-def _entries(vec, dim: int) -> str:
-    """The `dim` entries of the sparse vector `vec`, as the text prints them."""
-    return "(" + ", ".join(decimals(vec, dim)) + ")"
+def build_report(input_text: str, cf, verify: bool = False) -> dict:
+    """Ordered, JSON-ready report of the full analysis.
+
+    Raises `ReportTooLargeError` before expanding any vector when the
+    report would print more than `REPORT_LIMIT` entries."""
+    return _report(input_text, cf, verify, as_json=True)
 
 
-def render_text(input_text: str, cf, aut, checks=None) -> str:
-    """The text report of the analysis `aut` of `cf`, ending in the line of
-    each check when verification ran (`checks` not None)."""
-    quasi, cert = aut.quasitorus, aut.rigidity
-    names, n, rank = cf.var_order, cf.variable_count, quasi.torus_rank
+def _entries(entries: list[str]) -> str:
+    """A vector's printed entries, as the text prints them."""
+    return "(" + ", ".join(entries) + ")"
+
+
+def render_text(report: dict) -> str:
+    """The text report of `report` (a `build_report` dict), ending in the
+    line of each check when verification ran.  Every value prints as the
+    report holds it; only the witness is spread out, dense over the torus
+    rank."""
+    form, cert, quasi = report["canonical_form"], report["rigidity"], report["quasitorus"]
+    perm, aut = report["permutation_group"], report["aut"]
     lines = [
-        f"input: {input_text}",
-        f"canonical form: {cf.to_text()}",
-        f"  variables ({n}): " + " ".join(names) + f"   monomials: {cf.monomial_count}",
+        f"input: {report['input']}",
+        f"canonical form: {form['rendered']}",
+        f"  variables ({form['variable_count']}): " + " ".join(form["variables"])
+        + f"   monomials: {form['monomial_count']}",
     ]
-    if cf.scaling_note:
+    if form["scaling_absorbed"]:
         lines.append("  non-unit coefficients absorbed by a diagonal rescaling")
 
-    threshold = _frac(cert.threshold) or "n/a"
-    suffix = " (equality)" if cert.equality else ""
+    suffix = " (equality)" if cert["equality"] else ""
     lines.append(
-        f"rigidity: sum(1/e_v) = {_frac(cert.reciprocal_sum)}, "
-        f"threshold = {threshold} -> {cert.verdict}{suffix}"
+        f"rigidity: sum(1/e_v) = {cert['reciprocal_sum']}, "
+        f"threshold = {cert['threshold'] or 'n/a'} -> {cert['verdict']}{suffix}"
     )
-    lines.append(f"  note: {cert.note}")
+    lines.append(f"  note: {cert['note']}")
 
-    torsion = ", ".join(f"Z/{decimal(d)}" for d in quasi.torsion) or "none"
-    lines.append(f"diagonal symmetries H: torus rank {rank}, torsion {torsion}")
-    basis = "; ".join(_entries(v, n) for v in quasi.cocharacter_basis)
-    lines.append(f"  cocharacter basis: {basis}")
-    for t in quasi.torsion_generators:
+    torsion = ", ".join(f"Z/{d}" for d in quasi["torsion"]) or "none"
+    lines.append(f"diagonal symmetries H: torus rank {quasi['torus_rank']}, torsion {torsion}")
+    lines.append("  cocharacter basis: " + "; ".join(map(_entries, quasi["cocharacter_basis"])))
+    for t in quasi["torsion_generators"]:
         lines.append(
-            f"  torsion generator: order {decimal(t.order)}, "
-            f"exponents {_entries(t.exponents, n)}"
+            f"  torsion generator: order {t['order']}, exponents {_entries(t['exponents'])}"
         )
 
-    perm = aut.perm
     lines.append(
-        f"permutation group P(F): order {decimal(perm.order)}, structure {perm.structure}"
+        f"permutation group P(F): order {perm['order']}, structure {perm['structure']}"
     )
-    if perm.generators:
-        lines.append(
-            "  generators: " + ", ".join(cycle_notation(g, names) for g in perm.generators)
-        )
+    if perm["generators"]:
+        lines.append("  generators: " + ", ".join(perm["generators"]))
 
-    lines.append(f"automorphism group: {aut.structure_string}")
-    if aut.conditional:
+    lines.append(f"automorphism group: {aut['structure']}")
+    if aut["conditional_on_rigidity"]:
         lines.append(
             "  conditional on rigidity: the product is always a subgroup of "
             "Aut; maximality needs a rigid input"
         )
 
     # the analysis checked the witness, so the cone is pointed
-    lines.append(f"weight cone: pointed = yes, witness u = {_entries(aut.witness, rank)}")
-    lines.append(f"irreducibility: {aut.irreducible}")
-    if checks is not None:
-        lines.extend(map(_check_line, checks))
+    witness = ["0"] * quasi["torus_rank"]
+    for k, u in report["cone"]["witness"]:
+        witness[k] = u
+    lines.append(f"weight cone: pointed = yes, witness u = {_entries(witness)}")
+    lines.append(f"irreducibility: {report['irreducible']}")
+    if report["verification"]["requested"]:
+        lines.extend(map(_check_line, report["verification"]["checks"]))
     return "\n".join(lines)
 
 
@@ -294,19 +290,16 @@ def _check_line(check: dict) -> str:
 
 def cmd_analyze(args) -> int:
     if args.command == "fermat":
-        cf = fermat_form(args.n, args.alpha)
-        text = cf.to_text()
+        text, cf = None, fermat_form(args.n, args.alpha)
     else:
         text = _read_input(args.input)
         cf = parse_separated(text)
+    report = _report(text, cf, args.verify, args.json)
     if args.json:
-        report = build_report(text, cf, verify=args.verify)
         print(json.dumps(report, indent=2, ensure_ascii=True))
-        checks = report["verification"]["checks"]
     else:
-        aut, checks = _analysis(cf, args.verify, as_json=False)
-        print(_printable(render_text(text, cf, aut, checks)))
-    if any(c["status"] == "fail" for c in checks or ()):
+        print(_printable(render_text(report)))
+    if any(c["status"] == "fail" for c in report["verification"]["checks"]):
         return EXIT_ERROR
     return EXIT_OK
 

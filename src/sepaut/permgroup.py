@@ -8,11 +8,11 @@ a wreath-type factor per class of identical blocks: one class per shape of
 `CanonicalForm.shapes`.  A pure block of k variables is a class of k
 one-variable blocks, so its factor is S_k.  The group is the direct product
 of those factors, so its order has a closed formula and a short generator
-list.  Each generator is
-held as its cycles (`polyio.Permutation`), in O(points moved) entries,
-and the report prints it in cycle notation.  The brute-force check, over
-the permutations that keep each exponent, is
-`oracles.brute_force_perm_order`.
+list.  Each generator is held as its cycles (`polyio.Permutation`), in
+O(points moved) entries, and the report prints it in cycle notation.  The
+classes are neither held nor printed: the canonical form's blocks give
+them.  The brute-force check, over the permutations that keep each
+exponent, is `oracles.brute_force_perm_order`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .polyio import CanonicalForm, Permutation
 
 __all__ = [
-    "MixedClassFactor",
     "PermGroupDescription",
     "permutation_group",
     "cycle_notation",
@@ -38,27 +37,11 @@ def cycle_notation(cycles: Permutation, names) -> str:
     ) or "()"
 
 
-class MixedClassFactor(NamedTuple):
-    """Class of mixed blocks with identical exponent data.
-
-    The factor is W^c : S_c (wreath type) where c is the class size and W is
-    the product of symmetric groups on the equal-exponent runs inside one
-    block.
-    """
-
-    block_indices: tuple[int, ...]
-    exponents: tuple[int, ...]
-    inner_multiplicities: tuple[int, ...]
-
-
 class PermGroupDescription(NamedTuple):
-    """Mixed classes, order, generators in cycle form, structure.
+    """Order, generators in cycle form, structure.  The classes of identical
+    blocks are not held: they are the pure blocks and the runs of equal
+    exponent tuples in `CanonicalForm.mixed_blocks`."""
 
-    A pure block of k variables is a class of k one-variable blocks: its
-    factor is S_k, built by the same rule as the mixed classes, and it is
-    not listed in `mixed_classes`."""
-
-    mixed_classes: tuple[MixedClassFactor, ...]
     order: int
     generators: tuple[Permutation, ...]
     structure: str
@@ -66,9 +49,8 @@ class PermGroupDescription(NamedTuple):
 
 def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     """Factor structure, exact order, and generators of the group."""
-    classes: list[MixedClassFactor] = []
     gens: list[Permutation] = []
-    order, mixed = 1, 0
+    order = 1
     parts = []
     # one class per shape of `cf.shapes`: its blocks start at `starts` and
     # are numbered in turn, so every run of points and every column (offset
@@ -77,9 +59,6 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
     for exponents, starts in cf.shapes:
         k, size = len(exponents), len(starts)
         mults = tuple(len(list(g)) for _, g in groupby(exponents))
-        if k > 1:
-            classes.append(MixedClassFactor(tuple(range(mixed, mixed + size)), exponents, mults))
-            mixed += size
         if size == 1 and k == len(mults):
             continue  # one block with distinct exponents: a trivial factor
         # a transposition and a full cycle generate S_m on each run
@@ -99,7 +78,6 @@ def permutation_group(cf: CanonicalForm) -> PermGroupDescription:
         parts.append(_factor(mults, size))
 
     return PermGroupDescription(
-        mixed_classes=tuple(classes),
         order=order,
         generators=tuple(gens),
         structure=" × ".join(filter(None, parts)) or "1",

@@ -8,13 +8,14 @@ The JSON entries hold the dense layout in which every vector was printed in
 full and every derived section was printed too: the cone repeated the
 cocharacter basis (`cone.basis`) and its transpose (`cone.weights`), said
 `pointed`, and listed the pair cocharacters of the mixed blocks as dense
-vectors; the permutation group repeated the pure blocks (`pure_factors`);
-and `aut.action` gave each permutation generator as its n images.  The
-report now prints each fact once and the witness sparse, so a JSON output
-is compared through `dense_layout`, a strict referee that rejects any key
-it does not know, rebuilds the derived sections from the printed data and
-must reproduce the recorded bytes; the text and `verify` outputs are
-compared as they are.
+vectors; the permutation group repeated the pure blocks (`pure_factors`)
+and grouped the mixed blocks into classes of equal exponent tuples
+(`mixed_classes`); and `aut.action` gave each permutation generator as its
+n images.  The report now prints each fact once and the witness sparse, so
+a JSON output is compared through `dense_layout`, a strict referee that
+rejects any key it does not know, rebuilds the derived sections from the
+printed data and must reproduce the recorded bytes; the text and `verify`
+outputs are compared as they are.
 
     PYTHONPATH=src python tests/golden_replay.py            # replay, exit 1 on a mismatch
     PYTHONPATH=src python tests/golden_replay.py --record   # record again
@@ -31,6 +32,7 @@ import io
 import json
 import re
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from sepaut.cli import main
@@ -148,10 +150,7 @@ KEYS = {
     ),
     ("quasitorus",): ("torus_rank", "torsion", "cocharacter_basis", "torsion_generators"),
     ("quasitorus", "torsion_generators", "[]"): ("order", "exponents"),
-    ("permutation_group",): ("order", "structure", "mixed_classes", "generators"),
-    ("permutation_group", "mixed_classes", "[]"): (
-        "blocks", "exponents", "inner_multiplicities",
-    ),
+    ("permutation_group",): ("order", "structure", "generators"),
     ("aut",): ("structure", "conditional_on_rigidity"),
     ("cone",): ("witness", "homogeneity_cocharacter"),
     ("verification",): ("requested", "checks"),
@@ -225,13 +224,30 @@ def _pair_cocharacters(blocks, index: dict[str, int]) -> list[dict]:
     return out
 
 
+def _mixed_classes(blocks) -> list[dict]:
+    """The classes of identical mixed blocks: runs of equal exponent tuples
+    (equal tuples sit next to each other in canonical order), each with the
+    run lengths of equal exponents inside one block."""
+    out, first = [], 0
+    for exponents, run in groupby(block["exponents"] for block in blocks):
+        size = len(list(run))
+        out.append({
+            "blocks": list(range(first, first + size)),
+            "exponents": exponents,
+            "inner_multiplicities": [len(list(g)) for _, g in groupby(exponents)],
+        })
+        first += size
+    return out
+
+
 def dense_layout(report: dict) -> dict:
     """The report in the dense layout the corpus was recorded in: the
-    permutation group with its pure factors, `aut` ending in the action of
-    each permutation generator, and the cone with the cocharacter basis and
-    its transpose (the weights), the pointedness the witness shows (it pairs
-    with the weight of each variable to that variable's homogeneity weight,
-    a positive number), the dense witness, and the pair cocharacters."""
+    permutation group with its pure factors and mixed classes, `aut` ending
+    in the action of each permutation generator, and the cone with the
+    cocharacter basis and its transpose (the weights), the pointedness the
+    witness shows (it pairs with the weight of each variable to that
+    variable's homogeneity weight, a positive number), the dense witness,
+    and the pair cocharacters."""
     _check_keys(report)
     cf, quasi = report["canonical_form"], report["quasitorus"]
     names = cf["variables"]
@@ -256,7 +272,7 @@ def dense_layout(report: dict) -> dict:
             "order": perm["order"],
             "structure": perm["structure"],
             "pure_factors": cf["pure_blocks"],
-            "mixed_classes": perm["mixed_classes"],
+            "mixed_classes": _mixed_classes(cf["mixed_blocks"]),
             "generators": perm["generators"],
         },
         "aut": {**report["aut"], "action": action},

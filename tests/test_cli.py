@@ -20,7 +20,7 @@ from conftest import FLAGSHIP, character_matrix, random_canonical_form, times_ro
 import sepaut.cli
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.cli import REPORT_LIMIT, build_report, main
-from sepaut.polyio import decimal, parse_separated
+from sepaut.polyio import CanonicalForm, decimal, parse_separated
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -326,6 +326,23 @@ def test_build_report_runs_each_stage_once(monkeypatch):
             assert counts["count_torsion_points_mod"] == len(torsion)
             if text == fermat and verify:
                 assert torsion == ["pass"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_fermat_renders_its_form_once(capsys, monkeypatch, flags):
+    # the input of `fermat` is the rendered form, printed twice and
+    # rendered once
+    calls = []
+    to_text = CanonicalForm.to_text
+
+    def counted(cf):
+        calls.append(cf)
+        return to_text(cf)
+
+    monkeypatch.setattr(CanonicalForm, "to_text", counted)
+    code, out, _ = run_cli(capsys, "fermat", "4", "3", *flags)
+    assert code == 0 and len(calls) == 1
+    assert out.count("Y1^3 + Y2^3 + Y3^3 + Y4^3") == 2
 
 
 @pytest.mark.parametrize(

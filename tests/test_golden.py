@@ -76,11 +76,14 @@ def test_referee_rejects_what_it_does_not_know():
     weights = [[[0, "10"], [1, "-10"]], [[0, "-10"], [1, "11"]]] + [[[0, "1"]]] * 3
     pairs = [{"block": 0, "position": 1, "vector": [[0, "10"], [1, "-11"]]}]
     pure = report["canonical_form"]["pure_blocks"]
+    exponents = report["canonical_form"]["mixed_blocks"][0]["exponents"]
+    classes = [{"blocks": [0], "exponents": exponents, "inner_multiplicities": [1, 1]}]
     bad = [
         put_back("cone", 0, "weights", weights),
         put_back("cone", 0, "pointed", True),
         put_back("cone", 2, "pair_cocharacters", pairs),
         put_back("permutation_group", 2, "pure_factors", pure),
+        put_back("permutation_group", 2, "mixed_classes", classes),
         spoilt(lambda r: r["aut"].update(action=[])),
         spoilt(lambda r: r["cone"].update(basis=[])),
         spoilt(lambda r: r["cone"].pop("witness")),
