@@ -18,8 +18,9 @@ weights (the transpose of the cocharacter basis), the pair cocharacters
 permutation group (the `pure_blocks` again, and the runs of equal exponent
 tuples in `mixed_blocks`) and the pointedness flag (the analysis checks the
 witness exactly, so the cone is always pointed) are not printed.  The report
-dict is the one place a value is formatted, every integer through
-`polyio.decimal` whatever its length; the text report only joins its
+dict is the one place a value is formatted, each dense vector through
+`polyio.decimals` and every other integer that can pass the `str` digit
+limit through `polyio.decimal`; the text report only joins its
 strings, with the witness dense over the torus rank.  Either mode refuses
 (`ReportTooLargeError`, exit 1) a report that would print more than
 `REPORT_LIMIT` vector entries and cycle points, counted for that mode.

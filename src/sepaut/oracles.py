@@ -4,9 +4,11 @@ Each oracle recomputes a claim of the analysis by a method that shares no
 code with the one that made it:
 
 * `brute_force_perm_order` tries every variable permutation that keeps
-  each exponent and counts those mapping the monomials onto themselves
-  (each monomial's images must lie in one monomial of as many variables,
-  checked by C-level lookups); it checks the closed order formula of
+  each exponent and counts those mapping the monomials onto themselves:
+  the candidates pass one at a time through a chain of C-level filters,
+  the one-variable monomials first, then one filter per monomial of k > 1
+  variables, which keeps a candidate when the set of its images is the
+  variable set of a monomial; it checks the closed order formula of
   `permgroup.permutation_group`;
 * `count_torsion_points_mod` counts the e in (Z/N)^n on which all monomial
   characters agree mod N (the solutions of D e == 0, D the difference
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import compress, permutations, tee
 from operator import itemgetter
 
 from .permgroup import cycle_notation
@@ -66,17 +68,20 @@ def brute_force_perm_order(cf: CanonicalForm) -> int:
     does: the monomial holding v lands on a monomial of F, and v lies in
     exactly one.  A candidate keeps every exponent, so it fixes F exactly
     when, for each monomial, the images of its variables all lie in one
-    monomial of as many variables, which is checked on every monomial with
-    C-level calls: one `itemgetter` per monomial reads its images off the
-    candidate, and one `frozenset.issuperset` tests them against the
-    monomial holding the first image, kept only if it has the same size.
-    The one-variable monomials share one getter and are tested against the
-    set of variables that are one monomial each.  The candidates, the
-    orderings of each exponent class, are generated one at a time; Fermat-8
-    (8! = 40 320 candidates) takes 25-45 ms on one core.  The work, n steps
-    per candidate, is checked against `ENUMERATION_LIMIT` before
-    enumerating, by a product of class factorials that stops as soon as it
-    passes the limit."""
+    monomial of as many variables.  The candidates, the orderings of each
+    exponent class, are generated one at a time and pass through a chain of
+    lazy C-level stages, one per check, each dropping the candidates that
+    fail it: first the one-variable monomials, whose images (read by one
+    shared `itemgetter`) must be variables that are a monomial alone
+    (`frozenset.issuperset`), then each monomial of k > 1 variables in
+    turn, whose k images, being distinct, must form the variable set of a
+    monomial (`frozenset(images) in blocks`).  Each earlier stage reads its
+    candidates off one `tee` branch and passes them on with
+    `itertools.compress`; the last one is summed.  Fermat-8 (8! = 40 320
+    candidates, one stage) takes 14-23 ms on one core (2 vCPUs, Python
+    3.11).  The work, n steps per candidate, is checked against
+    `ENUMERATION_LIMIT` before enumerating, by a product of class
+    factorials that stops as soon as it passes the limit."""
     supports = cf.monomial_supports
     n = cf.variable_count
     classes: dict[int, list[int]] = {}
@@ -97,37 +102,28 @@ def brute_force_perm_order(cf: CanonicalForm) -> int:
         )
     # a candidate lists the images of `fixed`, then of each moving class
     position = {v: i for i, v in enumerate(fixed + sum(moving, ()))}
-    # a monomial of k variables is kept when its images lie in one monomial
-    # of k variables: `within[k][w]` holds the variables of w's monomial if
-    # it has k of them, else none
-    within: dict[int, list[frozenset[int]]] = {}
-    for support in supports:
-        if len(support) > 1:
-            block = frozenset(v for v, _ in support)
-            table = within.setdefault(len(block), [frozenset()] * n)
-            for v in block:
-                table[v] = block
-    checks = [
-        (itemgetter(*(position[v] for v, _ in support)), within[len(support)])
-        for support in supports
-        if len(support) > 1
-    ]
-    # the one-variable monomials share one getter: each image must be a
-    # variable that is a monomial alone
+    # a stage maps a stream of candidates to one bool each: kept or not
+    stages = []
     singles = frozenset(support[0][0] for support in supports if len(support) == 1)
     if singles:
         ones = [position[v] for v in singles]
         # an itemgetter of one position returns the item, not a 1-tuple
-        checks.insert(0, (itemgetter(*ones, ones[0]), [singles] * n))
-    count = 0
-    for candidate in _arrangements(moving, fixed):
-        for get, table in checks:
-            images = get(candidate)
-            if not table[images[0]].issuperset(images):
-                break
-        else:
-            count += 1
-    return count
+        get_ones = itemgetter(*ones, ones[0])
+        stages.append(lambda stream: map(singles.issuperset, map(get_ones, stream)))
+    blocks = {frozenset(v for v, _ in support) for support in supports if len(support) > 1}
+    for support in supports:
+        if len(support) > 1:
+            get = itemgetter(*(position[v] for v, _ in support))
+            stages.append(
+                lambda stream, get=get: map(
+                    blocks.__contains__, map(frozenset, map(get, stream))
+                )
+            )
+    candidates = _arrangements(moving, fixed)
+    for stage in stages[:-1]:
+        candidates, probe = tee(candidates)
+        candidates = compress(candidates, stage(probe))
+    return sum(stages[-1](candidates))
 
 
 def _arrangements(classes, prefix: tuple[int, ...]):
@@ -137,8 +133,10 @@ def _arrangements(classes, prefix: tuple[int, ...]):
         for points in permutations(classes[0]):
             yield from _arrangements(classes[1:], prefix + points)
     else:
-        # the last class (or none) appends its orderings itself
-        yield from map(prefix.__add__, permutations(classes[0] if classes else ()))
+        # the last class (or none) appends its orderings itself, to a
+        # prefix only when there is one
+        orderings = permutations(classes[0] if classes else ())
+        yield from map(prefix.__add__, orderings) if prefix else orderings
 
 
 def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:

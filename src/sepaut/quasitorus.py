@@ -32,7 +32,8 @@ Every vector the description holds is a `polyio.SparseVector`: a tuple of
 (index, value) pairs with strictly increasing index and no zero value, so w
 and each torsion generator touch only the variables of the blocks they live
 on, and the whole description has O(n + sum of k_i log p_i) entries.
-`polyio.dense` expands one to its n entries, for the report only.
+`polyio.dense` expands one to its n entries only for the residual of
+`cocharacter_coordinates`; the report prints through `polyio.decimals`.
 
 No Smith normal form is involved, and neither is the dense difference
 matrix D (rows chi_i - chi_0).  Only the tests build D, where its Smith

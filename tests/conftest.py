@@ -28,6 +28,32 @@ from sepaut.torusgeom import homogeneity_cocharacter
 # running example used across the suite and in the README
 FLAGSHIP = "X1^10*X2^11 + Y1^10 + Y2^10 + Y3^10"
 
+# inputs of k blocks on which the linear-work contracts count calls
+PARSE_FAMILIES = {
+    "identical blocks": lambda k: " + ".join(f"a{i}^2*b{i}^3" for i in range(k)),
+    "distinct small exponents": lambda k: " + ".join(
+        f"a{i}^{i % 11 + 1}*b{i}^{i % 13 + 2}*c{i}^{i % 3 + 1}" for i in range(k)
+    ),
+    "pure Fermat": lambda k: " + ".join(f"x{i}^3" for i in range(k)),
+}
+
+
+def calls_inside(function, *args) -> int:
+    """The Python and C calls made inside `function(*args)`, counted under
+    `sys.setprofile`: deterministic work, unlike a timing."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
 
 @pytest.fixture
 def flagship():

@@ -4,7 +4,14 @@ import tracemalloc
 
 import pytest
 
-from conftest import character_matrix, permutation, permute_vector, random_canonical_form
+from conftest import (
+    PARSE_FAMILIES,
+    calls_inside,
+    character_matrix,
+    permutation,
+    permute_vector,
+    random_canonical_form,
+)
 from sepaut.autassembly import (
     IRREDUCIBLE,
     UNDETERMINED,
@@ -19,8 +26,11 @@ from sepaut.oracles import (
     verify_diagonal,
     verify_permutation,
 )
+from sepaut.permgroup import permutation_group
 from sepaut.polyio import dense, parse_separated
-from sepaut.quasitorus import SingleMonomialError
+from sepaut.quasitorus import SingleMonomialError, quasitorus_structure
+from sepaut.rigidity import rigidity_certificate
+from sepaut.torusgeom import homogeneity_cocharacter, pointedness_witness
 
 SEMI = "⋉"
 TIMES = "×"
@@ -196,3 +206,30 @@ def test_aut_group_memory_per_variable():
     finally:
         tracemalloc.stop()
     assert peak / cf.variable_count <= 476
+
+
+def _stage_calls(cf):
+    """The calls inside each stage that `aut_group` runs, the witness given
+    the quasitorus and homogeneity it is solved from."""
+    stages = (
+        quasitorus_structure,
+        permutation_group,
+        rigidity_certificate,
+        homogeneity_cocharacter,
+    )
+    calls = {stage.__name__: calls_inside(stage, cf) for stage in stages}
+    witness_args = (quasitorus_structure(cf), homogeneity_cocharacter(cf))
+    calls["pointedness_witness"] = calls_inside(pointedness_witness, *witness_args)
+    return calls
+
+
+@pytest.mark.parametrize("family", PARSE_FAMILIES)
+def test_stage_work_is_linear_in_the_blocks(family):
+    """Four times the blocks cost each analysis stage at most 4 * 1.05 times
+    the calls, the bound of the parse contract, at 250 and 1000 blocks.  The
+    ratios measured when this bound was set are listed in CHANGES.md; the
+    largest was 3.93, the witness on identical blocks."""
+    k = 250
+    small, large = (_stage_calls(parse_separated(PARSE_FAMILIES[family](m))) for m in (k, 4 * k))
+    for stage, calls in small.items():
+        assert large[stage] <= 4 * 1.05 * calls, (family, stage, calls, large[stage])

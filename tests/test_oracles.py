@@ -4,6 +4,7 @@ their sparse generator checks agree with the dense referee."""
 import ast
 import importlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
@@ -213,6 +214,11 @@ def test_brute_force_counts_what_the_scan_counts(seed):
         ("a^2*b^2 + c^2*d^2 + e^2*f^2", 48),
         # x, y -> a, b puts x^2*y^2 inside a monomial of three variables
         ("x^2*y^2 + a^2*b^2*c^2", 12),
+        # one class of squares feeds the one-variable stage and two block
+        # stages, so a candidate can keep e^2 + f^2 and split a block
+        ("a^2*b^2 + c^2*d^2 + e^2 + f^2", 16),
+        # block stages of sizes 3 and 2 after the one-variable stage
+        ("a^2*b^2*c^2 + d^2*e^2 + f^2", 12),
     ],
 )
 def test_brute_force_fails_candidates_on_owner_or_size(text, order):
@@ -247,6 +253,27 @@ def test_brute_force_tries_every_exponent_keeping_permutation(monkeypatch, cf, t
     monkeypatch.setattr(sepaut.oracles, "_arrangements", counted)
     brute_force_perm_order(cf)
     assert len(candidates) == len(set(candidates)) == tried
+
+
+@pytest.mark.parametrize(
+    "cf,order",
+    [
+        (fermat_form(8, 2), factorial(8)),
+        # four block stages, each reading a branch of the candidates
+        (parse_separated("a^2*b^2 + c^2*d^2 + e^2*f^2 + g^2*h^2"), 384),
+    ],
+)
+def test_brute_force_holds_one_candidate_at_a_time(cf, order):
+    """The 8! candidates pass through the stages one at a time: the
+    tracemalloc peak stays under 64 KiB, where holding them all would take
+    about 4.5 MB.  The peaks were 2.7 kB and 8.0 kB when this bound was set."""
+    tracemalloc.start()
+    try:
+        assert brute_force_perm_order(cf) == order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def _small_forms(max_vars=4, max_exp=6):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FLAGSHIP, block_shape, parse_by_tokens, random_canonical_form
+from conftest import (
+    FLAGSHIP,
+    PARSE_FAMILIES,
+    block_shape,
+    calls_inside,
+    parse_by_tokens,
+    random_canonical_form,
+)
 from sepaut.polyio import (
     ConstantTermError,
     NonIntegerExponentError,
@@ -397,32 +404,6 @@ def test_make_canonical_form_validation():
         make_canonical_form([], [(2, ["2bad"])])  # bad name
 
 
-def _calls_to_parse(text: str) -> int:
-    """The Python and C calls made inside `parse_separated(text)`, counted
-    under `sys.setprofile`: deterministic work, unlike a timing."""
-    calls = [0]
-
-    def count(frame, event, arg):
-        if event in ("call", "c_call"):
-            calls[0] += 1
-
-    sys.setprofile(count)
-    try:
-        parse_separated(text)
-    finally:
-        sys.setprofile(None)
-    return calls[0]
-
-
-PARSE_FAMILIES = {
-    "identical blocks": lambda k: " + ".join(f"a{i}^2*b{i}^3" for i in range(k)),
-    "distinct small exponents": lambda k: " + ".join(
-        f"a{i}^{i % 11 + 1}*b{i}^{i % 13 + 2}*c{i}^{i % 3 + 1}" for i in range(k)
-    ),
-    "pure Fermat": lambda k: " + ".join(f"x{i}^3" for i in range(k)),
-}
-
-
 @pytest.mark.parametrize("family", PARSE_FAMILIES)
 def test_parse_work_is_linear_in_the_blocks(family):
     """Four times the blocks cost at most 4 * 1.05 times the calls.  At 250
@@ -430,5 +411,7 @@ def test_parse_work_is_linear_in_the_blocks(family):
     (distinct small exponents) and 3.978 (pure Fermat) when this bound was
     set, with 24, 28 and 12 calls per block."""
     k = 250
-    small, large = (_calls_to_parse(PARSE_FAMILIES[family](m)) for m in (k, 4 * k))
+    small, large = (
+        calls_inside(parse_separated, PARSE_FAMILIES[family](m)) for m in (k, 4 * k)
+    )
     assert large <= 4 * 1.05 * small, (family, small, large)
