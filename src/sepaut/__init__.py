@@ -4,9 +4,11 @@ Given a polynomial in which every variable occurs in exactly one monomial,
 this package computes a certified structural description of the
 automorphism group of the hypersurface it cuts out: the semidirect product
 of the permutation group of the polynomial with the diagonal quasitorus,
-together with a rigidity certificate, the homogeneity cocharacter and a
-witness that the weight cone of the coordinates is pointed.  This
-namespace holds the analysis; the brute-force verification oracles are in
+together with a rigidity certificate and a witness that the weight cone of
+the coordinates is pointed.  The witness is checked against the
+homogeneity cocharacter, which `homogeneity_cocharacter` derives from the
+block degrees and the description does not hold.  This namespace holds
+the analysis; the brute-force verification oracles are in
 `sepaut.oracles`.  The exact integer linear algebra (Smith normal form) in
 `sepaut.intlat` is the tests' referee: no module of the package imports
 it.

@@ -10,11 +10,12 @@ conclusive the description is still emitted but flagged `conditional`.
 
 `aut_group` is the one analysis: it runs each stage once, and its result
 holds everything the report prints and the oracles check: the permutation
-group, the quasitorus, the rigidity certificate, the homogeneity
-cocharacter and the witness that the weight cone is pointed.  It builds
-nothing that can be read off another field (not the weights, the transpose
-of the cocharacter basis, nor the pair cocharacters), and it checks the
-witness exactly on every analysis (`torusgeom.pointedness_witness`).  The
+group, the quasitorus, the rigidity certificate and the witness that the
+weight cone is pointed.  It holds nothing that can be read off another
+field: not the weights (the transpose of the cocharacter basis), the pair
+cocharacters, nor the homogeneity cocharacter (a function of the block
+degrees), which it builds only to solve the witness from and checks
+exactly on every analysis (`torusgeom.pointedness_witness`).  The
 arithmetic certificate of every generator it emits, F o g = c * F by
 integer congruences, is `oracles.certify_pipeline_generators`.
 """
@@ -51,7 +52,6 @@ class AutGroupDescription(NamedTuple):
     conditional: bool
     irreducible: str
     rigidity: RigidityCertificate
-    homogeneity: SparseVector
     witness: SparseVector
 
 
@@ -79,7 +79,6 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
     quasi = quasitorus_structure(cf)
     perm = permutation_group(cf)
     cert = rigidity_certificate(cf)
-    homogeneity = homogeneity_cocharacter(cf)
     return AutGroupDescription(
         perm=perm,
         quasitorus=quasi,
@@ -87,8 +86,7 @@ def aut_group(cf: CanonicalForm) -> AutGroupDescription:
         conditional=cert.verdict != CERTIFIED_RIGID,
         irreducible=irreducibility_verdict(cf),
         rigidity=cert,
-        homogeneity=homogeneity,
-        witness=pointedness_witness(quasi, homogeneity),
+        witness=pointedness_witness(quasi, homogeneity_cocharacter(cf)),
     )
 
 

@@ -7,18 +7,19 @@ non-ASCII characters, and serializes unbounded integers and rationals as
 decimal strings, so identical invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles, and
 the report prints each fact once, from that description, and nothing that
-can be read off another field.  JSON prints the cocharacter basis, the
-torsion generators and the homogeneity cocharacter as dense lists of
-decimal strings (the quasitorus section is read densely by downstream
-checks, and the homogeneity has no zero entry), the cone's witness as its
+can be read off another field.  JSON prints the cocharacter basis and
+the torsion generators as dense lists of decimal strings (the quasitorus
+section is read densely by downstream checks), the cone's witness as its
 nonzero `[index, "value"]` pairs, and each permutation generator once, in
-cycle notation.  The cone section is the witness and the homogeneity: the
-weights (the transpose of the cocharacter basis), the pair cocharacters
-(read off `mixed_blocks`), the pure factors and the mixed classes of the
-permutation group (the `pure_blocks` again, and the runs of equal exponent
-tuples in `mixed_blocks`) and the pointedness flag (the analysis checks the
-witness exactly, so the cone is always pointed) are not printed.  The report
-dict is the one place a value is formatted, each dense vector through
+cycle notation.  The cone section is the witness alone: the homogeneity
+cocharacter (the lcm of the block degrees over the degree of each
+variable's block, read off `canonical_form`), the weights (the transpose
+of the cocharacter basis), the pair cocharacters (read off
+`mixed_blocks`), the pure factors and the mixed classes of the permutation
+group (the `pure_blocks` again, and the runs of equal exponent tuples in
+`mixed_blocks`) and the pointedness flag (the analysis checks the witness
+exactly, so the cone is always pointed) are not printed.  The report dict
+is the one place a value is formatted, each dense vector through
 `polyio.decimals` and every other integer that can pass the `str` digit
 limit through `polyio.decimal`; the text report only joins its
 strings, with the witness dense over the torus rank.  Either mode refuses
@@ -109,7 +110,7 @@ def _check(oracle: str, cf, claim, modulus) -> dict:
             claimed = oracles.torsion_count_formula(claim, modulus)
             detail = f"enumerated {decimal(found)}, divisor formula {decimal(claimed)}"
         else:
-            found = claimed = len(oracles.certify_pipeline_generators(cf, claim))
+            found = claimed = oracles.certify_pipeline_generators(cf, claim)
             detail = f"{found} generators certified"
     except oracles.EnumerationTooLargeError as exc:
         status, detail = "skipped", str(exc)
@@ -133,21 +134,21 @@ def _report_size(n: int, aut, as_json: bool) -> int:
     """Vector entries and cycle points the report prints: n for each
     cocharacter basis vector and torsion generator, one for each point of a
     permutation generator, and the witness (the torus rank in text, its
-    nonzeros in JSON); JSON adds the n entries of the homogeneity."""
+    nonzeros in JSON)."""
     quasi = aut.quasitorus
     size = (quasi.torus_rank + len(quasi.torsion_generators)) * n
     size += sum(len(cycle) for g in aut.perm.generators for cycle in g)
-    if as_json:
-        return size + len(aut.witness) + n
-    return size + quasi.torus_rank
+    return size + (len(aut.witness) if as_json else quasi.torus_rank)
 
 
-def _report(input_text: str | None, cf, verify: bool, as_json: bool) -> dict:
-    """The report of the analysis of `cf`, its checks included when
-    `verify`; `input_text` None takes the rendered form as the input (the
-    `fermat` command).  Raises `ReportTooLargeError` before expanding any
-    vector or running any oracle when the report would print more than
-    `REPORT_LIMIT` entries in the mode `as_json` picks."""
+def build_report(input_text: str | None, cf, verify: bool = False, as_json: bool = True) -> dict:
+    """Ordered, JSON-ready report of the full analysis of `cf`, its checks
+    included when `verify`; `input_text` None takes the rendered form as
+    the input (the `fermat` command).
+
+    Raises `ReportTooLargeError` before expanding any vector or running any
+    oracle when the report would print more than `REPORT_LIMIT` entries in
+    the mode `as_json` picks (JSON, or the text of `render_text`)."""
     aut = aut_group(cf)
     size = _report_size(cf.variable_count, aut, as_json)
     if size > REPORT_LIMIT:
@@ -207,7 +208,6 @@ def _report(input_text: str | None, cf, verify: bool, as_json: bool) -> dict:
         },
         "cone": {
             "witness": [[k, decimal(u)] for k, u in aut.witness],
-            "homogeneity_cocharacter": decimals(aut.homogeneity, n),
         },
         "irreducible": aut.irreducible,
         "verification": {
@@ -215,14 +215,6 @@ def _report(input_text: str | None, cf, verify: bool, as_json: bool) -> dict:
             "checks": checks,
         },
     }
-
-
-def build_report(input_text: str, cf, verify: bool = False) -> dict:
-    """Ordered, JSON-ready report of the full analysis.
-
-    Raises `ReportTooLargeError` before expanding any vector when the
-    report would print more than `REPORT_LIMIT` entries."""
-    return _report(input_text, cf, verify, as_json=True)
 
 
 def _entries(entries: list[str]) -> str:
@@ -295,7 +287,7 @@ def cmd_analyze(args) -> int:
     else:
         text = _read_input(args.input)
         cf = parse_separated(text)
-    report = _report(text, cf, args.verify, args.json)
+    report = build_report(text, cf, args.verify, args.json)
     if args.json:
         print(json.dumps(report, indent=2, ensure_ascii=True))
     else:

@@ -7,9 +7,10 @@ verify-oracles workloads at its default seed (`bench_ladder`).
 The JSON entries hold the dense layout in which every vector was printed in
 full and every derived section was printed too: the cone repeated the
 cocharacter basis (`cone.basis`) and its transpose (`cone.weights`), said
-`pointed`, and listed the pair cocharacters of the mixed blocks as dense
-vectors; the permutation group repeated the pure blocks (`pure_factors`)
-and grouped the mixed blocks into classes of equal exponent tuples
+`pointed`, and listed the homogeneity cocharacter (a function of the block
+degrees) and the pair cocharacters of the mixed blocks as dense vectors;
+the permutation group repeated the pure blocks (`pure_factors`) and
+grouped the mixed blocks into classes of equal exponent tuples
 (`mixed_classes`); and `aut.action` gave each permutation generator as its
 n images.  The report now prints each fact once and the witness sparse, so
 a JSON output is compared through `dense_layout`, a strict referee that
@@ -30,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 from itertools import groupby
@@ -152,7 +154,7 @@ KEYS = {
     ("quasitorus", "torsion_generators", "[]"): ("order", "exponents"),
     ("permutation_group",): ("order", "structure", "generators"),
     ("aut",): ("structure", "conditional_on_rigidity"),
-    ("cone",): ("witness", "homogeneity_cocharacter"),
+    ("cone",): ("witness",),
     ("verification",): ("requested", "checks"),
     ("verification", "checks", "[]"): ("oracle", "status", "detail"),
 }
@@ -240,6 +242,21 @@ def _mixed_classes(blocks) -> list[dict]:
     return out
 
 
+def block_homogeneity(form: dict, index: dict[str, int]) -> list[str]:
+    """The homogeneity cocharacter read off a printed canonical form, as a
+    dense vector: each variable weighs the lcm of all block degrees (a mixed
+    block's exponent sum, a pure block's exponent) over the degree of its
+    own block."""
+    blocks = [(b["variables"], sum(b["exponents"])) for b in form["mixed_blocks"]]
+    blocks += [(b["variables"], b["exponent"]) for b in form["pure_blocks"]]
+    total = math.lcm(*(degree for _, degree in blocks))
+    out = ["0"] * len(index)
+    for names, degree in blocks:
+        for v in names:
+            out[index[v]] = str(total // degree)
+    return out
+
+
 def dense_layout(report: dict) -> dict:
     """The report in the dense layout the corpus was recorded in: the
     permutation group with its pure factors and mixed classes, `aut` ending
@@ -247,17 +264,19 @@ def dense_layout(report: dict) -> dict:
     cocharacter basis and its transpose (the weights), the pointedness the
     witness shows (it pairs with the weight of each variable to that
     variable's homogeneity weight, a positive number), the dense witness,
-    and the pair cocharacters."""
+    the homogeneity cocharacter (read off the block degrees) and the pair
+    cocharacters."""
     _check_keys(report)
     cf, quasi = report["canonical_form"], report["quasitorus"]
     names = cf["variables"]
     n, rank = len(names), quasi["torus_rank"]
     if cf["variable_count"] != n:
         raise RefereeError("variable count differs from the variables")
-    basis, homogeneity = quasi["cocharacter_basis"], report["cone"]["homogeneity_cocharacter"]
-    if len(basis) != rank or any(len(v) != n for v in [*basis, homogeneity]):
-        raise RefereeError(f"basis or homogeneity not {rank} and 1 dense vectors of {n}")
+    basis = quasi["cocharacter_basis"]
+    if len(basis) != rank or any(len(v) != n for v in basis):
+        raise RefereeError(f"basis not {rank} dense vectors of {n}")
     index = {v: i for i, v in enumerate(names)}
+    homogeneity = block_homogeneity(cf, index)
     witness = _dense(report["cone"]["witness"], rank)
     weights = [[b[v] for b in basis] for v in range(n)]
     pointed = all(

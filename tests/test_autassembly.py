@@ -180,12 +180,12 @@ def test_description_stores_linear_many_vector_entries():
     # (2000 pure squares), dense permutations n entries for each of the
     # 1002 generators of 1000 blocks a_i^2*b_i^2; both have n = 2000
     blocks = parse_separated(" + ".join(f"a{i}^2*b{i}^2" for i in range(1000)))
-    for cf, per_variable in ((fermat_form(2000, 2), 5), (blocks, 6)):
+    for cf, per_variable in ((fermat_form(2000, 2), 4), (blocks, 5)):
         n = cf.variable_count
         aut = aut_group(cf)
         quasi = aut.quasitorus
         vectors = [*quasi.cocharacter_basis, *(t.exponents for t in quasi.torsion_generators)]
-        vectors += [aut.homogeneity, aut.witness]
+        vectors.append(aut.witness)
         vectors += [cycle for g in aut.perm.generators for cycle in g]
         assert sum(map(len, vectors)) <= per_variable * n
 

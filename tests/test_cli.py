@@ -17,10 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLAGSHIP, character_matrix, random_canonical_form, times_rows
+from golden_replay import block_homogeneity
 import sepaut.cli
 from sepaut.autassembly import aut_group, fermat_form
 from sepaut.cli import REPORT_LIMIT, build_report, main
-from sepaut.polyio import CanonicalForm, decimal, parse_separated
+from sepaut.polyio import CanonicalForm, decimal, dense, parse_separated
+from sepaut.torusgeom import homogeneity_cocharacter
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -498,8 +500,8 @@ def test_report_agrees_after_a_renaming_that_reorders(seed):
     for t in other["quasitorus"]["torsion_generators"]:
         d = int(t["order"])
         assert all(x % d == 0 for x in times_rows(rows, original(t["exponents"])))
-    homogeneity = report["cone"]["homogeneity_cocharacter"]
-    assert original(other["cone"]["homogeneity_cocharacter"]) == list(map(int, homogeneity))
+    homogeneity = dense(homogeneity_cocharacter(cf), len(names))
+    assert original(dense(homogeneity_cocharacter(renamed), len(names))) == homogeneity
 
 
 def test_help_exits_0(capsys):
@@ -556,7 +558,9 @@ def test_four_block_thousand_digit_analysis(capsys):
     # basis) to that variable's homogeneity weight, so the cone is pointed
     witness = {k: int(u) for k, u in report["cone"]["witness"]}
     basis = [[int(x) for x in vec] for vec in quasi["cocharacter_basis"]]
-    for v, h in enumerate(report["cone"]["homogeneity_cocharacter"]):
+    index = {v: i for i, v in enumerate(names)}
+    homogeneity = block_homogeneity(report["canonical_form"], index)
+    for v, h in enumerate(homogeneity):
         assert sum(u * basis[k][v] for k, u in witness.items()) == int(h) > 0
 
 
@@ -620,10 +624,11 @@ def test_report_prints_integers_beyond_the_conversion_limit(capsys):
     code, out, _ = run_cli(capsys, "analyze", text, "--json", "--verify")
     assert code == 0
     report = json.loads(out)
-    homogeneity = report["cone"]["homogeneity_cocharacter"]
-    assert max(len(x) for x in homogeneity) > sys.get_int_max_str_digits() > 0
+    # on pure powers the one basis vector is the homogeneity, lcm / e_k
+    (basis,) = report["quasitorus"]["cocharacter_basis"]
+    assert max(len(x) for x in basis) > sys.get_int_max_str_digits() > 0
     names = report["canonical_form"]["variables"]
-    by_name = dict(zip(names, homogeneity))
+    by_name = dict(zip(names, basis))
     total = math.lcm(*exponents)
     for k, e in enumerate(exponents):
         assert _long_int(by_name[f"y{k}"]) * e == total
@@ -639,12 +644,12 @@ def test_overlong_exponent_exits_1_with_position(capsys):
 def test_huge_report_exits_1_with_its_size(capsys):
     # 100000 pure squares: 99999 torsion generators of 100000 entries each,
     # the basis vector, 100002 points in the two permutation generators and
-    # the witness; JSON adds the homogeneity
-    for flags, size in (([], 10000100003), (["--json"], 10000200003)):
+    # the witness, in either mode
+    for flags in ([], ["--json"]):
         code, out, err = run_cli(capsys, "fermat", "100000", "2", *flags)
         assert (code, out) == (1, "")
         assert err == (
-            f"error: the report would print {size} vector entries and cycle "
+            "error: the report would print 10000100003 vector entries and cycle "
             f"points, over the limit of {REPORT_LIMIT}\n"
         )
 
@@ -655,10 +660,9 @@ def _printed_entries(out: str, as_json: bool) -> int:
     variable of a generator in cycle notation."""
     if as_json:
         report = json.loads(out)
-        quasi, cone = report["quasitorus"], report["cone"]
-        vectors = [*quasi["cocharacter_basis"], cone["homogeneity_cocharacter"]]
+        quasi = report["quasitorus"]
+        vectors = [*quasi["cocharacter_basis"], report["cone"]["witness"]]
         vectors += [t["exponents"] for t in quasi["torsion_generators"]]
-        vectors.append(cone["witness"])
         cycles = report["permutation_group"]["generators"]
         return sum(map(len, vectors)) + sum(len(re.findall(r"[^() ]+", g)) for g in cycles)
     size = 0
@@ -698,6 +702,18 @@ def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and f"print {size} vector entries and cycle points" in err
         monkeypatch.undo()
+
+
+def test_text_mode_formats_only_what_it_prints(capsys, monkeypatch):
+    """A text analysis formats each dense vector it prints through
+    `polyio.decimals` once, and no vector that it does not print."""
+    counts = _count_calls(monkeypatch, ("decimals",))
+    for text in REPORT_INPUTS:
+        counts["decimals"] = 0
+        assert run_cli(capsys, "analyze", text)[0] == 0
+        calls = counts["decimals"]
+        quasi = aut_group(parse_separated(text)).quasitorus
+        assert calls == quasi.torus_rank + len(quasi.torsion_generators)
 
 
 def test_fermat_1600_squares_fit_the_report_limit():

@@ -81,6 +81,7 @@ def test_referee_rejects_what_it_does_not_know():
     bad = [
         put_back("cone", 0, "weights", weights),
         put_back("cone", 0, "pointed", True),
+        put_back("cone", 1, "homogeneity_cocharacter", ["10", "10", "21", "21", "21"]),
         put_back("cone", 2, "pair_cocharacters", pairs),
         put_back("permutation_group", 2, "pure_factors", pure),
         put_back("permutation_group", 2, "mixed_classes", classes),

@@ -188,7 +188,7 @@ def test_certification_reads_linearly_many_supports(monkeypatch):
     entries = sum(len(cycle) for g in aut.perm.generators for cycle in g)
     entries += sum(len(t.exponents) for t in quasi.torsion_generators)
     entries += 3 * sum(map(len, quasi.cocharacter_basis))
-    assert len(certify_pipeline_generators(cf, aut)) == 5004
+    assert certify_pipeline_generators(cf, aut) == 5004
     assert entries == 14003
     assert 0 < reads[0] <= 5 * entries
 
