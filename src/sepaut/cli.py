@@ -7,27 +7,25 @@ non-ASCII characters, and serializes unbounded integers and rationals as
 decimal strings, so identical invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles, and
 the report prints each fact once, from that description, and nothing that
-can be read off another field.  JSON prints the cocharacter basis and
-the torsion generators as dense lists of decimal strings (the quasitorus
-section is read densely by downstream checks), the cone's witness as its
-nonzero `[index, "value"]` pairs, and each permutation generator once, in
-cycle notation.  The cone section is the witness alone: the homogeneity
-cocharacter (the lcm of the block degrees over the degree of each
-variable's block, read off `canonical_form`), the weights (the transpose
-of the cocharacter basis), the pair cocharacters (read off
-`mixed_blocks`), the pure factors and the mixed classes of the permutation
-group (the `pure_blocks` again, and the runs of equal exponent tuples in
-`mixed_blocks`) and the pointedness flag (the analysis checks the witness
-exactly, so the cone is always pointed) are not printed.  The report dict
-is the one place a value is formatted, each dense vector through
-`polyio.decimals` and every other integer that can pass the `str` digit
-limit through `polyio.decimal`; the text report only joins its
-strings, with the witness dense over the torus rank.  Either mode refuses
+can be read off another field.  JSON prints the cocharacter basis, the
+torsion generators and the cone's witness as dense lists of decimal
+strings, and each permutation generator once, in cycle notation.  The
+cone section is the witness alone: the homogeneity cocharacter (the lcm of
+the block degrees over the degree of each variable's block, read off
+`canonical_form`), the weights (the transpose of the cocharacter basis),
+the pair cocharacters (read off `mixed_blocks`), the pure factors and the
+mixed classes of the permutation group (the `pure_blocks` again, and the
+runs of equal exponent tuples in `mixed_blocks`) and the pointedness flag
+(the analysis checks the witness exactly, so the cone is always pointed)
+are not printed.  The report dict is the one place a value is formatted,
+each dense vector through `polyio.decimals` and every other integer that
+can pass the `str` digit limit through `polyio.decimal`; the text report
+only joins its strings.  Both modes print the same vectors, and refuse
 (`ReportTooLargeError`, exit 1) a report that would print more than
-`REPORT_LIMIT` vector entries and cycle points, counted for that mode.
-The oracles (`--verify`, `verify`) read the cycles and sparse vectors as
-the analysis emits them, and load only with the commands that run them.
-Each oracle run is one check record, printed as the same
+`REPORT_LIMIT` vector entries and cycle points.  The oracles (`--verify`,
+`verify`) check the one analysis that is reported, reading its cycles and
+sparse vectors as it emits them, and load only with the commands that run
+them.  Each oracle run is one check record, printed as the same
 `verify <oracle>: <status> (<detail>)` line by `analyze --verify` and
 `verify`.  No command loads the Smith normal form (`intlat`).
 """
@@ -41,9 +39,8 @@ import sys
 from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
-from .permgroup import cycle_notation, permutation_group
+from .permgroup import cycle_notation
 from .polyio import NotSeparatedError, PolynomialError, decimal, decimals, parse_separated
-from .quasitorus import quasitorus_structure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -91,26 +88,27 @@ def _frac(x) -> str | None:
     return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
-def _check(oracle: str, cf, claim, modulus) -> dict:
-    """The check record of one oracle run against `claim`: the permutation
-    group ('perms'), the quasitorus ('torsion', counting mod `modulus`) or
-    the whole analysis ('generators').  The enumeration guard of the perms
-    and torsion oracles makes it 'skipped', a generator failing
-    certification 'fail'; either way the detail is the oracle's message.
-    The oracles load only here, so a plain analysis never imports them."""
+def _check(oracle: str, cf, aut, modulus) -> dict:
+    """The check record of one oracle run against the analysis `aut`: its
+    permutation group's order ('perms'), its quasitorus's count of
+    `modulus`-torsion points ('torsion') or its generators ('generators').
+    The enumeration guard of the perms and torsion oracles makes it
+    'skipped', a generator failing certification 'fail'; either way the
+    detail is the oracle's message.  The oracles load only here, so a plain
+    analysis never imports them."""
     from . import oracles
 
     name = oracle if modulus is None else f"torsion mod {decimal(modulus)}"
     try:
         if oracle == "perms":
-            found, claimed = oracles.brute_force_perm_order(cf), claim.order
+            found, claimed = oracles.brute_force_perm_order(cf), aut.perm.order
             detail = f"brute force {decimal(found)}, closed formula {decimal(claimed)}"
         elif oracle == "torsion":
             found = oracles.count_torsion_points_mod(cf, modulus)
-            claimed = oracles.torsion_count_formula(claim, modulus)
+            claimed = oracles.torsion_count_formula(aut.quasitorus, modulus)
             detail = f"enumerated {decimal(found)}, divisor formula {decimal(claimed)}"
         else:
-            found = claimed = oracles.certify_pipeline_generators(cf, claim)
+            found = claimed = oracles.certify_pipeline_generators(cf, aut)
             detail = f"{found} generators certified"
     except oracles.EnumerationTooLargeError as exc:
         status, detail = "skipped", str(exc)
@@ -124,33 +122,30 @@ def _check(oracle: str, cf, claim, modulus) -> dict:
 def run_verification(cf, aut) -> list[dict]:
     """All applicable oracles against the analysis `aut`, in a fixed order;
     guards become 'skipped'."""
-    runs = [("generators", aut, None), ("perms", aut.perm, None)]
     moduli = sorted(set(aut.quasitorus.torsion)) or [2]
-    runs += [("torsion", aut.quasitorus, m) for m in moduli]
-    return [_check(oracle, cf, claim, modulus) for oracle, claim, modulus in runs]
+    runs = [("generators", None), ("perms", None)] + [("torsion", m) for m in moduli]
+    return [_check(oracle, cf, aut, modulus) for oracle, modulus in runs]
 
 
-def _report_size(n: int, aut, as_json: bool) -> int:
+def _report_size(n: int, aut) -> int:
     """Vector entries and cycle points the report prints: n for each
-    cocharacter basis vector and torsion generator, one for each point of a
-    permutation generator, and the witness (the torus rank in text, its
-    nonzeros in JSON)."""
+    cocharacter basis vector and torsion generator, the torus rank for the
+    witness, and one for each point of a permutation generator."""
     quasi = aut.quasitorus
-    size = (quasi.torus_rank + len(quasi.torsion_generators)) * n
-    size += sum(len(cycle) for g in aut.perm.generators for cycle in g)
-    return size + (len(aut.witness) if as_json else quasi.torus_rank)
+    size = (quasi.torus_rank + len(quasi.torsion_generators)) * n + quasi.torus_rank
+    return size + sum(len(cycle) for g in aut.perm.generators for cycle in g)
 
 
-def build_report(input_text: str | None, cf, verify: bool = False, as_json: bool = True) -> dict:
+def build_report(input_text: str | None, cf, verify: bool = False) -> dict:
     """Ordered, JSON-ready report of the full analysis of `cf`, its checks
     included when `verify`; `input_text` None takes the rendered form as
     the input (the `fermat` command).
 
     Raises `ReportTooLargeError` before expanding any vector or running any
-    oracle when the report would print more than `REPORT_LIMIT` entries in
-    the mode `as_json` picks (JSON, or the text of `render_text`)."""
+    oracle when the report would print more than `REPORT_LIMIT` entries
+    (the JSON and the text of `render_text` print the same)."""
     aut = aut_group(cf)
-    size = _report_size(cf.variable_count, aut, as_json)
+    size = _report_size(cf.variable_count, aut)
     if size > REPORT_LIMIT:
         raise ReportTooLargeError(
             f"the report would print {size} vector entries and cycle points, "
@@ -207,7 +202,7 @@ def build_report(input_text: str | None, cf, verify: bool = False, as_json: bool
             "conditional_on_rigidity": aut.conditional,
         },
         "cone": {
-            "witness": [[k, decimal(u)] for k, u in aut.witness],
+            "witness": decimals(aut.witness, quasi.torus_rank),
         },
         "irreducible": aut.irreducible,
         "verification": {
@@ -225,8 +220,7 @@ def _entries(entries: list[str]) -> str:
 def render_text(report: dict) -> str:
     """The text report of `report` (a `build_report` dict), ending in the
     line of each check when verification ran.  Every value prints as the
-    report holds it; only the witness is spread out, dense over the torus
-    rank."""
+    report holds it."""
     form, cert, quasi = report["canonical_form"], report["rigidity"], report["quasitorus"]
     perm, aut = report["permutation_group"], report["aut"]
     lines = [
@@ -267,10 +261,8 @@ def render_text(report: dict) -> str:
         )
 
     # the analysis checked the witness, so the cone is pointed
-    witness = ["0"] * quasi["torus_rank"]
-    for k, u in report["cone"]["witness"]:
-        witness[k] = u
-    lines.append(f"weight cone: pointed = yes, witness u = {_entries(witness)}")
+    witness = _entries(report["cone"]["witness"])
+    lines.append(f"weight cone: pointed = yes, witness u = {witness}")
     lines.append(f"irreducibility: {report['irreducible']}")
     if report["verification"]["requested"]:
         lines.extend(map(_check_line, report["verification"]["checks"]))
@@ -287,7 +279,7 @@ def cmd_analyze(args) -> int:
     else:
         text = _read_input(args.input)
         cf = parse_separated(text)
-    report = build_report(text, cf, args.verify, args.json)
+    report = build_report(text, cf, args.verify)
     if args.json:
         print(json.dumps(report, indent=2, ensure_ascii=True))
     else:
@@ -303,13 +295,7 @@ def cmd_verify(args) -> int:
         need = "needs --mod N" if args.oracle == "torsion" else "takes no --mod"
         print(f"error: the {args.oracle} oracle {need}", file=sys.stderr)
         return EXIT_ERROR
-    if args.oracle == "perms":
-        claim = permutation_group(cf)
-    elif args.oracle == "generators":
-        claim = aut_group(cf)
-    else:
-        claim = quasitorus_structure(cf)
-    check = _check(args.oracle, cf, claim, args.mod)
+    check = _check(args.oracle, cf, aut_group(cf), args.mod)
     if check["status"] == "skipped":
         print(f"guard violation: {check['detail']}", file=sys.stderr)
         return EXIT_GUARD

@@ -116,9 +116,11 @@ def dense(vec: SparseVector, n: int) -> list[int]:
 
 # str(int) refuses more than sys.get_int_max_str_digits() digits (640 at the
 # least); the analysis can produce integers far longer than its input, so
-# those are converted in pieces of fewer digits than that
+# those are converted in pieces of fewer digits than that, split at the
+# powers 10^(600 * 2^k), each squared once and kept as far as needed
 _PIECE_DIGITS = 600
 _PIECE = 10**_PIECE_DIGITS
+_POWERS = [_PIECE]
 
 
 def decimal(x: int) -> str:
@@ -128,11 +130,13 @@ def decimal(x: int) -> str:
     except ValueError:
         if x < 0:
             return "-" + decimal(-x)
-    split, digits = _PIECE, _PIECE_DIGITS
-    while split * split <= x:
-        split, digits = split * split, 2 * digits
-    high, low = divmod(x, split)
-    return decimal(high) + decimal(low).zfill(digits)
+    while _POWERS[-1] <= x:
+        _POWERS.append(_POWERS[-1] ** 2)
+    k = 1
+    while _POWERS[k] <= x:
+        k += 1
+    high, low = divmod(x, _POWERS[k - 1])
+    return decimal(high) + decimal(low).zfill(_PIECE_DIGITS << (k - 1))
 
 
 def decimals(vec: SparseVector, n: int) -> list[str]:

@@ -12,11 +12,12 @@ degrees) and the pair cocharacters of the mixed blocks as dense vectors;
 the permutation group repeated the pure blocks (`pure_factors`) and
 grouped the mixed blocks into classes of equal exponent tuples
 (`mixed_classes`); and `aut.action` gave each permutation generator as its
-n images.  The report now prints each fact once and the witness sparse, so
-a JSON output is compared through `dense_layout`, a strict referee that
-rejects any key it does not know, rebuilds the derived sections from the
-printed data and must reproduce the recorded bytes; the text and `verify`
-outputs are compared as they are.
+n images.  The report now prints each fact once, and every vector, the
+witness too, as a dense list of decimal strings, so a JSON output is
+compared through `dense_layout`, a strict referee that rejects any key it
+does not know and any vector not of its dimension, rebuilds the derived
+sections from the printed data and must reproduce the recorded bytes; the
+text and `verify` outputs are compared as they are.
 
     PYTHONPATH=src python tests/golden_replay.py            # replay, exit 1 on a mismatch
     PYTHONPATH=src python tests/golden_replay.py --record   # record again
@@ -159,7 +160,7 @@ KEYS = {
     ("verification", "checks", "[]"): ("oracle", "status", "detail"),
 }
 
-_NONZERO = re.compile(r"-?[1-9][0-9]*\Z")
+_DECIMAL = re.compile(r"(?:0|-?[1-9][0-9]*)\Z")
 _CYCLE = re.compile(r"\(([^()]*)\)")
 
 
@@ -178,22 +179,14 @@ def _check_keys(node, path=()) -> None:
             _check_keys(value, (*path, "[]"))
 
 
-def _dense(pairs, dim: int) -> list[str]:
-    """The `dim` entries of a vector printed as [index, "value"] pairs:
-    indices strictly increasing and in range, values nonzero decimals."""
-    if not isinstance(pairs, list):
-        raise RefereeError(f"not a list of [index, value] pairs: {pairs!r}")
-    out, last = ["0"] * dim, -1
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise RefereeError(f"not an [index, value] pair: {pair!r}")
-        index, value = pair
-        if type(index) is not int or not last < index < dim:
-            raise RefereeError(f"index {index!r} after {last}, dimension {dim}")
-        if not (isinstance(value, str) and _NONZERO.match(value)):
-            raise RefereeError(f"value {value!r} is not a nonzero decimal")
-        out[index], last = value, index
-    return out
+def _vector(entries, dim: int) -> list[str]:
+    """A printed vector: a list of exactly `dim` decimal strings."""
+    if not (isinstance(entries, list) and len(entries) == dim):
+        raise RefereeError(f"not a list of {dim} entries: {entries!r}")
+    for value in entries:
+        if not (isinstance(value, str) and _DECIMAL.match(value)):
+            raise RefereeError(f"entry {value!r} is not a decimal")
+    return entries
 
 
 def _images(generator: str, index: dict[str, int]) -> list[int]:
@@ -277,7 +270,7 @@ def dense_layout(report: dict) -> dict:
         raise RefereeError(f"basis not {rank} dense vectors of {n}")
     index = {v: i for i, v in enumerate(names)}
     homogeneity = block_homogeneity(cf, index)
-    witness = _dense(report["cone"]["witness"], rank)
+    witness = _vector(report["cone"]["witness"], rank)
     weights = [[b[v] for b in basis] for v in range(n)]
     pointed = all(
         sum(int(u) * int(x) for u, x in zip(witness, weight)) == int(h) > 0

@@ -130,6 +130,17 @@ def test_verify_prints_the_check_line_of_analyze_verify(capsys, name, flags):
     assert out == line + "\n"
 
 
+def test_verify_refuses_a_single_monomial_as_analyze_does(capsys):
+    # every oracle checks the analysis, which needs two monomials
+    _, _, err = run_cli(capsys, "analyze", "x^2")
+    assert err == (
+        "error: need at least two monomials to cut out a hypersurface with "
+        "diagonal symmetry structure\n"
+    )
+    for flags in (["perms"], ["torsion", "--mod", "2"], ["generators"]):
+        assert run_cli(capsys, "verify", "x^2", "--oracle", *flags) == (1, "", err)
+
+
 def test_verify_torsion_needs_mod(capsys):
     code, _, err = run_cli(capsys, "verify", FLAGSHIP, "--oracle", "torsion")
     assert code == 1
@@ -556,7 +567,7 @@ def test_four_block_thousand_digit_analysis(capsys):
         assert math.gcd(d, *exps) == 1
     # the witness pairs with the weight of each variable (its column of the
     # basis) to that variable's homogeneity weight, so the cone is pointed
-    witness = {k: int(u) for k, u in report["cone"]["witness"]}
+    witness = {k: int(u) for k, u in enumerate(report["cone"]["witness"])}
     basis = [[int(x) for x in vec] for vec in quasi["cocharacter_basis"]]
     index = {v: i for i, v in enumerate(names)}
     homogeneity = block_homogeneity(report["canonical_form"], index)
@@ -656,8 +667,7 @@ def test_huge_report_exits_1_with_its_size(capsys):
 
 def _printed_entries(out: str, as_json: bool) -> int:
     """The vector entries and cycle points in a printed report: each entry
-    of a dense vector, each [index, value] pair of a sparse one, and each
-    variable of a generator in cycle notation."""
+    of a vector, and each variable of a generator in cycle notation."""
     if as_json:
         report = json.loads(out)
         quasi = report["quasitorus"]
@@ -685,6 +695,25 @@ REPORT_INPUTS = (
 )
 
 
+def test_every_json_vector_is_dense_decimal_strings(capsys):
+    """Each vector of a JSON report is a list of decimal strings of its
+    dimension: n for the basis vectors and the torsion generator exponents,
+    the torus rank for the witness."""
+    for text in REPORT_INPUTS:
+        code, out, _ = run_cli(capsys, "analyze", text, "--json")
+        assert code == 0
+        report = json.loads(out)
+        quasi = report["quasitorus"]
+        n, rank = report["canonical_form"]["variable_count"], quasi["torus_rank"]
+        vectors = [(v, n) for v in quasi["cocharacter_basis"]]
+        vectors += [(t["exponents"], n) for t in quasi["torsion_generators"]]
+        vectors.append((report["cone"]["witness"], rank))
+        for vector, dim in vectors:
+            assert len(vector) == dim
+            for x in vector:
+                assert isinstance(x, str) and re.fullmatch(r"0|-?[1-9][0-9]*", x)
+
+
 def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
     """In each mode the guard counts exactly what that mode prints, and a
     report of that many entries is printed while one fewer is refused."""
@@ -695,7 +724,7 @@ def test_report_limit_counts_the_printed_vector_entries(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         size = _printed_entries(out, bool(flags))
         cf = parse_separated(text)
-        assert sepaut.cli._report_size(cf.variable_count, aut_group(cf), bool(flags)) == size
+        assert sepaut.cli._report_size(cf.variable_count, aut_group(cf)) == size
         monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size)
         assert run_cli(capsys, *argv)[:2] == (code, out)
         monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", size - 1)
@@ -713,13 +742,12 @@ def test_text_mode_formats_only_what_it_prints(capsys, monkeypatch):
         assert run_cli(capsys, "analyze", text)[0] == 0
         calls = counts["decimals"]
         quasi = aut_group(parse_separated(text)).quasitorus
-        assert calls == quasi.torus_rank + len(quasi.torsion_generators)
+        # the basis vectors, the torsion generators and the witness
+        assert calls == quasi.torus_rank + len(quasi.torsion_generators) + 1
 
 
 def test_fermat_1600_squares_fit_the_report_limit():
-    aut = aut_group(fermat_form(1600, 2))
-    for as_json in (False, True):
-        assert sepaut.cli._report_size(1600, aut, as_json) <= REPORT_LIMIT
+    assert sepaut.cli._report_size(1600, aut_group(fermat_form(1600, 2))) <= REPORT_LIMIT
 
 
 def test_1500_mixed_squares_fit_the_report_limit(capsys):
@@ -727,9 +755,7 @@ def test_1500_mixed_squares_fit_the_report_limit(capsys):
     # entries in either mode, where the dense cone and actions of the old
     # report counted 27016501
     cf = parse_separated(" + ".join(f"a{i}^2*b{i}^2" for i in range(1500)))
-    aut = aut_group(cf)
-    for as_json in (False, True):
-        assert 9_000_000 < sepaut.cli._report_size(3000, aut, as_json) < 9_020_000
+    assert 9_000_000 < sepaut.cli._report_size(3000, aut_group(cf)) < 9_020_000
     code, out, err = run_cli(capsys, "analyze", cf.to_text())
     assert (code, err) == (0, "")
     assert out.count("  torsion generator: ") == 1499

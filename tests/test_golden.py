@@ -52,10 +52,10 @@ def test_wide_output_matches_golden_digest(name):
 
 def test_referee_rejects_what_it_does_not_know():
     """The referee refuses an unknown or missing key (each derived section
-    the report no longer prints among them, put back where it was), a dense
-    vector or no vector where pairs belong, pairs out of order or with a
-    zero value, and a generator that is not in cycle notation over the
-    variables."""
+    the report no longer prints among them, put back where it was), a
+    witness that is not a list of torus rank decimal strings (the
+    [index, "value"] pairs it was once printed as among them), and a
+    generator that is not in cycle notation over the variables."""
     argv = ["analyze", FLAGSHIP, "--json"]
     report = json.loads(run(argv)[1])
     dense_layout(report)
@@ -90,11 +90,12 @@ def test_referee_rejects_what_it_does_not_know():
         spoilt(lambda r: r["cone"].pop("witness")),
         spoilt(lambda r: r.update(extra=1)),
         spoilt(lambda r: r["cone"].update(witness=None)),
-        spoilt(lambda r: r["cone"].update(witness=["21", "20"])),
-        spoilt(lambda r: r["cone"].update(witness=[[1, "20"], [0, "21"]])),
-        spoilt(lambda r: r["cone"].update(witness=[[0, "21"], [1, "0"]])),
-        spoilt(lambda r: r["cone"].update(witness=[[0, "21"], [2, "20"]])),
-        spoilt(lambda r: r["cone"].update(witness=[[0, 21], [1, "20"]])),
+        spoilt(lambda r: r["cone"].update(witness=[[0, "21"], [1, "20"]])),
+        spoilt(lambda r: r["cone"].update(witness=["21"])),
+        spoilt(lambda r: r["cone"].update(witness=["21", "20", "0"])),
+        spoilt(lambda r: r["cone"].update(witness=["21", 20])),
+        spoilt(lambda r: r["cone"].update(witness=["21", "020"])),
+        spoilt(lambda r: r["cone"].update(witness=["21", "2O"])),
         spoilt(lambda r: r["permutation_group"]["generators"].append("(Y1 Y1)")),
         spoilt(lambda r: r["permutation_group"]["generators"].append("(Y1 Z9)")),
         spoilt(lambda r: r["permutation_group"]["generators"].append("Y1 Y2")),
