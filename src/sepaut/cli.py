@@ -1,5 +1,7 @@
 """Command-line front end: analyze, verify, fermat.
 
+The input of `analyze` and `verify` is the expression, or `-` for stdin
+(`sepaut analyze - < poly.txt`); no argument is looked up as a file.
 Exit codes: 0 success, 1 failure or error (a closed stdout pipe too,
 silently), 2 input not separated, 3 oracle guard violation (the oracle
 would take over 10^6 steps).  JSON output has a fixed key order, escapes
@@ -22,12 +24,13 @@ each dense vector through `polyio.decimals` and every other integer that
 can pass the `str` digit limit through `polyio.decimal`; the text report
 only joins its strings.  Both modes print the same vectors, and refuse
 (`ReportTooLargeError`, exit 1) a report that would print more than
-`REPORT_LIMIT` vector entries and cycle points.  The oracles (`--verify`,
-`verify`) check the one analysis that is reported, reading its cycles and
-sparse vectors as it emits them, and load only with the commands that run
-them.  Each oracle run is one check record, printed as the same
-`verify <oracle>: <status> (<detail>)` line by `analyze --verify` and
-`verify`.  No command loads the Smith normal form (`intlat`).
+`REPORT_LIMIT` vector entries and cycle points, `fermat` before it
+builds the form.  The oracles (`--verify`, `verify`) check the one
+analysis that is reported, reading its cycles and sparse vectors as it
+emits them, and load only with the commands that run them.  Each oracle
+run is one check record, printed as the same `verify <oracle>: <status>
+(<detail>)` line by `analyze --verify` and `verify`.  No command loads the
+Smith normal form (`intlat`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .autassembly import aut_group, fermat_form
 from .permgroup import cycle_notation
@@ -71,13 +73,10 @@ def _printable(s: str) -> str:
 
 
 def _read_input(arg: str) -> str:
-    path = Path(arg)
-    try:
-        if path.is_file():
-            return path.read_text().strip()
-    except OSError:
-        pass
-    return arg
+    """The expression `arg`, or for `-` the text on stdin, stripped."""
+    if arg == "-" and sys.stdin is None:  # started with stdin closed (`<&-`)
+        raise OSError("stdin is closed")
+    return sys.stdin.read().strip() if arg == "-" else arg
 
 
 def _frac(x) -> str | None:
@@ -136,6 +135,14 @@ def _report_size(n: int, aut) -> int:
     return size + sum(len(cycle) for g in aut.perm.generators for cycle in g)
 
 
+def _refuse_over_limit(size: int) -> None:
+    if size > REPORT_LIMIT:
+        raise ReportTooLargeError(
+            f"the report would print {decimal(size)} vector entries and cycle "
+            f"points, over the limit of {REPORT_LIMIT}"
+        )
+
+
 def build_report(input_text: str | None, cf, verify: bool = False) -> dict:
     """Ordered, JSON-ready report of the full analysis of `cf`, its checks
     included when `verify`; `input_text` None takes the rendered form as
@@ -145,12 +152,7 @@ def build_report(input_text: str | None, cf, verify: bool = False) -> dict:
     oracle when the report would print more than `REPORT_LIMIT` entries
     (the JSON and the text of `render_text` print the same)."""
     aut = aut_group(cf)
-    size = _report_size(cf.variable_count, aut)
-    if size > REPORT_LIMIT:
-        raise ReportTooLargeError(
-            f"the report would print {size} vector entries and cycle points, "
-            f"over the limit of {REPORT_LIMIT}"
-        )
+    _refuse_over_limit(_report_size(cf.variable_count, aut))
     checks = run_verification(cf, aut) if verify else []
     cert, quasi = aut.rigidity, aut.quasitorus
     torsion = [decimal(d) for d in quasi.torsion]
@@ -275,7 +277,10 @@ def _check_line(check: dict) -> str:
 
 def cmd_analyze(args) -> int:
     if args.command == "fermat":
-        text, cf = None, fermat_form(args.n, args.alpha)
+        n, alpha = args.n, args.alpha
+        if n >= 2 and alpha >= 2:  # `_report_size`: n^2 + n + 3, n^2 + 3 for n = 2
+            _refuse_over_limit(n * n + 3 + (n if n > 2 else 0))
+        text, cf = None, fermat_form(n, alpha)
     else:
         text = _read_input(args.input)
         cf = parse_separated(text)
@@ -314,13 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis of a separated polynomial")
-    p.add_argument("input", help="an expression, or a path to a file holding one")
+    p.add_argument("input", help="an expression, or - to read it from stdin")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--verify", action="store_true", help="also run the oracles")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run a single verification oracle")
-    p.add_argument("input", help="an expression, or a path to a file holding one")
+    p.add_argument("input", help="an expression, or - to read it from stdin")
     p.add_argument(
         "--oracle", required=True, choices=["perms", "torsion", "generators"]
     )

@@ -19,10 +19,10 @@ code with the one that made it:
   vector) certify F o g = c * F on the monomials g touches, and
   `certify_pipeline_generators` on every generator an analysis emits.
 
-The guards live here too, both a number of steps decided before the oracle
-runs and held to `ENUMERATION_LIMIT` = 10^6 (`EnumerationTooLargeError`):
-n per permutation tried, and M*N + (n-M)*N^2 for the count, each step
-then weighed by the machine words of the tally it adds to.
+The guards live here too, one for each count, a number of steps decided
+before the oracle runs and held to `ENUMERATION_LIMIT` = 10^6
+(`EnumerationTooLargeError`): n per permutation tried, and N + (k-1)*N^2
+per monomial of k variables, weighed by ceil(k*bits(N)/64) machine words.
 From the analysis modules this one imports only exception classes and
 `cycle_notation`, so no oracle calls the code whose claim it checks; nothing
 on the analysis path imports it.
@@ -145,25 +145,18 @@ def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
     prod_i T_i[c], where T_i[c] counts the assignments of monomial i's own
     variables with chi_i . e == c, built from [1, 0, ..., 0] one variable and
     N values at a time.  No gcd, Smith form or block theory.  The work is
-    checked against `ENUMERATION_LIMIT` before counting: M*N + (n-M)*N^2
-    steps, and those steps weighed by the size of the tally they add to, a
-    monomial of k variables taking N + (k-1)*N^2 steps on entries of up to
-    ceil(k*bits(N)/64) machine words (its count is below N^k).  Without the
-    weight one block of 250 000 variables mod 2 passed and took 5 s; with
-    it a count at the limit took at most 1.2 s on one core."""
+    checked against `ENUMERATION_LIMIT` before counting: a monomial of k
+    variables takes N + (k-1)*N^2 steps on tally entries of up to
+    ceil(k*bits(N)/64) machine words (its count is below N^k), and each step
+    weighs its words, so the sum is never below M*N + (n-M)*N^2 and equals it
+    while k*bits(N) <= 64.  Without the weight one block of 250 000 variables
+    mod 2 passed and took 5 s; with it a count at the limit took at most 1.2 s."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     supports = cf.monomial_supports
     n, m = cf.variable_count, len(supports)
     if m < 2:
         raise SingleMonomialError("need at least two monomials")
-    if m * modulus + (n - m) * modulus**2 > ENUMERATION_LIMIT:
-        raise EnumerationTooLargeError(
-            f"M*N + (n-M)*N^2 steps for N = {decimal(modulus)}, n = {n}, M = {m} "
-            f"exceed the enumeration guard {ENUMERATION_LIMIT}"
-        )
-    # the weighted steps are at least the plain ones, so the plain guard
-    # decides alone what it refused before, with its own message
     bits = modulus.bit_length()
     widths = Counter(map(len, supports))
     words = sum(
@@ -173,7 +166,7 @@ def count_torsion_points_mod(cf: CanonicalForm, modulus: int) -> int:
     if words > ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(
             f"sum of (N + (k-1)*N^2) * ceil(k*bits(N)/64) word steps over the "
-            f"monomials of k variables for N = {modulus}, n = {n}, M = {m} "
+            f"monomials of k variables for N = {decimal(modulus)}, n = {n}, M = {m} "
             f"exceed the enumeration guard {ENUMERATION_LIMIT}"
         )
     # monomials with the same exponents mod N have the same tally

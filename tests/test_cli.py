@@ -69,12 +69,52 @@ def test_analyze_json_report(capsys):
     assert parse_separated(echoed).to_text() == echoed
 
 
-def test_analyze_from_file(tmp_path, capsys):
+def _sepaut(*argv, stdin=None) -> bytes:
+    """The stdout of `python -m sepaut *argv`, which must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepaut", *argv],
+        stdin=stdin, env=env, capture_output=True, check=True,
+    )
+    return proc.stdout
+
+
+def test_analyze_from_file(tmp_path):
+    # `sepaut analyze - --json < poly.txt`: the file's text, stripped, is
+    # the expression, and the report is the inline expression's byte for byte
     path = tmp_path / "poly.txt"
     path.write_text(FLAGSHIP + "\n")
-    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
-    assert code == 0
+    with path.open() as stdin:
+        out = _sepaut("analyze", "-", "--json", stdin=stdin)
     assert json.loads(out)["permutation_group"]["order"] == "6"
+    assert out == _sepaut("analyze", FLAGSHIP, "--json")
+
+
+def test_an_argument_naming_a_file_is_the_expression(tmp_path, monkeypatch, capsys):
+    (tmp_path / "x+y").write_text("a^2 + b^3")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "analyze", "x+y", "--json")
+    assert code == 0
+    assert json.loads(out)["input"] == "x+y"
+
+
+def test_dash_with_stdin_closed_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    for command in (["analyze", "-"], ["verify", "-", "--oracle", "perms"]):
+        assert run_cli(capsys, *command) == (1, "", "error: stdin is closed\n")
+
+
+def test_verify_reads_a_form_longer_than_an_argument_from_stdin(tmp_path):
+    # 10 000 blocks are 178 kB of text, over Linux's 128 KiB limit on one
+    # command-line argument
+    text = " + ".join(f"a{i}^2*b{i}^3" for i in range(10_000))
+    assert len(text.encode()) > 128 * 1024
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    with path.open() as stdin:
+        out = _sepaut("verify", "-", "--oracle", "generators", stdin=stdin)
+    assert out == b"verify generators: pass (30005 generators certified)\n"
 
 
 def test_analyze_not_separated_exits_2(capsys):
@@ -223,10 +263,10 @@ def test_json_output_is_byte_identical_across_processes(flags):
 
 
 def test_cli_imports_only_the_standard_library():
-    # modules loaded before the import (site hooks of the interpreter) are
-    # not on the CLI path and are left out; the oracles load only with the
+    # `python -S` loads no site hooks, so the modules loaded before the
+    # import are the interpreter's own few; the oracles load only with the
     # commands that run them, and no command loads the Smith normal form,
-    # `dataclasses` or `inspect`
+    # `dataclasses`, `inspect` or `pathlib`
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -252,14 +292,15 @@ def test_cli_imports_only_the_standard_library():
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     for argv, expected in cases:
         proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(argv)],
+            [sys.executable, "-S", "-c", code, json.dumps(argv)],
             capture_output=True, text=True, env=env, check=True,
         )
         status, *loaded = proc.stdout.split()
         assert status == "0", (argv, proc.stderr)
         assert "sepaut.cli" in loaded
         assert {oracles} & set(loaded) == expected, argv
-        assert {"sepaut.intlat", "dataclasses", "inspect"} & set(loaded) == set(), argv
+        forbidden = {"sepaut.intlat", "dataclasses", "inspect", "pathlib"}
+        assert forbidden & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
             if name.partition(".")[0] not in sys.stdlib_module_names | {"sepaut"}
@@ -596,20 +637,22 @@ def test_torsion_beyond_the_conversion_limit(capsys):
     assert report["aut"]["structure"] == f"S2 × S2 ⋉ ((Z/{d})^1 × T^1)"
     code, out, _ = run_cli(capsys, "analyze", text, "--verify")
     assert code == 0
-    assert f"verify torsion mod {d}: skipped (M*N + (n-M)*N^2 steps for N = {d}, " in out
+    assert f"verify torsion mod {d}: skipped (sum of (N + (k-1)*N^2) * " in out
+    assert f" word steps over the monomials of k variables for N = {d}, " in out
     assert "verify generators: pass (6 generators certified)" in out
 
 
 def test_enumeration_guard_never_builds_the_power(capsys):
-    # N^20000 of a 1000-digit N would have 2*10^7 digits; the guard's work
-    # M*N + (n-M)*N^2 has about 2000
+    # N^20000 of a 1000-digit N would have 2*10^7 digits; the guard's
+    # weighted sum of N + (k-1)*N^2 word steps has about 2000
     modulus = 10**999 + 7
     text = fermat_form(20000, 2).to_text()
     argv = ["verify", text, "--oracle", "torsion", "--mod", str(modulus)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == (
-        f"guard violation: M*N + (n-M)*N^2 steps for N = {modulus}, n = 20000, "
+        "guard violation: sum of (N + (k-1)*N^2) * ceil(k*bits(N)/64) word steps "
+        f"over the monomials of k variables for N = {modulus}, n = 20000, "
         "M = 20000 exceed the enumeration guard 1000000\n"
     )
 
@@ -663,6 +706,35 @@ def test_huge_report_exits_1_with_its_size(capsys):
             "error: the report would print 10000100003 vector entries and cycle "
             f"points, over the limit of {REPORT_LIMIT}\n"
         )
+
+
+def test_fermat_refuses_before_it_builds_the_form(monkeypatch, capsys):
+    # the count it refuses with, before any form is built, is the built
+    # report's `_report_size`: n^2 + n + 3 for n >= 3 and n^2 + 3 for n = 2
+    monkeypatch.setattr(sepaut.cli, "REPORT_LIMIT", 0)
+    built = []
+    monkeypatch.setattr(sepaut.cli, "fermat_form", lambda *a: built.append(a))
+    for n, alpha in itertools.product(range(2, 41), range(2, 6)):
+        aut = aut_group(fermat_form(n, alpha))
+        size = sepaut.cli._report_size(n, aut)
+        assert size == n * n + (n if n > 2 else 0) + 3
+        code, out, err = run_cli(capsys, "fermat", str(n), str(alpha))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the report would print {size} vector entries and cycle "
+            "points, over the limit of 0\n"
+        )
+    assert built == []
+
+
+def test_huge_fermat_exits_1_at_once(monkeypatch, capsys):
+    # building 10^8 variables would take tens of GB: fail fast instead
+    monkeypatch.setattr(sepaut.cli, "fermat_form", lambda *a: pytest.fail("built"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fermat", "100000000", "2")
+    assert (code, out) == (1, "")
+    assert "print 10000000100000003 vector entries" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def _printed_entries(out: str, as_json: bool) -> int:

@@ -23,7 +23,7 @@ from conftest import (
     verify_dense,
 )
 from sepaut.autassembly import aut_group, fermat_form
-from sepaut.cli import build_report
+from sepaut.cli import build_report, run_verification
 from sepaut.oracles import (
     NotAnAutomorphismError,
     brute_force_perm_order,
@@ -35,7 +35,7 @@ from sepaut.oracles import (
 )
 from sepaut.permgroup import permutation_group
 from sepaut.polyio import CanonicalForm, dense, make_canonical_form, parse_separated
-from sepaut.quasitorus import quasitorus_structure
+from sepaut.quasitorus import TorsionGenerator, quasitorus_structure
 
 # the modules whose claims the oracles check
 CHECKED = {"quasitorus", "permgroup", "torusgeom", "rigidity", "autassembly"}
@@ -332,3 +332,27 @@ def test_every_form_of_five_variables_passes_every_oracle():
     forms = [cf for cf in _small_forms(max_vars=5) if cf.variable_count == 5]
     assert len(forms) == len(set(forms)) == 7259 - 1337
     _check_every_oracle(forms)
+
+
+def _fails_verification(cf, **quasitorus) -> bool:
+    """Whether `run_verification` reports a fail on the analysis of `cf`
+    with the quasitorus fields `quasitorus` replaced."""
+    aut = aut_group(cf)
+    aut = aut._replace(quasitorus=aut.quasitorus._replace(**quasitorus))
+    return any(c["status"] == "fail" for c in run_verification(cf, aut))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP: Certify generation, not only membership")
+def test_verification_refutes_torsion_generators_that_do_not_generate():
+    # both generators of (Z/4)^2 replaced by (1, 1, 1) mod 4, which is in H:
+    # every generator certifies, and the generators check passes with 7
+    tg = TorsionGenerator(4, ((0, 1), (1, 1), (2, 1)))
+    cf = parse_separated("x^4 + y^4 + z^4")
+    assert _fails_verification(cf, torsion_generators=(tg, tg))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP: Decisive torsion checks at full width")
+def test_verification_refutes_a_wrong_torsion_claim():
+    # a claim of (2, 8) in place of (4, 4) agrees at N = 2 (8) and N = 8
+    # (128); only N = 4 refutes it (64 counted, 32 claimed)
+    assert _fails_verification(parse_separated("x^4 + y^4 + z^4"), torsion=(2, 8))

@@ -149,7 +149,8 @@ def test_count_just_over_the_guard():
         with pytest.raises(EnumerationTooLargeError) as exc:
             count_torsion_points_mod(cf, modulus)
         assert str(exc.value) == (
-            f"M*N + (n-M)*N^2 steps for N = {modulus}, n = {n}, M = {m} exceed "
+            "sum of (N + (k-1)*N^2) * ceil(k*bits(N)/64) word steps over the "
+            f"monomials of k variables for N = {modulus}, n = {n}, M = {m} exceed "
             "the enumeration guard 1000000"
         )
 
