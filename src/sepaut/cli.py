@@ -1,7 +1,7 @@
 """Command-line front end: analyze, verify, fermat.
 
-The input of `analyze` and `verify` is the expression, or `-` for stdin
-(`sepaut analyze - < poly.txt`); no argument is looked up as a file.
+The input of `analyze` and `verify` is the expression (`-x^2+y^3` too),
+or `-` for stdin (`sepaut analyze - < poly.txt`), never a file name.
 Exit codes: 0 success, 1 failure or error (a closed stdout pipe too,
 silently), 2 input not separated, 3 oracle guard violation (the oracle
 would take over 10^6 steps).  JSON output has a fixed key order, escapes
@@ -295,11 +295,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cf = parse_separated(_read_input(args.input))
     if (args.oracle == "torsion") != (args.mod is not None):
         need = "needs --mod N" if args.oracle == "torsion" else "takes no --mod"
         print(f"error: the {args.oracle} oracle {need}", file=sys.stderr)
         return EXIT_ERROR
+    cf = parse_separated(_read_input(args.input))
     check = _check(args.oracle, cf, aut_group(cf), args.mod)
     if check["status"] == "skipped":
         print(f"guard violation: {check['detail']}", file=sys.stderr)
@@ -319,13 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis of a separated polynomial")
-    p.add_argument("input", help="an expression, or - to read it from stdin")
+    p.add_argument("input", nargs="?", help="an expression, or - to read it from stdin")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--verify", action="store_true", help="also run the oracles")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run a single verification oracle")
-    p.add_argument("input", help="an expression, or - to read it from stdin")
+    p.add_argument("input", nargs="?", help="an expression, or - to read it from stdin")
     p.add_argument(
         "--oracle", required=True, choices=["perms", "torsion", "generators"]
     )
@@ -342,8 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        # argparse takes an expression that starts with `-` for an unknown option
+        if getattr(args, "input", "") is None and len(rest) == 1 and rest[0][:2] != "--":
+            args.input = rest.pop()
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        if getattr(args, "input", "") is None:
+            parser.error("the following arguments are required: input")
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of "not separated"
         return EXIT_ERROR if exc.code == 2 else exc.code

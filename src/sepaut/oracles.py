@@ -17,7 +17,7 @@ code with the one that made it:
   rank and torsion of a quasitorus description;
 * `verify_permutation` (on cycles) and `verify_diagonal` (on a sparse
   vector) certify F o g = c * F on the monomials g touches, and
-  `certify_pipeline_generators` on every generator an analysis emits.
+  `certify_pipeline_generators` every generator an analysis emits, once.
 
 The guards live here too, one for each count, a number of steps decided
 before the oracle runs and held to `ENUMERATION_LIMIT` = 10^6
@@ -59,7 +59,8 @@ class EnumerationTooLargeError(ValueError):
 
 
 class NotAnAutomorphismError(ValueError):
-    """The candidate monomial map does not preserve the polynomial."""
+    """A monomial map does not preserve the polynomial, or a torsion
+    generator does not have its claimed order."""
 
 
 def brute_force_perm_order(cf: CanonicalForm) -> int:
@@ -249,19 +250,21 @@ def verify_diagonal(cf: CanonicalForm, order: int, exponents: SparseVector) -> i
     first monomial whose scalar differs from monomial 0's, and `ValueError`
     for N < 1 or an index outside the n variables.
     """
+    if order < 1:
+        raise ValueError("root-of-unity order must be >= 1")
     return _check_diagonal(_support_index(cf), order, exponents)
 
 
-def _check_diagonal(index, order: int, exponents: SparseVector) -> int:
+def _check_diagonal(index, order: int | None, exponents: SparseVector, name="") -> int:
     _, supports, owner = index
-    if order < 1:
-        raise ValueError("root-of-unity order must be >= 1")
     residues: dict[int, int] = {}
     for v, x in exponents:
         if v not in owner:
             raise ValueError(f"exponent index {v} outside the {len(owner)} variables")
         i, e = owner[v]
-        residues[i] = (residues.get(i, 0) + e * x) % order
+        residues[i] = residues.get(i, 0) + e * x
+    if order is not None:  # None: over Z, the characters of G_m (a cocharacter)
+        residues = {i: r % order for i, r in residues.items()}
     residue = residues.get(0, 0)
     # the first untouched monomial stands for all of them
     untouched = next(i for i in range(len(supports) + 1) if i not in residues)
@@ -269,25 +272,31 @@ def _check_diagonal(index, order: int, exponents: SparseVector) -> int:
         if i < len(supports) and residues.get(i, 0) != residue:
             raise NotAnAutomorphismError(
                 f"monomial {i} scales by zeta^{decimal(residues.get(i, 0))} but an "
-                f"earlier monomial by zeta^{decimal(residue)} (mod {decimal(order)})"
+                f"earlier monomial by zeta^{decimal(residue)} "
+                f"({'over Z' if order is None else f'mod {decimal(order)}'}{name})"
             )
     return residue
 
 
 def certify_pipeline_generators(cf: CanonicalForm, aut) -> int:
-    """Certify every generator the description `aut` of `cf` emits: the
-    permutation generators as cycles, the torsion generators and the
-    cocharacter basis vectors, reduced mod 2, 3 and 5, as sparse vectors,
-    all against one support index of `cf`, in time linear in what `aut`
-    holds.  Returns the number of checks made; raises on the first
-    failure."""
+    """Certify each generator the description `aut` of `cf` emits, once and
+    by the identity it claims, against one support index of `cf`, in time
+    linear in what `aut` holds: a permutation maps the monomials onto
+    themselves, a torsion generator (d, e) scales them by one d-th root of
+    unity and has order d, gcd(d, e) = 1, and a cocharacter pairs equally
+    with each monomial over Z.  Returns the number of generators; raises
+    `NotAnAutomorphismError` naming the first failure."""
     index = _support_index(cf)
     for g in aut.perm.generators:
         _check_permutation(index, g)
     torsion, basis = aut.quasitorus.torsion_generators, aut.quasitorus.cocharacter_basis
-    for tg in torsion:
-        _check_diagonal(index, tg.order, tg.exponents)
-    for vec in basis:
-        for modulus in (2, 3, 5):
-            _check_diagonal(index, modulus, vec)
-    return len(aut.perm.generators) + len(torsion) + 3 * len(basis)
+    for k, tg in enumerate(torsion):
+        _check_diagonal(index, tg.order, tg.exponents, f", torsion generator {k}")
+        if (common := math.gcd(tg.order, *(x for _, x in tg.exponents))) != 1:
+            raise NotAnAutomorphismError(
+                f"torsion generator {k} has order {decimal(tg.order // common)}, "
+                f"not its claimed {decimal(tg.order)}"
+            )
+    for k, vec in enumerate(basis):
+        _check_diagonal(index, None, vec, f", cocharacter {k}")
+    return len(aut.perm.generators) + len(torsion) + len(basis)

@@ -155,9 +155,9 @@ def test_sparse_checks_agree_with_the_dense_referee():
 
 
 def test_certification_reads_linearly_many_supports(monkeypatch):
-    """On 1000 blocks a_i^2*b_i^2 (n = 2000, M = 1000) the 5004 generators
-    hold 14003 entries.  Checking each on all M monomials would read the
-    supports 5004 * 1000 times; the sparse checks read the support index at
+    """On 1000 blocks a_i^2*b_i^2 (n = 2000, M = 1000) the 3002 generators
+    hold 8003 entries.  Checking each on all M monomials would read the
+    supports 3002 * 1000 times; the sparse checks read the support index at
     most 5 times per entry they are given."""
     reads = [0]
 
@@ -187,9 +187,9 @@ def test_certification_reads_linearly_many_supports(monkeypatch):
     quasi = aut.quasitorus
     entries = sum(len(cycle) for g in aut.perm.generators for cycle in g)
     entries += sum(len(t.exponents) for t in quasi.torsion_generators)
-    entries += 3 * sum(map(len, quasi.cocharacter_basis))
-    assert certify_pipeline_generators(cf, aut) == 5004
-    assert entries == 14003
+    entries += sum(map(len, quasi.cocharacter_basis))
+    assert certify_pipeline_generators(cf, aut) == 3002
+    assert entries == 8003
     assert 0 < reads[0] <= 5 * entries
 
 
@@ -334,18 +334,95 @@ def test_every_form_of_five_variables_passes_every_oracle():
     _check_every_oracle(forms)
 
 
-def _fails_verification(cf, **quasitorus) -> bool:
-    """Whether `run_verification` reports a fail on the analysis of `cf`
+def _checks(cf, **quasitorus) -> dict[str, dict]:
+    """The checks of `run_verification`, by oracle, on the analysis of `cf`
     with the quasitorus fields `quasitorus` replaced."""
     aut = aut_group(cf)
     aut = aut._replace(quasitorus=aut.quasitorus._replace(**quasitorus))
-    return any(c["status"] == "fail" for c in run_verification(cf, aut))
+    return {c["oracle"]: c for c in run_verification(cf, aut)}
+
+
+def _fails_verification(cf, **quasitorus) -> bool:
+    return any(c["status"] == "fail" for c in _checks(cf, **quasitorus).values())
+
+
+def _shift(vector, v, by):
+    """The sparse `vector` with `by` added at index v."""
+    entries = dict(vector)
+    entries[v] = entries.get(v, 0) + by
+    return tuple(sorted((w, x) for w, x in entries.items() if x))
+
+
+def test_generators_check_refutes_an_off_kernel_cocharacter(flagship):
+    # 30*e_2 moves Y1^10's pairing from 10 to 310, the others stay at 10:
+    # equal mod 2, 3 and 5, not over Z
+    assert _checks(flagship)["generators"]["detail"] == "6 generators certified"
+    basis = aut_group(flagship).quasitorus.cocharacter_basis
+    forged = (_shift(basis[0], 2, 30), basis[1])
+    check = _checks(flagship, cocharacter_basis=forged)["generators"]
+    assert check["status"] == "fail"
+    assert check["detail"] == (
+        "monomial 1 scales by zeta^310 but an earlier monomial by zeta^10 "
+        "(over Z, cocharacter 0)"
+    )
+
+
+def test_generators_check_refutes_torsion_generators_of_a_lower_order(flagship):
+    # both Z/10 generators doubled: still in H, but of order 5
+    doubled = tuple(
+        TorsionGenerator(tg.order, tuple((v, 2 * x) for v, x in tg.exponents))
+        for tg in aut_group(flagship).quasitorus.torsion_generators
+    )
+    check = _checks(flagship, torsion_generators=doubled)["generators"]
+    assert check["status"] == "fail"
+    assert check["detail"] == "torsion generator 0 has order 5, not its claimed 10"
+
+
+def _smallest_prime_factor(d: int) -> int:
+    return next(p for p in range(2, d + 1) if d % p == 0)
+
+
+def test_certification_refutes_forged_generators_of_random_forms():
+    """On 200 random forms the analysis's own generators certify, and two
+    forgeries that pass mod 2, 3 and 5 and mod d are refused: a cocharacter
+    plus 30*e_v, whose monomial's pairing moves by 30 times v's exponent,
+    and a torsion generator of order d with its exponents times a prime
+    p | d, reduced mod d, which lies in H but has order at most d / p."""
+    rng = random.Random(30)
+    refused = Counter()
+    for _ in range(200):
+        cf = random_canonical_form(rng)
+        aut = aut_group(cf)
+        quasi = aut.quasitorus
+        generators = len(aut.perm.generators) + len(quasi.torsion_generators)
+        assert certify_pipeline_generators(cf, aut) == generators + quasi.torus_rank
+        basis = list(quasi.cocharacter_basis)
+        k = rng.randrange(len(basis))
+        basis[k] = _shift(basis[k], rng.randrange(cf.variable_count), 30)
+        forged = aut._replace(quasitorus=quasi._replace(cocharacter_basis=tuple(basis)))
+        with pytest.raises(NotAnAutomorphismError, match=f"cocharacter {k}\\)"):
+            certify_pipeline_generators(cf, forged)
+        refused["cocharacter"] += 1
+        if not quasi.torsion_generators:
+            continue
+        torsion = list(quasi.torsion_generators)
+        k = rng.randrange(len(torsion))
+        d, exponents = torsion[k]
+        p = _smallest_prime_factor(d)
+        torsion[k] = TorsionGenerator(
+            d, tuple((v, p * x % d) for v, x in exponents if p * x % d)
+        )
+        forged = aut._replace(quasitorus=quasi._replace(torsion_generators=tuple(torsion)))
+        with pytest.raises(NotAnAutomorphismError, match=f"torsion generator {k} has order"):
+            certify_pipeline_generators(cf, forged)
+        refused["torsion"] += 1
+    assert refused["cocharacter"] == 200 and refused["torsion"] >= 50, refused
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP: Certify generation, not only membership")
 def test_verification_refutes_torsion_generators_that_do_not_generate():
     # both generators of (Z/4)^2 replaced by (1, 1, 1) mod 4, which is in H:
-    # every generator certifies, and the generators check passes with 7
+    # every generator certifies, and the generators check passes with 5
     tg = TorsionGenerator(4, ((0, 1), (1, 1), (2, 1)))
     cf = parse_separated("x^4 + y^4 + z^4")
     assert _fails_verification(cf, torsion_generators=(tg, tg))
