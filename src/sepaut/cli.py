@@ -1,7 +1,11 @@
 """Command-line front end: analyze, verify, fermat.
 
-The input of `analyze` and `verify` is the expression (`-x^2+y^3` too),
+`main` reads its command line by one rule (`USAGE`): the first word is the
+command, and each later word is one of its options, `-h` or `--help`, `--`
+(every word after it is a positional) or else a positional.  The input of
+`analyze` and `verify` is the expression (`-x^2+y^3` and `-h^2+y^3` too),
 or `-` for stdin (`sepaut analyze - < poly.txt`), never a file name.
+`json` loads only to print JSON.
 Exit codes: 0 success, 1 failure or error (a closed stdout pipe too,
 silently), 2 input not separated, 3 oracle guard violation (the oracle
 would take over 10^6 steps).  JSON output has a fixed key order, escapes
@@ -35,8 +39,6 @@ Smith normal form (`intlat`).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
@@ -275,17 +277,18 @@ def _check_line(check: dict) -> str:
     return f"verify {check['oracle']}: {check['status']} ({check['detail']})"
 
 
-def cmd_analyze(args) -> int:
-    if args.command == "fermat":
-        n, alpha = args.n, args.alpha
+def cmd_analyze(command: str, inputs: list, as_json: bool, verify: bool) -> int:
+    if command == "fermat":
+        n, alpha = inputs
         if n >= 2 and alpha >= 2:  # `_report_size`: n^2 + n + 3, n^2 + 3 for n = 2
             _refuse_over_limit(n * n + 3 + (n if n > 2 else 0))
         text, cf = None, fermat_form(n, alpha)
     else:
-        text = _read_input(args.input)
+        text = _read_input(inputs[0])
         cf = parse_separated(text)
-    report = build_report(text, cf, args.verify)
-    if args.json:
+    report = build_report(text, cf, verify)
+    if as_json:
+        import json
         print(json.dumps(report, indent=2, ensure_ascii=True))
     else:
         print(_printable(render_text(report)))
@@ -294,13 +297,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if (args.oracle == "torsion") != (args.mod is not None):
-        need = "needs --mod N" if args.oracle == "torsion" else "takes no --mod"
-        print(f"error: the {args.oracle} oracle {need}", file=sys.stderr)
+def cmd_verify(arg: str, oracle: str, modulus: int | None) -> int:
+    if (oracle == "torsion") != (modulus is not None):
+        need = "needs --mod N" if oracle == "torsion" else "takes no --mod"
+        print(f"error: the {oracle} oracle {need}", file=sys.stderr)
         return EXIT_ERROR
-    cf = parse_separated(_read_input(args.input))
-    check = _check(args.oracle, cf, aut_group(cf), args.mod)
+    cf = parse_separated(_read_input(arg))
+    check = _check(oracle, cf, aut_group(cf), modulus)
     if check["status"] == "skipped":
         print(f"guard violation: {check['detail']}", file=sys.stderr)
         return EXIT_GUARD
@@ -308,57 +311,74 @@ def cmd_verify(args) -> int:
     return EXIT_OK if check["status"] == "pass" else EXIT_ERROR
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sepaut",
-        description=(
-            "Structure of the automorphism group of a hypersurface cut out "
-            "by a polynomial with separated variables"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: sepaut analyze EXPR [--json] [--verify]
+       sepaut verify EXPR --oracle perms|torsion|generators [--mod N]
+       sepaut fermat N ALPHA [--json] [--verify]
+EXPR is the expression (-x^2+y^3 too), or - to read it from stdin.  Every
+word after -- is EXPR or N ALPHA; -h or --help before it prints this text."""
 
-    p = sub.add_parser("analyze", help="full analysis of a separated polynomial")
-    p.add_argument("input", nargs="?", help="an expression, or - to read it from stdin")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--verify", action="store_true", help="also run the oracles")
-    p.set_defaults(func=cmd_analyze)
+# the options of each command; --oracle and --mod take the next word
+_FLAGS = ("--json", "--verify")
+_OPTIONS = {"analyze": _FLAGS, "verify": ("--oracle", "--mod"), "fermat": _FLAGS}
 
-    p = sub.add_parser("verify", help="run a single verification oracle")
-    p.add_argument("input", nargs="?", help="an expression, or - to read it from stdin")
-    p.add_argument(
-        "--oracle", required=True, choices=["perms", "torsion", "generators"]
-    )
-    p.add_argument("--mod", type=int, default=None, help="modulus for 'torsion'")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fermat", help="analyze Y1^alpha + ... + Yn^alpha")
-    p.add_argument("n", type=int)
-    p.add_argument("alpha", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_analyze)
-    return parser
+class UsageError(Exception):
+    """A command line that `USAGE` does not describe."""
+
+
+def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
+    """The command, positionals and options of `argv` by the module's one
+    rule, the command None for help.  Raises `UsageError` for a `--word`
+    that is no option, and for positionals other than one EXPR or N ALPHA."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in head or "--help" in head:
+        return None, [], {}
+    words = iter(argv)
+    command = next(words, None)
+    if command not in _OPTIONS:
+        raise UsageError(f"invalid choice: {command!r}" if command else "no command")
+    inputs, options = [], {}
+    for word in words:
+        if word == "--":
+            inputs.extend(words)
+        elif word in _OPTIONS[command]:
+            options[word] = next(words, "") if command == "verify" else True
+        elif word.startswith("--"):
+            raise UsageError(f"unrecognized arguments: {word}")
+        else:
+            inputs.append(word)
+    want = "N ALPHA" if command == "fermat" else "EXPR"
+    if len(inputs) != len(want.split()):
+        raise UsageError(f"{command} takes {want}, got {inputs}")
+    if command == "verify" and options.get("--oracle") not in ("perms", "torsion", "generators"):
+        raise UsageError("verify needs --oracle perms, torsion or generators")
+    try:
+        if command == "fermat":
+            inputs = [int(word) for word in inputs]
+        if "--mod" in options:
+            options["--mod"] = int(options["--mod"])
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    return command, inputs, options
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run the command line `argv`, `sys.argv[1:]` when None."""
     try:
-        args, rest = parser.parse_known_args(argv)
-        # argparse takes an expression that starts with `-` for an unknown option
-        if getattr(args, "input", "") is None and len(rest) == 1 and rest[0][:2] != "--":
-            args.input = rest.pop()
-        if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
-        if getattr(args, "input", "") is None:
-            parser.error("the following arguments are required: input")
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error, the code of "not separated"
-        return EXIT_ERROR if exc.code == 2 else exc.code
-    try:
-        code = args.func(args)
+        command, inputs, options = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        if command is None:
+            print(USAGE)
+            code = EXIT_OK
+        elif command == "verify":
+            code = cmd_verify(inputs[0], options["--oracle"], options.get("--mod"))
+        else:
+            code = cmd_analyze(command, inputs, "--json" in options, "--verify" in options)
         sys.stdout.flush()
         return code
+    except UsageError as exc:
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except BrokenPipeError:
         # the reader left (`| head`): quiet exit 1, and no second error when
         # the interpreter flushes stdout at shutdown

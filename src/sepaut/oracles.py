@@ -270,10 +270,11 @@ def _check_diagonal(index, order: int | None, exponents: SparseVector, name="") 
     untouched = next(i for i in range(len(supports) + 1) if i not in residues)
     for i in sorted({*residues, untouched}):
         if i < len(supports) and residues.get(i, 0) != residue:
+            # a cocharacter scales a monomial by t^k, a torsion point by zeta^k
+            root, where = ("t", "over Z") if order is None else ("zeta", f"mod {decimal(order)}")
             raise NotAnAutomorphismError(
-                f"monomial {i} scales by zeta^{decimal(residues.get(i, 0))} but an "
-                f"earlier monomial by zeta^{decimal(residue)} "
-                f"({'over Z' if order is None else f'mod {decimal(order)}'}{name})"
+                f"monomial {i} scales by {root}^{decimal(residues.get(i, 0))} but an "
+                f"earlier monomial by {root}^{decimal(residue)} ({where}{name})"
             )
     return residue
 

@@ -114,16 +114,16 @@ def test_verify_settles_mod_before_reading_stdin(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [["--json"], []])
 def test_a_leading_minus_starts_an_expression(capsys, flags):
-    # argparse reads "-x^2..." as an unknown option unless `--` comes first
-    text = "-x^2+y^3+z^5"
-    expected = run_cli(capsys, "analyze", *flags, "--", text)
-    assert expected[0] == 0
-    assert run_cli(capsys, "analyze", *flags, text) == expected
-    assert run_cli(capsys, "analyze", text, *flags) == expected
-    if flags:
-        assert json.loads(expected[1])["input"] == text
-    code, out, _ = run_cli(capsys, "verify", text, "--oracle", "perms")
-    assert (code, out) == (0, "verify perms: pass (brute force 1, closed formula 1)\n")
+    # only `-h` itself asks for help, so `-h^2...` is an expression too
+    for text in ("-x^2+y^3+z^5", "-h^2+y^3+z^5"):
+        expected = run_cli(capsys, "analyze", *flags, "--", text)
+        assert expected[0] == 0
+        assert run_cli(capsys, "analyze", *flags, text) == expected
+        assert run_cli(capsys, "analyze", text, *flags) == expected
+        if flags:
+            assert json.loads(expected[1])["input"] == text
+        code, out, _ = run_cli(capsys, "verify", text, "--oracle", "perms")
+        assert (code, out) == (0, "verify perms: pass (brute force 1, closed formula 1)\n")
 
 
 def test_verify_reads_a_form_longer_than_an_argument_from_stdin(tmp_path):
@@ -286,21 +286,24 @@ def test_json_output_is_byte_identical_across_processes(flags):
 def test_cli_imports_only_the_standard_library():
     # `python -S` loads no site hooks, so the modules loaded before the
     # import are the interpreter's own few; the oracles load only with the
-    # commands that run them, and no command loads the Smith normal form,
-    # `dataclasses`, `inspect` or `pathlib`
+    # commands that run them, `json` only with `--json`, and no command
+    # loads the Smith normal form, `dataclasses`, `inspect`, `pathlib` or
+    # argparse and what comes with it
     code = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import sepaut.cli\n"
-        "argv, status = json.loads(sys.argv[1]), 0\n"
+        "argv, status, out = sys.argv[1:], 0, sys.stdout\n"
         "if argv:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        status = sepaut.cli.main(argv)\n"
-        "print(status, *sorted(set(sys.modules) - before))\n"
+        "    import io\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    status = sepaut.cli.main(argv)\n"
+        "print(status, *sorted(set(sys.modules) - before), file=out)\n"
     )
     oracles = "sepaut.oracles"
     cases = [
         ([], set()),
+        (["analyze", FLAGSHIP], set()),
         (["analyze", FLAGSHIP, "--json"], set()),
         (["fermat", "4", "3"], set()),
         (["analyze", FLAGSHIP, "--json", "--verify"], {oracles}),
@@ -313,14 +316,16 @@ def test_cli_imports_only_the_standard_library():
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     for argv, expected in cases:
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, json.dumps(argv)],
+            [sys.executable, "-S", "-c", code, *argv],
             capture_output=True, text=True, env=env, check=True,
         )
         status, *loaded = proc.stdout.split()
         assert status == "0", (argv, proc.stderr)
         assert "sepaut.cli" in loaded
         assert {oracles} & set(loaded) == expected, argv
+        assert ("json" in loaded) == ("--json" in argv), argv
         forbidden = {"sepaut.intlat", "dataclasses", "inspect", "pathlib"}
+        forbidden |= {"argparse", "gettext", "locale", "shutil"}
         assert forbidden & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
@@ -423,16 +428,16 @@ def test_fermat_renders_its_form_once(capsys, monkeypatch, flags):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["fermat", "3", "x"], "invalid int value: 'x'"),
-        (["analyze"], "the following arguments are required: input"),
+        (["fermat", "3", "x"], "error: invalid literal for int() with base 10: 'x'"),
+        (["analyze"], "error: analyze takes EXPR, got []"),
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["snf", "m.txt"], "invalid choice: 'snf'"),
         (["analyze", "--jsn", "x"], "unrecognized arguments: --jsn"),
-        (["analyze", "-x^2", "-y^3"], "unrecognized arguments: -x^2 -y^3"),
+        (["analyze", "-x^2", "-y^3"], "error: analyze takes EXPR, got ['-x^2', '-y^3']"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
-    # argparse's own exit code 2 would read as "input not separated"
+    # exit 1, as exit 2 would read as "input not separated"
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -442,7 +447,7 @@ def test_usage_errors_exit_1(capsys, argv, message):
 # short text over the characters of the expression grammar, drawn in pieces
 # so that some of it parses
 _TEXT = st.lists(
-    st.sampled_from(["x", "y", "z_1", "2", "10", "^", "*", "/", "+", "-", " "]),
+    st.sampled_from(["x", "y", "z_1", "h", "2", "10", "^", "*", "/", "+", "-", " "]),
     max_size=12,
 ).map("".join)
 _ARGVS = st.one_of(
@@ -583,7 +588,9 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "usage: sepaut" in out
-    assert run_cli(capsys, "fermat", "--help")[0] == 0
+    for argv in (["fermat", "--help"], ["analyze", "-h"], ["verify", "--help"],
+                 ["analyze", "x^2+y^3", "--help"]):
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def _invariant_factors(values):

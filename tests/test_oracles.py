@@ -362,7 +362,7 @@ def test_generators_check_refutes_an_off_kernel_cocharacter(flagship):
     check = _checks(flagship, cocharacter_basis=forged)["generators"]
     assert check["status"] == "fail"
     assert check["detail"] == (
-        "monomial 1 scales by zeta^310 but an earlier monomial by zeta^10 "
+        "monomial 1 scales by t^310 but an earlier monomial by t^10 "
         "(over Z, cocharacter 0)"
     )
 
