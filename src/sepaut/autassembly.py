@@ -11,8 +11,12 @@ conclusive the description is still emitted but flagged `conditional`.
 `aut_group` is the one analysis: it runs each stage once, and its result
 holds everything the report prints and the oracles check: the permutation
 group, the quasitorus, the rigidity certificate and the witness that the
-weight cone is pointed.  It holds nothing that can be read off another
-field: not the weights (the transpose of the cocharacter basis), the pair
+weight cone is pointed.  Besides them it holds three values the report
+prints and that could be read off the form or another field: the
+structure string (the permutation structure, the torsion and the torus
+rank), `conditional` (the certificate's verdict) and `irreducible` (the
+monomial count).  It holds no vector that can be read off another field:
+not the weights (the transpose of the cocharacter basis), the pair
 cocharacters, nor the homogeneity cocharacter (a function of the block
 degrees), which it builds only to solve the witness from and checks
 exactly on every analysis (`torusgeom.pointedness_witness`).  The
@@ -22,13 +26,13 @@ integer congruences, is `oracles.certify_pipeline_generators`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
 
-from .permgroup import PermGroupDescription, permutation_group
-from .polyio import CanonicalForm, SparseVector, decimal, make_canonical_form
-from .quasitorus import QuasitorusDescription, quasitorus_structure
-from .rigidity import CERTIFIED_RIGID, RigidityCertificate, rigidity_certificate
+from .permgroup import permutation_group
+from .polyio import CanonicalForm, decimal, make_canonical_form
+from .quasitorus import quasitorus_structure
+from .rigidity import CERTIFIED_RIGID, rigidity_certificate
 from .torusgeom import homogeneity_cocharacter, pointedness_witness
 
 __all__ = [
@@ -45,14 +49,10 @@ IRREDUCIBLE = "irreducible"
 UNDETERMINED = "undetermined"
 
 
-class AutGroupDescription(NamedTuple):
-    perm: PermGroupDescription
-    quasitorus: QuasitorusDescription
-    structure_string: str
-    conditional: bool
-    irreducible: str
-    rigidity: RigidityCertificate
-    witness: SparseVector
+AutGroupDescription = namedtuple(
+    "AutGroupDescription",
+    "perm quasitorus structure_string conditional irreducible rigidity witness",
+)
 
 
 def structure_string(perm_structure: str, torsion, torus_rank: int) -> str:

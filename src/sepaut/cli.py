@@ -81,12 +81,12 @@ def _read_input(arg: str) -> str:
     return sys.stdin.read().strip() if arg == "-" else arg
 
 
-def _frac(x) -> str | None:
-    if x is None:
+def _frac(pair) -> str | None:
+    """A (numerator, denominator) pair as `a/b`, or `a` for b = 1."""
+    if pair is None:
         return None
-    if x.denominator == 1:
-        return decimal(x.numerator)
-    return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
+    num, den = pair
+    return decimal(num) if den == 1 else f"{decimal(num)}/{decimal(den)}"
 
 
 def _check(oracle: str, cf, aut, modulus) -> dict:
@@ -330,7 +330,8 @@ class UsageError(Exception):
 def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
     """The command, positionals and options of `argv` by the module's one
     rule, the command None for help.  Raises `UsageError` for a `--word`
-    that is no option, and for positionals other than one EXPR or N ALPHA."""
+    that is no option, an option given twice or missing its value, and for
+    positionals other than one EXPR or N ALPHA."""
     head = argv[: argv.index("--")] if "--" in argv else argv
     if "-h" in head or "--help" in head:
         return None, [], {}
@@ -343,7 +344,11 @@ def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
         if word == "--":
             inputs.extend(words)
         elif word in _OPTIONS[command]:
-            options[word] = next(words, "") if command == "verify" else True
+            if word in options:
+                raise UsageError(f"{word} given twice")
+            options[word] = next(words, None) if command == "verify" else True
+            if options[word] is None:
+                raise UsageError(f"{word} needs a value")
         elif word.startswith("--"):
             raise UsageError(f"unrecognized arguments: {word}")
         else:

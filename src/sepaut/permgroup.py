@@ -17,9 +17,9 @@ exponent, is `oracles.brute_force_perm_order`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
 from math import factorial, prod
-from typing import NamedTuple
 
 from .polyio import CanonicalForm, Permutation
 
@@ -37,14 +37,10 @@ def cycle_notation(cycles: Permutation, names) -> str:
     ) or "()"
 
 
-class PermGroupDescription(NamedTuple):
-    """Order, generators in cycle form, structure.  The classes of identical
-    blocks are not held: they are the pure blocks and the runs of equal
-    exponent tuples in `CanonicalForm.mixed_blocks`."""
-
-    order: int
-    generators: tuple[Permutation, ...]
-    structure: str
+PermGroupDescription = namedtuple("PermGroupDescription", "order generators structure")
+PermGroupDescription.__doc__ = """Order, generators in cycle form, structure.  The
+classes of identical blocks are not held: they are the pure blocks and the
+runs of equal exponent tuples in `CanonicalForm.mixed_blocks`."""
 
 
 def permutation_group(cf: CanonicalForm) -> PermGroupDescription:

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
 
 __all__ = [
     "PolynomialError",
@@ -153,24 +152,18 @@ def decimals(vec: SparseVector, n: int) -> list[str]:
 Permutation = tuple[tuple[int, ...], ...]
 
 
-class MixedBlock(NamedTuple):
-    """One monomial in more than one variable; exponents sorted descending."""
+MixedBlock = namedtuple("MixedBlock", "variables exponents")
+MixedBlock.__doc__ = """One monomial in more than one variable: a tuple of
+variable names and a tuple of their exponents, sorted descending."""
 
-    variables: tuple[str, ...]
-    exponents: tuple[int, ...]
+PureBlock = namedtuple("PureBlock", "exponent variables")
+PureBlock.__doc__ = """All pure-power monomials w^q sharing the exponent q:
+q and a tuple of the variable names w."""
 
-
-class PureBlock(NamedTuple):
-    """All pure-power monomials w^q sharing the exponent q."""
-
-    exponent: int
-    variables: tuple[str, ...]
-
-
-class _Blocks(NamedTuple):  # the fields; the subclass can keep its views
-    mixed_blocks: tuple[MixedBlock, ...]
-    pure_blocks: tuple[PureBlock, ...]
-    scaling_note: bool = False
+# the fields; the subclass can keep its views
+_Blocks = namedtuple(
+    "_Blocks", "mixed_blocks pure_blocks scaling_note", defaults=(False,)
+)
 
 
 class CanonicalForm(_Blocks):
@@ -345,7 +338,8 @@ def _nat(tok: re.Match | None, what: str, text: str) -> int:
 
 
 def _coefficient(tok: re.Match, tokens, text: str) -> tuple[int | Fraction, re.Match | None]:
-    """coef := nat ['/' nat] from the number `tok` on, and the token after it."""
+    """coef := nat ['/' nat] from the number `tok` on, and the token after it.
+    `fractions` loads only for an input that writes `a/b`."""
     num = _nat(tok, "coefficient", text)
     tok = next(tokens, None)
     if not (tok and tok[3] == "/"):
@@ -355,6 +349,8 @@ def _coefficient(tok: re.Match, tokens, text: str) -> tuple[int | Fraction, re.M
     den = _nat(tok, "denominator", text)
     if den == 0:
         raise ParseError("zero denominator", slash_end)
+    from fractions import Fraction
+
     return Fraction(num, den), next(tokens, None)
 
 

@@ -44,8 +44,8 @@ normal form and gcd of minors referee H; the independent cross-check in
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .polyio import CanonicalForm, SparseVector, dense
 
@@ -63,42 +63,29 @@ class SingleMonomialError(ValueError):
     intersections; the semidirect-product description does not apply."""
 
 
-class TorsionGenerator(NamedTuple):
-    """Diagonal map x_v -> zeta^e_v x_v with zeta a primitive root of unity.
+TorsionGenerator = namedtuple("TorsionGenerator", "order exponents")
+TorsionGenerator.__doc__ = """Diagonal map x_v -> zeta^e_v x_v, zeta a primitive
+root of unity.
 
-    Held purely arithmetically as (order, sparse exponent vector with entries
-    in 1..order-1); membership and order checks are integer congruences, no
-    cyclotomic numbers involved.
-    """
+Held purely arithmetically as (order, sparse exponent vector with entries
+in 1..order-1); membership and order checks are integer congruences, no
+cyclotomic numbers involved.
+"""
 
-    order: int
-    exponents: SparseVector
+# An exponent tuple chi = gcd * p and the monomials that have it.  The
+# monomial starting at each of `starts` (a range) has support
+# start..start+k-1.  A unimodular W with p W = e_1 is held once, as its
+# first column `section` (s, the vector pairing to 1 with p) and its other
+# columns `kernel`, all sparse over the local offsets 0..k-1; kernel column
+# j - 1 ends at its pivot, a nonzero entry on offset j.
+_Shape = namedtuple("_Shape", "exponents starts gcd section kernel")
 
-
-class _Shape(NamedTuple):
-    """An exponent tuple chi = gcd * p and the monomials that have it.
-
-    The monomial starting at each of `starts` has support start..start+k-1.
-    A unimodular W with p W = e_1 is held once, as its first column
-    `section` (s, the vector pairing to 1 with p) and its other columns
-    `kernel`, all sparse over the local offsets 0..k-1; kernel column j - 1
-    ends at its pivot, a nonzero entry on offset j.
-    """
-
-    exponents: tuple[int, ...]
-    starts: range
-    gcd: int
-    section: SparseVector
-    kernel: tuple[SparseVector, ...]
-
-
-class QuasitorusDescription(NamedTuple):
-    torus_rank: int
-    torsion: tuple[int, ...]
-    cocharacter_basis: tuple[SparseVector, ...]
-    torsion_generators: tuple[TorsionGenerator, ...]
-    shapes: tuple[_Shape, ...]
-    lcm: int
+# the vectors are `SparseVector`s; `torsion` and `torsion_generators` are
+# in the same order
+QuasitorusDescription = namedtuple(
+    "QuasitorusDescription",
+    "torus_rank torsion cocharacter_basis torsion_generators shapes lcm",
+)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

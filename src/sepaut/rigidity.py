@@ -16,9 +16,8 @@ several variables.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from typing import NamedTuple
+from collections import namedtuple
+from math import gcd, lcm
 
 from .polyio import CanonicalForm
 
@@ -35,13 +34,17 @@ INCONCLUSIVE = "inconclusive"
 INAPPLICABLE = "inapplicable"
 
 
-class RigidityCertificate(NamedTuple):
-    reciprocal_sum: Fraction
-    threshold: Fraction | None
-    verdict: str
-    equality: bool
-    block_count_threshold: Fraction | None
-    note: str
+RigidityCertificate = namedtuple(
+    "RigidityCertificate",
+    "reciprocal_sum threshold verdict equality block_count_threshold note",
+)
+RigidityCertificate.__doc__ = """The bound's verdict and the fractions it compares.
+
+`reciprocal_sum` is the sum of 1/e_v, `threshold` 1/(M - 2) and
+`block_count_threshold` 1/(blocks - 2), each a (numerator, denominator)
+pair of ints in lowest terms; the thresholds are None where their
+denominator is not positive.
+"""
 
 
 def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
@@ -53,7 +56,7 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     inapplicable     -- M <= 2, where the threshold denominator vanishes.
     """
     # k variables of exponent e add k/e, one term per distinct e, over the
-    # common denominator: one Fraction, not one per variable
+    # common denominator, reduced by one gcd
     counts: dict[int, int] = {}
     blocks = 0
     for exponents, starts in cf.shapes:
@@ -62,22 +65,26 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
         # each mixed block counts, and a pure block once for all its powers
         blocks += len(starts) if len(exponents) > 1 else 1
     denominator = lcm(*counts)
-    total = Fraction(sum(k * (denominator // e) for e, k in counts.items()), denominator)
+    numerator = sum(k * (denominator // e) for e, k in counts.items())
+    g = gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
     m_count = cf.monomial_count
-    alt = Fraction(1, blocks - 2) if blocks > 2 else None
+    alt = (1, blocks - 2) if blocks > 2 else None
 
     if m_count <= 2:
         threshold = None
         verdict = INAPPLICABLE
         equality = False
     else:
-        threshold = Fraction(1, m_count - 2)
-        verdict = CERTIFIED_RIGID if total <= threshold else INCONCLUSIVE
-        equality = total == threshold
+        threshold = (1, m_count - 2)
+        # a/b <= 1/c exactly when a*c <= b, for positive b and c
+        scaled = numerator * (m_count - 2)
+        verdict = CERTIFIED_RIGID if scaled <= denominator else INCONCLUSIVE
+        equality = scaled == denominator
 
-    note = _note(m_count, blocks, alt, equality)
+    note = _note(m_count, blocks, equality)
     return RigidityCertificate(
-        reciprocal_sum=total,
+        reciprocal_sum=(numerator, denominator),
         threshold=threshold,
         verdict=verdict,
         equality=equality,
@@ -86,12 +93,13 @@ def rigidity_certificate(cf: CanonicalForm) -> RigidityCertificate:
     )
 
 
-def _note(m_count: int, blocks: int, alt: Fraction | None, equality: bool) -> str:
+def _note(m_count: int, blocks: int, equality: bool) -> str:
     parts = [
         f"threshold denominator counts monomials (M - 2 = {m_count - 2});"
         " counting blocks instead (mixed blocks + distinct pure exponents"
         f" = {blocks}) gives "
-        + (f"1/{blocks - 2} = {alt}" if alt is not None else
+        + (f"1/{blocks - 2} = " + ("1" if blocks == 3 else f"1/{blocks - 2}")
+           if blocks > 2 else
            f"no applicable threshold (denominator {blocks - 2})")
     ]
     parts.append("certification uses the non-strict bound <=")

@@ -69,8 +69,8 @@ def test_criterion_1_flagship_reproduction():
         and aut.quasitorus.torsion == (10, 10)
         and aut.quasitorus.torus_rank == 2
         and aut.structure_string == f"S3 {SEMI} ((Z/10)^2 {TIMES} T^2)"
-        and cert.reciprocal_sum == Fraction(27, 55)
-        and cert.threshold == Fraction(1, 2)
+        and Fraction(*cert.reciprocal_sum) == Fraction(27, 55)
+        and Fraction(*cert.threshold) == Fraction(1, 2)
         and cert.verdict == CERTIFIED_RIGID
         and elapsed < 1.0
     )

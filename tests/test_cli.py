@@ -286,9 +286,10 @@ def test_json_output_is_byte_identical_across_processes(flags):
 def test_cli_imports_only_the_standard_library():
     # `python -S` loads no site hooks, so the modules loaded before the
     # import are the interpreter's own few; the oracles load only with the
-    # commands that run them, `json` only with `--json`, and no command
-    # loads the Smith normal form, `dataclasses`, `inspect`, `pathlib` or
-    # argparse and what comes with it
+    # commands that run them, `json` only with `--json`, `fractions` (with
+    # `decimal` and `numbers`) only for a coefficient written a/b, and no
+    # command loads the Smith normal form, `typing`, `dataclasses`,
+    # `inspect`, `pathlib` or argparse and what comes with it
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -301,9 +302,11 @@ def test_cli_imports_only_the_standard_library():
         "print(status, *sorted(set(sys.modules) - before), file=out)\n"
     )
     oracles = "sepaut.oracles"
+    written_fraction = "1/2*x^2+y^3+z^5"
     cases = [
         ([], set()),
         (["analyze", FLAGSHIP], set()),
+        (["analyze", written_fraction], set()),
         (["analyze", FLAGSHIP, "--json"], set()),
         (["fermat", "4", "3"], set()),
         (["analyze", FLAGSHIP, "--json", "--verify"], {oracles}),
@@ -324,8 +327,12 @@ def test_cli_imports_only_the_standard_library():
         assert "sepaut.cli" in loaded
         assert {oracles} & set(loaded) == expected, argv
         assert ("json" in loaded) == ("--json" in argv), argv
-        forbidden = {"sepaut.intlat", "dataclasses", "inspect", "pathlib"}
+        forbidden = {"sepaut.intlat", "typing", "dataclasses", "inspect", "pathlib"}
         forbidden |= {"argparse", "gettext", "locale", "shutil"}
+        if written_fraction in argv:
+            assert "fractions" in loaded
+        else:
+            forbidden |= {"fractions", "decimal", "numbers"}
         assert forbidden & set(loaded) == set(), argv
         third_party = [
             name for name in loaded
@@ -434,6 +441,11 @@ def test_fermat_renders_its_form_once(capsys, monkeypatch, flags):
         (["snf", "m.txt"], "invalid choice: 'snf'"),
         (["analyze", "--jsn", "x"], "unrecognized arguments: --jsn"),
         (["analyze", "-x^2", "-y^3"], "error: analyze takes EXPR, got ['-x^2', '-y^3']"),
+        (["verify", "x+y", "--oracle", "torsion", "--mod", "2", "--mod", "3"],
+         "error: --mod given twice"),
+        (["analyze", "x^2+y^3", "--json", "--json"], "error: --json given twice"),
+        (["verify", "x^2+y^3", "--oracle", "torsion", "--mod"], "error: --mod needs a value"),
+        (["verify", "x^2+y^3", "--oracle"], "error: --oracle needs a value"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):

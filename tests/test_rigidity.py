@@ -17,24 +17,24 @@ from sepaut.rigidity import (
 
 def test_flagship_certificate(flagship):
     cert = rigidity_certificate(flagship)
-    assert cert.reciprocal_sum == Fraction(27, 55)
-    assert cert.threshold == Fraction(1, 2)
+    assert Fraction(*cert.reciprocal_sum) == Fraction(27, 55)
+    assert Fraction(*cert.threshold) == Fraction(1, 2)
     assert cert.verdict == CERTIFIED_RIGID
     assert not cert.equality
 
 
 def test_fermat_boundary_case():
     cert = rigidity_certificate(fermat_form(3, 3))
-    assert cert.reciprocal_sum == 1
-    assert cert.threshold == 1
+    assert Fraction(*cert.reciprocal_sum) == 1
+    assert Fraction(*cert.threshold) == 1
     assert cert.verdict == CERTIFIED_RIGID
     assert cert.equality
 
 
 def test_inconclusive_case():
     cert = rigidity_certificate(parse_separated("x1^2*x2^2 + y1^2 + y2^2"))
-    assert cert.reciprocal_sum == 2
-    assert cert.threshold == 1
+    assert Fraction(*cert.reciprocal_sum) == 2
+    assert Fraction(*cert.threshold) == 1
     assert cert.verdict == INCONCLUSIVE
 
 
@@ -57,7 +57,8 @@ def test_note_mentions_both_denominators(flagship):
 def test_block_count_threshold_when_defined():
     cert = rigidity_certificate(parse_separated("x^9 + y^8 + z^7"))
     # three pure blocks: the block-count reading coincides with M - 2 here
-    assert cert.block_count_threshold == cert.threshold == Fraction(1, 1)
+    assert cert.block_count_threshold == cert.threshold
+    assert Fraction(*cert.threshold) == Fraction(1, 1)
 
 
 def test_sum_invariant_under_renaming_and_reordering():
@@ -97,4 +98,57 @@ def test_sum_over_distinct_exponents_is_the_sum_over_variables(seed, max_exp):
         (Fraction(1, e) for support in cf.monomial_supports for _, e in support),
         Fraction(0),
     )
-    assert rigidity_certificate(cf).reciprocal_sum == per_variable
+    assert Fraction(*rigidity_certificate(cf).reciprocal_sum) == per_variable
+
+
+def _pair(f):
+    return None if f is None else (f.numerator, f.denominator)
+
+
+def _fraction_referee(cf):
+    """The certificate's fields but the note, rebuilt in `Fraction`s from one
+    term per variable and the block count read off the blocks."""
+    total = sum(
+        (Fraction(1, e) for support in cf.monomial_supports for _, e in support),
+        Fraction(0),
+    )
+    m_count = cf.monomial_count
+    blocks = len(cf.mixed_blocks) + len(cf.pure_blocks)
+    threshold = Fraction(1, m_count - 2) if m_count > 2 else None
+    if threshold is None:
+        verdict = INAPPLICABLE
+    else:
+        verdict = CERTIFIED_RIGID if total <= threshold else INCONCLUSIVE
+    return (
+        _pair(total),
+        _pair(threshold),
+        verdict,
+        total == threshold,
+        _pair(Fraction(1, blocks - 2) if blocks > 2 else None),
+    )
+
+
+def test_integer_certificate_agrees_with_fraction_referee():
+    """The integer certificate (one gcd, a cross-multiplied comparison) gives
+    the fractions in lowest terms, the verdict, the equality flag and the
+    note's block reading that `Fraction` arithmetic gives, on random forms,
+    on equality cases and on forms of at most two monomials."""
+    rng = random.Random(19)
+    forms = [random_canonical_form(rng) for _ in range(500)]
+    forms += [parse_separated("x^3 + y^3 + z^3"), fermat_form(4, 8), fermat_form(6, 12)]
+    forms += [parse_separated(t) for t in ("x^2 + y^3", "x^17*y^2", "x*y + z^5", "x + y")]
+    seen = set()
+    for cf in forms:
+        cert = rigidity_certificate(cf)
+        expected = _fraction_referee(cf)
+        assert cert[:5] == expected, cf.to_text()
+        alt = cert.block_count_threshold
+        if alt is not None:
+            assert f"gives 1/{alt[1]} = {Fraction(*alt)};" in cert.note
+        seen.add((cert.verdict, cert.equality))
+    assert seen == {
+        (CERTIFIED_RIGID, True),
+        (CERTIFIED_RIGID, False),
+        (INCONCLUSIVE, False),
+        (INAPPLICABLE, False),
+    }
