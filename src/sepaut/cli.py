@@ -14,16 +14,14 @@ decimal strings, so identical invocations produce byte-identical output.
 The analysis holds its vectors sparse and its permutations as cycles, and
 the report prints each fact once, from that description, and nothing that
 can be read off another field.  JSON prints the cocharacter basis, the
-torsion generators and the cone's witness as dense lists of decimal
-strings, and each permutation generator once, in cycle notation.  The
-cone section is the witness alone: the homogeneity cocharacter (the lcm of
-the block degrees over the degree of each variable's block, read off
-`canonical_form`), the weights (the transpose of the cocharacter basis),
-the pair cocharacters (read off `mixed_blocks`), the pure factors and the
-mixed classes of the permutation group (the `pure_blocks` again, and the
-runs of equal exponent tuples in `mixed_blocks`) and the pointedness flag
-(the analysis checks the witness exactly, so the cone is always pointed)
-are not printed.  The report dict is the one place a value is formatted,
+torsion generators (each with its own order) and the cone's witness as
+dense lists of decimal strings, and each permutation generator once, in
+cycle notation.  The cone section prints the witness u alone, t0 in the
+coordinates of the printed basis, which the analysis certifies exactly
+(so the cone is always pointed); t0 (the lcm of the block degrees over
+each variable's block degree), the weights (the basis transposed), the
+pair cocharacters and the classes of P(F) are read off the printed blocks
+and basis.  The report dict is the one place a value is formatted,
 each dense vector through `polyio.decimals` and every other integer that
 can pass the `str` digit limit through `polyio.decimal`; the text report
 only joins its strings.  Both modes print the same vectors, and refuse
@@ -157,7 +155,6 @@ def build_report(input_text: str | None, cf, verify: bool = False) -> dict:
     _refuse_over_limit(_report_size(cf.variable_count, aut))
     checks = run_verification(cf, aut) if verify else []
     cert, quasi = aut.rigidity, aut.quasitorus
-    torsion = [decimal(d) for d in quasi.torsion]
     names = cf.var_order
     n = len(names)
     rendered = cf.to_text()
@@ -189,11 +186,11 @@ def build_report(input_text: str | None, cf, verify: bool = False) -> dict:
         },
         "quasitorus": {
             "torus_rank": quasi.torus_rank,
-            "torsion": torsion,
+            "torsion": [decimal(d) for d in quasi.torsion],
             "cocharacter_basis": [decimals(v, n) for v in quasi.cocharacter_basis],
             "torsion_generators": [
-                {"order": order, "exponents": decimals(t.exponents, n)}
-                for order, t in zip(torsion, quasi.torsion_generators)
+                {"order": decimal(t.order), "exponents": decimals(t.exponents, n)}
+                for t in quasi.torsion_generators
             ],
         },
         "permutation_group": {
@@ -330,8 +327,8 @@ class UsageError(Exception):
 def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
     """The command, positionals and options of `argv` by the module's one
     rule, the command None for help.  Raises `UsageError` for a `--word`
-    that is no option, an option given twice or missing its value, and for
-    positionals other than one EXPR or N ALPHA."""
+    that is no option, an option given twice or missing its value, for
+    positionals other than one EXPR or N ALPHA, and for a `--mod` below 1."""
     head = argv[: argv.index("--")] if "--" in argv else argv
     if "-h" in head or "--help" in head:
         return None, [], {}
@@ -365,6 +362,8 @@ def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
             options["--mod"] = int(options["--mod"])
     except ValueError as exc:
         raise UsageError(exc) from None
+    if options.get("--mod", 1) < 1:
+        raise UsageError("--mod must be >= 1")
     return command, inputs, options
 
 

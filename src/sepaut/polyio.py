@@ -97,7 +97,8 @@ class ConstantTermError(PolynomialError):
 # ---------------------------------------------------------------------------
 # canonical form
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 # A vector over the canonical variables as (index, value) pairs, index
 # strictly increasing, no value zero: a monomial's support with its
@@ -118,8 +119,7 @@ def dense(vec: SparseVector, n: int) -> list[int]:
 # those are converted in pieces of fewer digits than that, split at the
 # powers 10^(600 * 2^k), each squared once and kept as far as needed
 _PIECE_DIGITS = 600
-_PIECE = 10**_PIECE_DIGITS
-_POWERS = [_PIECE]
+_POWERS = [10**_PIECE_DIGITS]
 
 
 def decimal(x: int) -> str:
@@ -139,10 +139,10 @@ def decimal(x: int) -> str:
 
 
 def decimals(vec: SparseVector, n: int) -> list[str]:
-    """`dense(vec, n)` as decimal strings; `str` itself below 10^600."""
+    """`dense(vec, n)` as decimal strings."""
     out = ["0"] * n
     for i, x in vec:
-        out[i] = str(x) if -_PIECE < x < _PIECE else decimal(x)
+        out[i] = decimal(x)
     return out
 
 
@@ -310,7 +310,7 @@ def _canonical_form(mixed, pure: dict[int, list[str]], scaling_note: bool) -> Ca
 # a natural number (group 2) or any other character (group 3).  A run takes
 # an exponent of 1 to 640 digits (int() takes 640 under any limit), positive
 # and followed by no digit, '.' or '/'; any other '^' is read by `_exponent`.
-_FACTOR = r"[A-Za-z][A-Za-z0-9_]*(?:\^(?=0*[1-9])[0-9]{1,640}(?![0-9./]))?"
+_FACTOR = _NAME + r"(?:\^(?=0*[1-9])[0-9]{1,640}(?![0-9./]))?"
 _TOKEN_RE = re.compile(rf"\s*(?:({_FACTOR}(?:\*{_FACTOR})*)|([0-9]+)|(\S))")
 
 
@@ -337,9 +337,10 @@ def _nat(tok: re.Match | None, what: str, text: str) -> int:
         ) from None
 
 
-def _coefficient(tok: re.Match, tokens, text: str) -> tuple[int | Fraction, re.Match | None]:
+def _coefficient(tok: re.Match, tokens, text: str):
     """coef := nat ['/' nat] from the number `tok` on, and the token after it.
-    `fractions` loads only for an input that writes `a/b`."""
+    The coefficient is an int, or a `Fraction` for `a/b`, the only input
+    that loads `fractions`."""
     num = _nat(tok, "coefficient", text)
     tok = next(tokens, None)
     if not (tok and tok[3] == "/"):
@@ -401,8 +402,8 @@ def parse_separated(text: str) -> CanonicalForm:
     tok = next(tokens, None)
     if tok is None:
         raise ParseError("empty input", len(text))
-    # coefficient of each monomial, keyed by its (var, exp) pairs sorted by var
-    terms: dict[tuple[tuple[str, int], ...], int | Fraction] = {}
+    # each monomial's coefficient (int or Fraction) by its (var, exp) pairs sorted by var
+    terms = {}
     sign = 1
     if tok[3] == "-":
         sign = -1

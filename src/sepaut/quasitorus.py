@@ -111,12 +111,12 @@ def _completion(p) -> tuple[SparseVector, tuple[SparseVector, ...]]:
     column j becomes (a/g) e_j - (p_j/g) s and s becomes x s + y e_j.
     Column j is final from then on, and ends at its pivot a/g != 0 on entry
     j, as s has entries only before j.  When a divides p_j, s stays (x = 1,
-    y = 0, with no call to Euclid) or becomes e_j (a = p_j); it gains an entry
-    only when the gcd drops, at most log2(p_0) times: O(k log p_0) entries.
+    y = 0) or becomes e_j (a = p_j); it gains an entry only when the gcd
+    drops, at most log2(p_0) times: O(k log p_0) entries.
     """
     section, kernel, a = [(0, 1)], [], p[0]
     for j, b in enumerate(p[1:], 1):
-        g, x, y = (a, 1, 0) if b % a == 0 and b > a else _xgcd(a, b)
+        g, x, y = _xgcd(a, b)
         bg = b // g
         kernel.append((*[(i, -bg * u) for i, u in section], (j, a // g)))
         if (x, y) != (1, 0):
@@ -265,28 +265,21 @@ def cocharacter_coordinates(
     as a sparse vector of dimension `quasi.torus_rank`, solved on the basis
     vectors in O(their nonzero entries).
 
-    With P the common pairing of `vector` with every character (ValueError
-    off ker(D)), the coordinate on w is P / L, with L = `quasi.lcm`.  From the last back, a
+    With P the pairing of `vector` with the first character, the
+    coordinate on w is P / L, with L = `quasi.lcm`.  From the last back, a
     kernel column ends at its pivot, which no column before it but w
     touches, so its coordinate is the residual there (`vector` less the
-    parts of w and the later columns) over the pivot.  The residual must end
-    at zero, which is the identity sum over k of u_k * b_k = vector; a basis
-    that does not give `vector` back raises AssertionError.
+    parts of w and the later columns) over the pivot.  The one check is a
+    zero residual, the identity sum over k of u_k * b_k = vector; a vector
+    off ker(D) or off the lattice, or a wrong basis, raises ValueError.
     """
     n = sum(len(s.exponents) * len(s.starts) for s in quasi.shapes)
     if vector and not (0 <= vector[0][0] and vector[-1][0] < n):
         raise ValueError("dimension mismatch between vector and characters")
     residual = dense(vector, n)
-    pairings = set()
-    for s in quasi.shapes:
-        k = len(s.exponents)
-        if k == 1:  # pure powers: one slice of the residual
-            pairings.update(map(s.exponents[0].__mul__, residual[s.starts.start : s.starts.stop]))
-        else:
-            pairings.update(sum(map(mul, s.exponents, residual[a : a + k])) for a in s.starts)
-    if len(pairings) != 1:
-        raise ValueError("vector is not in the cocharacter lattice ker(D)")
-    (pairing,) = pairings
+    # the first monomial starts the canonical order
+    first = quasi.shapes[0].exponents
+    pairing = sum(map(mul, first, residual))
     basis = quasi.cocharacter_basis
     coords = [pairing // quasi.lcm] + [0] * (len(basis) - 1)
     # w first, then the kernel columns from the last back; a remainder stays
@@ -299,5 +292,5 @@ def cocharacter_coordinates(
             for v, x in basis[k]:
                 residual[v] -= c * x
     if any(residual):
-        raise AssertionError("the basis does not give the vector back")
+        raise ValueError("the basis does not give the vector back")
     return tuple((k, c) for k, c in enumerate(coords) if c)

@@ -53,17 +53,16 @@ def pointedness_witness(
 ) -> SparseVector:
     """The witness u that the weight cone is pointed: `homogeneity` in the
     coordinates of `quasi.cocharacter_basis`, solved on the printed basis
-    vectors by `cocharacter_coordinates` (which raises ValueError off
-    ker(D)).
+    vectors by `cocharacter_coordinates`.
 
-    Its zero residual is the certificate: sum_k u_k * b_k = homogeneity
-    holds exactly, and as every homogeneity entry is positive, it gives the
-    pairing u . w_v = homogeneity[v] > 0 with every weight.  A basis that
-    does not give the homogeneity back raises AssertionError.
+    Its zero residual is the certificate and the only check: sum_k u_k * b_k
+    = homogeneity holds exactly, and as every homogeneity entry is positive,
+    it gives the pairing u . w_v = homogeneity[v] > 0 with every weight.
+    Any residual (a wrong basis, a vector off ker(D)) raises AssertionError.
     """
     try:
         return cocharacter_coordinates(quasi, homogeneity)
-    except AssertionError as exc:
+    except ValueError as exc:
         raise AssertionError(
             "the witness does not give the homogeneity cocharacter"
         ) from exc

@@ -69,6 +69,18 @@ def test_analyze_json_report(capsys):
     assert parse_separated(echoed).to_text() == echoed
 
 
+def test_each_generator_prints_its_own_order(capsys, monkeypatch):
+    # the torsion claim forged to (2, 8) in place of (4, 4): the generators
+    # keep order 4, and each prints the order it is certified at
+    aut = aut_group(parse_separated("x^4 + y^4 + z^4"))
+    forged = aut._replace(quasitorus=aut.quasitorus._replace(torsion=(2, 8)))
+    monkeypatch.setattr(sepaut.cli, "aut_group", lambda cf: forged)
+    code, out, _ = run_cli(capsys, "analyze", "x^4 + y^4 + z^4", "--json")
+    quasi = json.loads(out)["quasitorus"]
+    assert code == 0 and quasi["torsion"] == ["2", "8"]
+    assert [t["order"] for t in quasi["torsion_generators"]] == ["4", "4"]
+
+
 def _sepaut(*argv, stdin=None) -> bytes:
     """The stdout of `python -m sepaut *argv`, which must exit 0."""
     env = dict(os.environ)
@@ -446,6 +458,8 @@ def test_fermat_renders_its_form_once(capsys, monkeypatch, flags):
         (["analyze", "x^2+y^3", "--json", "--json"], "error: --json given twice"),
         (["verify", "x^2+y^3", "--oracle", "torsion", "--mod"], "error: --mod needs a value"),
         (["verify", "x^2+y^3", "--oracle"], "error: --oracle needs a value"),
+        (["verify", "x^2+y^3", "--oracle", "torsion", "--mod", "0"], "error: --mod must be >= 1"),
+        (["verify", "x^2+y^3", "--oracle", "torsion", "--mod", "-4"], "error: --mod must be >= 1"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):

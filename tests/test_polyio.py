@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,14 @@ from sepaut.polyio import (
     ParseError,
     PolynomialError,
     ZeroPolynomialError,
+    _coefficient,
+    decimal,
+    decimals,
+    dense,
     make_canonical_form,
     parse_separated,
 )
+from sepaut.quasitorus import quasitorus_structure
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +276,12 @@ def test_parser_matches_the_token_referee(pieces):
     assert outcome(parse_separated, text) == outcome(parse_by_tokens, text)
 
 
+def test_coefficient_annotations_name_what_the_module_holds():
+    # `fractions` loads inside `_coefficient`, so its annotations may not
+    # name `Fraction`
+    assert typing.get_type_hints(_coefficient) == {"tok": re.Match, "text": str}
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -415,3 +427,27 @@ def test_parse_work_is_linear_in_the_blocks(family):
         calls_inside(parse_separated, PARSE_FAMILIES[family](m)) for m in (k, 4 * k)
     )
     assert large <= 4 * 1.05 * small, (family, small, large)
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def test_negative_integers_past_the_limit_print_as_str_does():
+    """The cocharacter basis of x^P*y^Q*z^R + w^2 + v^3, for three random
+    exponents of 3000 digits, has entries below -10^4300, past the `str`
+    digit limit; `decimal` and `decimals` print them as `str` does with the
+    limit lifted."""
+    rng = random.Random(34)
+    p, q, r = (rng.randrange(10**2999, 10**3000) for _ in range(3))
+    quasi = quasitorus_structure(parse_separated(f"x^{p}*y^{q}*z^{r} + w^2 + v^3"))
+    vectors = [v for v in quasi.cocharacter_basis if min(x for _, x in v) < -(10**4300)]
+    assert vectors
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [[str(x) for x in dense(v, 5)] for v in vectors]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [decimals(v, 5) for v in vectors] == expected
+    assert [[decimal(x) for x in dense(v, 5)] for v in vectors] == expected

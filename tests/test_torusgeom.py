@@ -174,8 +174,8 @@ def test_witness_check_refuses_a_basis_the_block_data_do_not_give(flagship):
         for basis in spoilt:
             with pytest.raises(AssertionError, match="does not give the homogeneity"):
                 pointedness_witness(quasi._replace(cocharacter_basis=tuple(basis)), homogeneity)
-    # off ker(D) there is no witness at all
-    with pytest.raises(ValueError):
+    # off ker(D) the residual is left too
+    with pytest.raises(AssertionError, match="does not give the homogeneity"):
         pointedness_witness(quasi, ((0, 1),))
 
 
