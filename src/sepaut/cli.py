@@ -295,10 +295,6 @@ def cmd_analyze(command: str, inputs: list, as_json: bool, verify: bool) -> int:
 
 
 def cmd_verify(arg: str, oracle: str, modulus: int | None) -> int:
-    if (oracle == "torsion") != (modulus is not None):
-        need = "needs --mod N" if oracle == "torsion" else "takes no --mod"
-        print(f"error: the {oracle} oracle {need}", file=sys.stderr)
-        return EXIT_ERROR
     cf = parse_separated(_read_input(arg))
     check = _check(oracle, cf, aut_group(cf), modulus)
     if check["status"] == "skipped":
@@ -325,10 +321,10 @@ class UsageError(Exception):
 
 
 def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
-    """The command, positionals and options of `argv` by the module's one
-    rule, the command None for help.  Raises `UsageError` for a `--word`
-    that is no option, an option given twice or missing its value, for
-    positionals other than one EXPR or N ALPHA, and for a `--mod` below 1."""
+    """The command, positionals and options of `argv` by `USAGE`, the
+    command None for help.  Raises `UsageError` for an unknown `--word`, a
+    repeated or valueless option, positionals other than one EXPR or N
+    ALPHA, and a `--mod` below 1 or unpaired with the torsion oracle."""
     head = argv[: argv.index("--")] if "--" in argv else argv
     if "-h" in head or "--help" in head:
         return None, [], {}
@@ -364,6 +360,9 @@ def _read_argv(argv: list[str]) -> tuple[str | None, list, dict]:
         raise UsageError(exc) from None
     if options.get("--mod", 1) < 1:
         raise UsageError("--mod must be >= 1")
+    if command == "verify" and (options["--oracle"] == "torsion") != ("--mod" in options):
+        need = "takes no --mod" if "--mod" in options else "needs --mod N"
+        raise UsageError(f"the {options['--oracle']} oracle {need}")
     return command, inputs, options
 
 

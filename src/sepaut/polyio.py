@@ -250,7 +250,7 @@ class CanonicalForm(_Blocks):
         return " + ".join(parts)
 
 
-def make_canonical_form(mixed_blocks, pure_blocks, scaling_note: bool = False) -> CanonicalForm:
+def make_canonical_form(mixed_blocks, pure_blocks) -> CanonicalForm:
     """Normalize raw block data into a `CanonicalForm`, validating invariants.
 
     `mixed_blocks` is an iterable of (variables, exponents) pairs with at
@@ -280,7 +280,7 @@ def make_canonical_form(mixed_blocks, pure_blocks, scaling_note: bool = False) -
             raise ValueError("exponents must be positive integers")
         merged.setdefault(q, []).extend(vars_)
 
-    cf = _canonical_form(mixed, merged, scaling_note)
+    cf = _canonical_form(mixed, merged, False)
     names = cf.var_order
     invalid = [v for v in names if not _NAME_RE.match(v)]
     if invalid:

@@ -485,4 +485,4 @@ def parse_by_tokens(text: str):
     if repeated is not None:
         raise NotSeparatedError(repeated, seen[repeated])
     scaling = any(coef not in (0, 1) for coef in terms.values())
-    return make_canonical_form(mixed, pure.items(), scaling_note=scaling)
+    return make_canonical_form(mixed, pure.items())._replace(scaling_note=scaling)

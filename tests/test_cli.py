@@ -120,7 +120,7 @@ def test_dash_with_stdin_closed_exits_1(monkeypatch, capsys):
 def test_verify_settles_mod_before_reading_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", None)
     assert run_cli(capsys, "verify", "-", "--oracle", "torsion") == (
-        1, "", "error: the torsion oracle needs --mod N\n"
+        1, "", f"{sepaut.cli.USAGE}\nerror: the torsion oracle needs --mod N\n"
     )
 
 
@@ -225,7 +225,7 @@ def test_verify_refuses_mod_without_torsion(capsys, oracle):
     argv = ["verify", "x^2+y^2", "--oracle", oracle, "--mod", "5"]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: the {oracle} oracle takes no --mod\n"
+    assert err == f"{sepaut.cli.USAGE}\nerror: the {oracle} oracle takes no --mod\n"
 
 
 def test_verify_generators(capsys):
@@ -460,6 +460,11 @@ def test_fermat_renders_its_form_once(capsys, monkeypatch, flags):
         (["verify", "x^2+y^3", "--oracle"], "error: --oracle needs a value"),
         (["verify", "x^2+y^3", "--oracle", "torsion", "--mod", "0"], "error: --mod must be >= 1"),
         (["verify", "x^2+y^3", "--oracle", "torsion", "--mod", "-4"], "error: --mod must be >= 1"),
+        (["verify", "x^2+y^3", "--oracle", "torsion"], "error: the torsion oracle needs --mod N"),
+        (["verify", "x^2+y^3", "--oracle", "perms", "--mod", "5"],
+         "error: the perms oracle takes no --mod"),
+        (["verify", "x^2+y^3", "--oracle", "generators", "--mod", "5"],
+         "error: the generators oracle takes no --mod"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
